@@ -16,8 +16,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -309,7 +309,7 @@ def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, t) -> Co
         upper_box = np.full(d_vars, np.inf)
     if not M_rows:
         M_rows.append(np.zeros(d_vars))
-        c_vals.append(-np.inf if False else 0.0)  # pragma: no cover
+        c_vals.append(0.0)
 
     p = np.zeros(d_vars)
     for j in range(nz):

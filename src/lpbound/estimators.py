@@ -12,7 +12,7 @@ term removes the first-order bias when the penalty dominates a KKT vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .linalg import (
     smallest_singular_value,
     binding_rows,
     DimensionError,
-    OPTIMAL,
+    SolverError,
     TAU_RANK,
 )
 
@@ -85,24 +85,26 @@ def plug_in_value(params: LpParams) -> LpSolution:
     return solve_lp(params, include_box=True)
 
 
-def _relaxed_params(params: LpParams, w: np.ndarray) -> LpParams:
+def _relaxed_params(params: LpParams, cfg: PenaltyConfig, n: Optional[int]) -> LpParams:
     """The (x, a)-space LP whose value equals min_X L(x; theta, w)."""
-    d, q = params.d, params.q
-    p_rel = np.concatenate([params.p, w])
-    M_rel = np.hstack([params.M, np.eye(q)])
-    c_rel = params.c.copy()
-    lower = np.concatenate([params.box[0], np.zeros(q)])
-    upper = np.concatenate([params.box[1], np.full(q, np.inf)])
-    return LpParams(p=p_rel, M=M_rel, c=c_rel, box=(lower, upper))
+    lower, upper = params.box
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise PenaltyError("penalized estimation requires a compact box")
+    w = cfg.resolve_w(params, n)
+    q = params.q
+    return LpParams(
+        p=np.concatenate([params.p, w]),
+        M=np.hstack([params.M, np.eye(q)]),
+        c=params.c.copy(),
+        box=(np.concatenate([lower, np.zeros(q)]), np.concatenate([upper, np.full(q, np.inf)])),
+    )
 
 
 def penalty_value(params: LpParams, cfg: PenaltyConfig, n: Optional[int] = None) -> float:
     """min over the box of p'x + w'(c - Mx)^+ (always finite on a compact box)."""
-    if not np.all(np.isfinite(params.box[0])) or not np.all(np.isfinite(params.box[1])):
-        raise PenaltyError("penalty estimation requires a compact box")
-    w = cfg.resolve_w(params, n)
-    sol = solve_lp(_relaxed_params(params, w), include_box=True)
-    assert sol.status == OPTIMAL  # feasible (a = (c - Mx)^+) and box-bounded
+    sol = solve_lp(_relaxed_params(params, cfg, n), include_box=True)
+    if not sol.optimal:  # feasible (a = (c - Mx)^+) and box-bounded
+        raise SolverError(f"relaxed penalty LP reported {sol.status}")
     return float(sol.value)
 
 
@@ -120,14 +122,12 @@ def debiased_estimate(
     """
     if pick not in ("max", "min"):
         raise PenaltyError(f"pick must be 'max' or 'min', got {pick!r}")
-    if not np.all(np.isfinite(params.box[0])) or not np.all(np.isfinite(params.box[1])):
-        raise PenaltyError("penalized estimation requires a compact box")
-    w = cfg.resolve_w(params, n)
-    relaxed = _relaxed_params(params, w)
+    relaxed = _relaxed_params(params, cfg, n)
     sense = -1.0 if pick == "max" else 1.0
     secondary = np.concatenate([sense * params.p, np.zeros(params.q)])
     sol = solve_lp(relaxed, include_box=True, secondary=secondary)
-    assert sol.status == OPTIMAL  # feasible (a = (c - Mx)^+) and box-bounded
+    if not sol.optimal:  # feasible (a = (c - Mx)^+) and box-bounded
+        raise SolverError(f"relaxed penalty LP reported {sol.status}")
     x_hat = sol.vertex[: params.d]
     binding = binding_rows(params.M, params.c, x_hat)
     residual = float(np.sum(np.clip(params.c - params.M @ x_hat, 0.0, None)))

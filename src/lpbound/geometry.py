@@ -13,18 +13,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
 from .linalg import (
     LpParams,
-    LpSolution,
     solve_lp,
     enumerate_vertices,
     smallest_singular_value,
-    DimensionError,
     EnumerationCapError,
     OPTIMAL,
     UNBOUNDED,
@@ -35,41 +33,6 @@ from .linalg import (
 )
 
 TAU_KKT = 1e-9
-
-
-@dataclass
-class Polytope:
-    """The set {x : Mx >= c}, optionally intersected with a box."""
-
-    M: np.ndarray
-    c: np.ndarray
-    box: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        if self.M.ndim != 2 or self.c.ndim != 1 or self.M.shape[0] != self.c.shape[0]:
-            raise DimensionError("M must be q x d with c of length q")
-
-    @property
-    def d(self) -> int:
-        return self.M.shape[1]
-
-    @property
-    def q(self) -> int:
-        return self.M.shape[0]
-
-    def effective_system(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All rows including box rows, as a single (M, c) pair."""
-        if self.box is None:
-            return self.M, self.c
-        params = LpParams(np.zeros(self.d), self.M, self.c, self.box)
-        return params.effective_system(include_box=True)
-
-    def contains(self, x: np.ndarray, tol: float = TAU_FEAS) -> bool:
-        M, c = self.effective_system()
-        scale = 1.0 + np.abs(c)
-        return bool(np.all(M @ x - c >= -tol * scale))
 
 
 @dataclass
@@ -135,18 +98,16 @@ def delta_condition(
     )
 
 
-def _is_bounded(poly: Polytope) -> bool:
-    d = poly.d
-    if poly.box is not None and np.all(np.isfinite(poly.box[0])) and np.all(
-        np.isfinite(poly.box[1])
-    ):
+def _is_bounded(params: LpParams) -> bool:
+    lower, upper = params.box
+    if np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)):
         return True
-    box = poly.box or (np.full(d, -np.inf), np.full(d, np.inf))
+    d = params.d
     for i in range(d):
         for sense in (1.0, -1.0):
             p = np.zeros(d)
             p[i] = sense
-            sol = solve_lp(LpParams(p, poly.M, poly.c, box), include_box=True)
+            sol = solve_lp(LpParams(p, params.M, params.c, params.box), include_box=True)
             if sol.status == UNBOUNDED:
                 return False
             if sol.status != OPTIMAL:
@@ -154,25 +115,23 @@ def _is_bounded(poly: Polytope) -> bool:
     return True
 
 
-def polytope_condition_number(poly: Polytope, cap: int = ENUMERATION_CAP) -> float:
+def polytope_condition_number(params: LpParams, cap: int = ENUMERATION_CAP) -> float:
     """min over vertices, over full-rank d-subsets of binding rows, of sigma_d.
 
-    Raw (unnormalized) rows enter the singular values. Size-d subsets suffice:
-    appending rows can only increase the d-th singular value. Raises on
-    unbounded or empty polytopes.
+    The polytope is {x : Mx >= c} intersected with the box; the objective p
+    plays no part. Raw (unnormalized) rows enter the singular values. Size-d
+    subsets suffice: appending rows can only increase the d-th singular
+    value. Raises on unbounded or empty polytopes.
     """
-    if not _is_bounded(poly):
+    if not _is_bounded(params):
         raise ValueError("polytope condition number requires a bounded polytope")
-    d = poly.d
-    box = poly.box or (np.full(d, -np.inf), np.full(d, np.inf))
-    params = LpParams(np.zeros(d), poly.M, poly.c, box)
     vertices = enumerate_vertices(params, include_box=True, cap=cap)
     if not vertices:
         raise ValueError("polytope is empty (no vertices)")
-    M_all, _ = poly.effective_system()
+    M_all, _ = params.effective_system(include_box=True)
     best = math.inf
     for _, rows in vertices:
-        for B in itertools.combinations(rows, d):
+        for B in itertools.combinations(rows, params.d):
             sub = M_all[list(B)]
             sigma = smallest_singular_value(sub)
             if sigma > TAU_RANK * max(1.0, np.abs(sub).max()):
@@ -182,14 +141,14 @@ def polytope_condition_number(poly: Polytope, cap: int = ENUMERATION_CAP) -> flo
     return best
 
 
-def l1_violation(poly: Polytope, x: np.ndarray) -> float:
+def l1_violation(params: LpParams, x: np.ndarray) -> float:
     """sum_j (c_j - M_j x)^+ over all rows including box rows."""
-    M, c = poly.effective_system()
+    M, c = params.effective_system(include_box=True)
     return float(np.sum(np.clip(c - M @ np.asarray(x, dtype=float), 0.0, None)))
 
 
 def distance_to_polytope(
-    poly: Polytope, x: np.ndarray, cap: int = ENUMERATION_CAP
+    params: LpParams, x: np.ndarray, cap: int = ENUMERATION_CAP
 ) -> Tuple[float, np.ndarray]:
     """Euclidean distance from x to {Mx >= c} and the projection attaining it.
 
@@ -198,16 +157,16 @@ def distance_to_polytope(
     of x is the projection onto the affine hull of its active set.
     """
     x = np.asarray(x, dtype=float)
-    if poly.contains(x):
+    M, c = params.effective_system(include_box=True)
+    scale_c = 1.0 + np.abs(c)
+    if np.all(M @ x - c >= -TAU_FEAS * scale_c):
         return 0.0, x.copy()
-    M, c = poly.effective_system()
     q = M.shape[0]
     if 2 ** q > cap:
         raise EnumerationCapError(f"2^{q} subsets exceed the cap")
-    scale_c = 1.0 + np.abs(c)
     best = math.inf
     best_z = None
-    for r in range(1, min(q, poly.d) + 1):
+    for r in range(1, min(q, params.d) + 1):
         for J in itertools.combinations(range(q), r):
             sub, rhs = M[list(J)], c[list(J)]
             # projection onto {sub z = rhs}: x + sub' (sub sub')^+ (rhs - sub x)

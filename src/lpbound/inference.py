@@ -87,17 +87,13 @@ class InferenceConfig:
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     v_bar: Optional[float] = None  # None -> select_v_bar on fold-1 estimates
     v_bar_alpha: float = 0.1
-    sigma_source: str = "analytic"  # "analytic" | "bootstrap"
     sigma_min: float = 0.0
-    bootstrap_reps: int = 500
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise InferenceError(f"gamma must lie in (0,1), got {self.gamma}")
         if not (0.0 < self.alpha < 1.0):
             raise InferenceError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.sigma_source not in ("analytic", "bootstrap"):
-            raise InferenceError(f"unknown sigma_source {self.sigma_source!r}")
         if self.sigma_min < 0:
             raise InferenceError("sigma_min must be nonnegative")
 
@@ -177,27 +173,14 @@ def find_triplet(
     return OptimalTriplet(A=A, x=result.vertex, v=v)
 
 
-def _selectors(q: int, d: int, A: np.ndarray):
-    """Selector matrices for the (p, vec M, c) parameter ordering."""
-    S = d + q * d + q
-    C_c = np.zeros((q, S))
-    C_c[:, d + q * d:] = np.eye(q)
-    C_M = np.zeros((q * d, S))
-    C_M[:, d: d + q * d] = np.eye(q * d)
-    C_A = np.zeros((len(A), q))
-    for i, a in enumerate(A):
-        C_A[i, a] = 1.0
-    return C_c, C_M, C_A
-
-
 def asymptotic_variance(
     A: np.ndarray, x: np.ndarray, v: np.ndarray, Sigma: np.ndarray
 ) -> float:
     """Variance of v_A'(c_A - M_A x) under theta ~ (theta_0, Sigma).
 
-    Closed form sigma^2 = J1 S J1' - 2 J2 (I_d (x) C_M S J1') x
-    + J2 (x x' (x) C_M S C_M') J2' with J1 = v_A' C(A) C_c and
-    J2 = v_A' C(A) (vec(I_d)' (x) I_q).
+    Delta method: the statistic is linear in theta with gradient
+    g = (0_d, -x (x) v_A, v_A) in the (p, vec M, c) ordering, where v_A is v
+    zeroed off A, so sigma^2 = g' Sigma g.
     """
     A = np.asarray(A, dtype=int)
     x = np.asarray(x, dtype=float)
@@ -214,48 +197,13 @@ def asymptotic_variance(
     evals = np.linalg.eigvalsh(0.5 * (Sigma + Sigma.T))
     if evals.min() < -_PSD_TOL * scale:
         raise InferenceError(f"Sigma is not PSD (min eigenvalue {evals.min():.3e})")
-    C_c, C_M, C_A = _selectors(q, d, A)
-    v_A = v[A]
-    J1 = v_A @ C_A @ C_c  # 1 x S
-    J2 = v_A @ C_A @ np.kron(np.eye(d).flatten(order="F")[None, :], np.eye(q))
-    SJ1 = Sigma @ J1  # S
-    term1 = float(J1 @ SJ1)
-    term2 = -2.0 * float(J2 @ np.kron(np.eye(d), (C_M @ SJ1)[:, None]) @ x)
-    mid = C_M @ Sigma @ C_M.T
-    term3 = float(J2 @ np.kron(np.outer(x, x), mid) @ J2)
-    var = term1 + term2 + term3
+    v_A = np.zeros(q)
+    v_A[A] = v[A]
+    g = np.concatenate([np.zeros(d), -np.kron(x, v_A), v_A])
+    var = float(g @ Sigma @ g)
     if var < _VAR_CLIP * scale:
         raise InferenceError(f"variance formula returned {var:.3e} < clip threshold")
     return max(var, 0.0)
-
-
-def bootstrap_se(
-    theta2_resampler: Callable[[int], LpParams],
-    A: np.ndarray,
-    x: np.ndarray,
-    v: np.ndarray,
-    B: int,
-    seed,
-    n2: int = 1,
-    center: Optional[float] = None,
-) -> float:
-    """sqrt(n2) * RMS deviation of v_A'(c*_A - M*_A x) across B resamples.
-
-    theta2_resampler(b) must return the b-th bootstrap re-estimate of the
-    fold-2 parameters. Deviations are taken from `center` (default: the mean
-    of the bootstrap draws), matching the fold-2 point estimate when given.
-    """
-    if B < 100:
-        raise InferenceError(f"bootstrap needs B >= 100 replications, got {B}")
-    A = np.asarray(A, dtype=int)
-    v_A = np.asarray(v, dtype=float)[A]
-    draws = np.empty(B)
-    for b in range(B):
-        theta_b = theta2_resampler(b)
-        draws[b] = v_A @ (theta_b.c[A] - theta_b.M[A] @ x)
-    if center is None:
-        center = float(draws.mean())
-    return math.sqrt(n2) * math.sqrt(float(np.mean((draws - center) ** 2)))
 
 
 def run_inference(
@@ -289,17 +237,9 @@ def run_inference(
     v_A = v[A]
     estimate = float(v_A @ (theta2.c[A] - theta2.M[A] @ x) + theta1.p @ x)
 
-    if cfg.sigma_source == "analytic":
-        if est2.sigma is None:
-            raise InferenceError("analytic sigma_source requires the estimator to supply sigma")
-        sigma_hat = math.sqrt(asymptotic_variance(A, x, v, est2.sigma))
-        se = sigma_hat / math.sqrt(n2)
-    else:
-        resampler = getattr(est2, "resampler", None)
-        if resampler is None:
-            raise InferenceError("bootstrap sigma_source requires est2.resampler")
-        se = bootstrap_se(resampler, A, x, v, cfg.bootstrap_reps, seed, n2=n2) / math.sqrt(n2)
-        sigma_hat = se * math.sqrt(n2)
+    if est2.sigma is None:
+        raise InferenceError("inference requires the estimator to supply sigma")
+    sigma_hat = math.sqrt(asymptotic_variance(A, x, v, est2.sigma))
 
     degenerate = sigma_hat <= cfg.sigma_min or sigma_hat == 0.0
     sigma_hat = max(sigma_hat, cfg.sigma_min)

@@ -2,15 +2,15 @@
 
 Solves min p'x subject to Mx >= c (plus optional box rows) with a two-phase
 revised simplex using Bland's anti-cycling rule, and provides the
-vertex-enumeration oracle, a Jacobi smallest-singular-value routine and the
-column-major (de)vectorization helpers used throughout the package.
+vertex-enumeration oracle, the smallest singular value and the column-major
+(de)vectorization helpers used throughout the package.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class DimensionError(ValueError):
 
 class EnumerationCapError(RuntimeError):
     """Raised when a subset enumeration would exceed the configured cap."""
+
+
+class SolverError(RuntimeError):
+    """Raised when the simplex reports a status its problem cannot have."""
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -162,15 +166,16 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
     """
     m, nvar = A.shape
     basis = list(basis)
-    in_basis = np.zeros(nvar, dtype=bool)
-    in_basis[basis] = True
+    # relative to the cost scale: with penalties in the hundreds, rounding
+    # alone leaves reduced costs of -1e-9 at an optimal basis
+    tol = _REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
     while True:
         Binv = np.linalg.inv(A[:, basis])
         xB = Binv @ b
         y = Binv.T @ cost[basis]
         reduced = cost - A.T @ y
         reduced[basis] = 0.0
-        eligible = reduced < -_REDUCED_COST_TOL
+        eligible = reduced < -tol
         if allowed is not None:
             eligible &= allowed
         candidates = np.flatnonzero(eligible)
@@ -188,8 +193,6 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
         rmin = ratios.min()
         ties = np.flatnonzero(ratios <= rmin + 1e-12)
         leave = min(ties, key=lambda i: basis[i])  # Bland tie-break
-        in_basis[basis[leave]] = False
-        in_basis[enter] = True
         basis[leave] = enter
 
 
@@ -233,7 +236,8 @@ def _solve_standard(cost: np.ndarray, A: np.ndarray, b: np.ndarray, slack_cols=N
         A1 = np.hstack([A, E])
         c1 = np.concatenate([np.zeros(nvar), np.ones(len(artificial_rows))])
         status, z, basis = _bland_simplex(c1, A1, b, basis)
-        assert status == OPTIMAL  # phase 1 objective is bounded below by zero
+        if status != OPTIMAL:
+            raise SolverError("phase 1, bounded below by zero, reported unbounded")
         if float(z[nvar:].sum()) > 1e-7:
             return INFEASIBLE, None
         # Drive residual artificials (basic at zero) out of the basis; rows
@@ -348,47 +352,12 @@ def enumerate_vertices(params: LpParams, include_box: bool = True, cap: int = EN
     return found
 
 
-def _jacobi_eigenvalues(sym: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by the cyclic Jacobi rotation method."""
-    a = np.array(sym, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return np.diagonal(a).copy()
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.sum(a * a) - np.sum(np.diagonal(a) ** 2))))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                cth = 1.0 / math.sqrt(t * t + 1.0)
-                sth = t * cth
-                # a <- R' a R for the (p, q) rotation
-                row_p = cth * a[p, :] - sth * a[q, :]
-                row_q = sth * a[p, :] + cth * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                col_p = cth * a[:, p] - sth * a[:, q]
-                col_q = sth * a[:, p] + cth * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-    return np.diagonal(a).copy()
-
-
 def smallest_singular_value(m) -> float:
-    """sigma_min(m) via Jacobi eigen-decomposition of the Gram matrix."""
+    """sigma_min(m), the last of the LAPACK singular values."""
     arr = _as_matrix(m, "m")
     if arr.size == 0:
         raise DimensionError("matrix must be nonempty")
-    rows, cols = arr.shape
-    gram = arr.T @ arr if rows >= cols else arr @ arr.T
-    evals = _jacobi_eigenvalues(gram)
-    return math.sqrt(max(float(evals.min()), 0.0))
+    return float(np.linalg.svd(arr, compute_uv=False)[-1])
 
 
 def vectorize(m) -> np.ndarray:

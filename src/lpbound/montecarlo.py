@@ -19,16 +19,17 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .linalg import LpParams, solve_lp, OPTIMAL
+from .linalg import LpParams, SolverError, solve_lp, OPTIMAL
 from .estimators import (
     PenaltyConfig,
+    PenaltyError,
     penalty_value,
     debiased_estimate,
     set_expansion_value,
     default_kappa_n,
 )
 from .geometry import delta_condition
-from .inference import InferenceConfig, ThetaEstimate, run_inference
+from .inference import InferenceConfig, InferenceError, ThetaEstimate, run_inference
 
 DGP_EXAMPLE_A = "example_a"
 DGP_EXAMPLE_B = "example_b"
@@ -164,6 +165,16 @@ def _true_params(scenario: SimulationScenario) -> LpParams:
     raise ScenarioError(f"no closed truth for dgp {scenario.dgp!r}")
 
 
+def _with_moments(row: ReportRow, vals: np.ndarray, truth: float) -> ReportRow:
+    """Fill mean, bias, std and rmse of the successful draws, if any."""
+    if vals.size:
+        row.mean = float(vals.mean())
+        row.bias = row.mean - truth
+        row.std = float(vals.std(ddof=0))
+        row.rmse = float(np.sqrt(np.mean((vals - truth) ** 2)))
+    return row
+
+
 def run_consistency(scenario: SimulationScenario) -> SimulationReport:
     """Replicated point estimation; failed draws are counted, never imputed."""
     truth_sol = solve_lp(_true_params(scenario))
@@ -196,14 +207,8 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
                     else:
                         failures[est] += 1
         for est in scenario.estimators:
-            vals = np.array(values[est])
             row = ReportRow(estimator=est, n=n, failures=failures[est])
-            if vals.size:
-                row.mean = float(vals.mean())
-                row.bias = row.mean - truth
-                row.std = float(vals.std(ddof=0))
-                row.rmse = float(np.sqrt(np.mean((vals - truth) ** 2)))
-            rows.append(row)
+            rows.append(_with_moments(row, np.array(values[est]), truth))
     return SimulationReport(scenario=scenario, rows=rows)
 
 
@@ -226,7 +231,11 @@ def _example_b_estimator(U: np.ndarray, b: float):
 
 
 def run_inference_study(scenario: SimulationScenario) -> SimulationReport:
-    """Coverage of the true LP value by the one-sided split-sample interval."""
+    """Coverage of the true LP value by the one-sided split-sample interval.
+
+    A replication whose inference fails is counted in `failures`; the
+    statistics and the coverage come from the replications that succeeded.
+    """
     if scenario.dgp != DGP_EXAMPLE_B:
         raise ScenarioError("the inference study runs on the noisy design (example_b)")
     truth = float(solve_lp(_true_params(scenario)).value)
@@ -239,28 +248,25 @@ def run_inference_study(scenario: SimulationScenario) -> SimulationReport:
         failures = 0
         for rep in range(scenario.replications):
             U = rng_for(scenario.seed, n_idx, rep).uniform(-0.5, 0.5, size=(n, 3))
-            result = run_inference(
-                n,
-                _example_b_estimator(U, scenario.b),
-                cfg,
-                seed=np.random.SeedSequence((scenario.seed, n_idx, rep, 1)),
-            )
+            try:
+                result = run_inference(
+                    n,
+                    _example_b_estimator(U, scenario.b),
+                    cfg,
+                    seed=np.random.SeedSequence((scenario.seed, n_idx, rep, 1)),
+                )
+            except (InferenceError, PenaltyError, SolverError):
+                failures += 1
+                continue
             estimates.append(result.estimate)
             lcbs.append(result.ci_lower_onesided)
             if result.ci_lower_onesided <= truth:
                 covered += 1
-        vals = np.array(estimates)
-        rows.append(ReportRow(
-            estimator="debiased_ci",
-            n=n,
-            mean=float(vals.mean()),
-            bias=float(vals.mean()) - truth,
-            std=float(vals.std(ddof=0)),
-            rmse=float(np.sqrt(np.mean((vals - truth) ** 2))),
-            failures=failures,
-            coverage=covered / scenario.replications,
-            mean_lcb=float(np.mean(lcbs)),
-        ))
+        row = ReportRow(estimator="debiased_ci", n=n, failures=failures)
+        if estimates:
+            row.coverage = covered / len(estimates)
+            row.mean_lcb = float(np.mean(lcbs))
+        rows.append(_with_moments(row, np.array(estimates), truth))
     return SimulationReport(scenario=scenario, rows=rows)
 
 

@@ -16,14 +16,13 @@ from lpbound.estimators import (
     tao_vu_quantile,
 )
 from lpbound.geometry import (
-    Polytope,
     delta_condition,
     distance_to_polytope,
     l1_violation,
     polytope_condition_number,
 )
 from lpbound.inference import asymptotic_variance
-from lpbound.linalg import INFEASIBLE, OPTIMAL, enumerate_vertices, solve_lp
+from lpbound.linalg import INFEASIBLE, OPTIMAL, LpParams, enumerate_vertices, solve_lp
 from lpbound.montecarlo import (
     SimulationScenario,
     loglog_slope,
@@ -130,8 +129,8 @@ def test_acceptance_5_variance_oracle_against_monte_carlo():
 
 
 def test_acceptance_6_geometry():
-    unit_box = Polytope(
-        M=np.array([[1.0, 0.0]]), c=np.array([-2.0]),
+    unit_box = LpParams(
+        p=np.zeros(2), M=np.array([[1.0, 0.0]]), c=np.array([-2.0]),
         box=(np.full(2, -1.0), np.full(2, 1.0)),
     )
     checks = [polytope_condition_number(unit_box) == 1.0]
@@ -141,7 +140,7 @@ def test_acceptance_6_geometry():
     worst = math.inf
     for _ in range(500):
         M, c, box = random_feasible_polytope_data(rng)
-        poly = Polytope(M, c, box)
+        poly = LpParams(np.zeros(M.shape[1]), M, c, box)
         kappa = polytope_condition_number(poly)
         for _ in range(10):
             x = rng.uniform(-4.0, 4.0, size=M.shape[1])

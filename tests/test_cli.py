@@ -99,6 +99,32 @@ class TestEstimateCommand:
         assert run_cli(["estimate", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "unknown_key"
 
+    def test_diagnostics_on_box_supported_optimum_exits_1(self, tmp_path, capsys):
+        # the optimum (-1, -1) rests on box rows, so no basis of M rows qualifies
+        doc = {"p": [1.0, 1.0], "M": [[1.0, 1.0]], "c": [-10.0],
+               "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}
+        lp = write_json(tmp_path / "lp.json", doc)
+        cfg = write_json(tmp_path / "cfg.json", {"lp": lp, "estimators": ["plugin"]})
+        code = run_cli(["estimate", "--config", cfg, "--diagnostics"], tmp_path / "o.json")
+        assert code == EXIT_COMPUTE
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "computation_failed"
+        assert err["message"].startswith("ValueError: no optimal KKT basis")
+
+    def test_diagnostics_past_enumeration_cap_exits_1(self, tmp_path, capsys, rng):
+        d, q = 20, 60
+        M = rng.normal(size=(q, d))
+        doc = {"p": rng.normal(size=d).tolist(), "M": M.tolist(),
+               "c": (M @ rng.uniform(-1.0, 1.0, d) - 1.0).tolist(),
+               "box": {"lower": [-5.0] * d, "upper": [5.0] * d}}
+        lp = write_json(tmp_path / "lp.json", doc)
+        cfg = write_json(tmp_path / "cfg.json", {"lp": lp, "estimators": ["plugin"]})
+        code = run_cli(["estimate", "--config", cfg, "--diagnostics"], tmp_path / "o.json")
+        assert code == EXIT_COMPUTE
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "computation_failed"
+        assert err["message"].startswith("EnumerationCapError")
+
 
 class TestInferCommand:
     def test_zero_covariance_flags_degenerate(self, tmp_path):
@@ -155,6 +181,12 @@ class TestInferCommand:
         )
         assert run_cli(["infer", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation_error"
+
+    @pytest.mark.parametrize("key, value", [("sigma_source", "bootstrap"), ("bootstrap_reps", 500)])
+    def test_removed_bootstrap_keys_fail_closed(self, tmp_path, capsys, key, value):
+        cfg = write_json(tmp_path / "cfg.json", {"mode": "example_b", "n": 100, key: value})
+        assert run_cli(["infer", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "unknown_key"
 
 
 class TestSimulateCommand:

@@ -16,7 +16,7 @@ from lpbound.estimators import (
     set_expansion_value,
     tao_vu_quantile,
 )
-from lpbound.linalg import LpParams, OPTIMAL, solve_lp
+from lpbound.linalg import LpParams, OPTIMAL, TAU_VAL, solve_lp
 
 from conftest import example1_params, random_lp
 
@@ -57,8 +57,27 @@ class TestPenalty:
             c=np.array([0.0]),
             box=(np.array([-np.inf]), np.array([np.inf])),
         )
-        with pytest.raises(PenaltyError):
-            penalty_value(params, PenaltyConfig(w=1.0))
+        # no w and no n: the box is checked before the penalty is resolved
+        for estimate in (penalty_value, debiased_estimate):
+            with pytest.raises(PenaltyError, match="compact box"):
+                estimate(params, PenaltyConfig())
+
+    @pytest.mark.parametrize("seed, index", [(12, 7), (5, 17)])
+    def test_large_penalty_costs_reach_the_plugin_value(self, seed, index):
+        # Boxed (10,30) and (20,60) LPs drawn in turn; these two (20,60) draws
+        # once made the simplex call the relaxed penalty LP unbounded: with
+        # penalty costs in the hundreds, a reduced cost of -1.01e-9 at the
+        # optimal basis passed an absolute entering tolerance of 1e-9.
+        rng = np.random.default_rng(seed)
+        for i in range(index + 1):
+            d, q = (10, 30) if i % 2 == 0 else (20, 60)
+            M, p = rng.standard_normal((q, d)), rng.standard_normal(d)
+            x0 = rng.uniform(-4.0, 4.0, d)
+            c = M @ x0 - rng.uniform(0.1, 1.0, q)
+        params = LpParams(p, M, c, (np.full(d, -5.0), np.full(d, 5.0)))
+        plug_in = plug_in_value(params).value
+        value = penalty_value(params, PenaltyConfig(), n=1000)
+        assert abs(value - plug_in) <= TAU_VAL * (1.0 + abs(plug_in))
 
 
 class TestDebiased:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lpbound.geometry import (
-    Polytope,
     check_a1,
     delta_condition,
     distance_to_polytope,
@@ -59,7 +58,8 @@ class TestDeltaCondition:
 
 class TestConditionNumber:
     def test_unit_box(self):
-        poly = Polytope(
+        poly = LpParams(
+            p=np.zeros(2),
             M=np.array([[1.0, 0.0]]),  # redundant inside the box
             c=np.array([-2.0]),
             box=(np.full(2, -1.0), np.full(2, 1.0)),
@@ -68,22 +68,23 @@ class TestConditionNumber:
 
     def test_degenerate_segment_matches_delta(self):
         params = example1_params(0.0)
-        poly = Polytope(M=params.M, c=params.c, box=params.box)
+        poly = LpParams(np.zeros(2), params.M, params.c, params.box)
         assert abs(polytope_condition_number(poly) - GOLDEN) < 1e-9
 
     def test_redundant_row_leaves_kappa_unchanged(self, rng):
         for _ in range(20):
             M, c, box = random_feasible_polytope_data(rng)
-            base = polytope_condition_number(Polytope(M, c, box))
+            base = polytope_condition_number(LpParams(np.zeros(M.shape[1]), M, c, box))
             # a constraint far outside the box never binds
             M2 = np.vstack([M, rng.normal(size=M.shape[1])])
             c2 = np.append(c, -100.0 * np.linalg.norm(M2[-1]) * 10.0)
-            assert abs(polytope_condition_number(Polytope(M2, c2, box)) - base) < 1e-9
+            assert abs(polytope_condition_number(LpParams(np.zeros(M.shape[1]), M2, c2, box)) - base) < 1e-9
 
     def test_row_scaling_scales_kappa(self, rng):
         M, c, box = random_feasible_polytope_data(rng)
-        poly = Polytope(M, c, box)
-        scaled = Polytope(0.5 * M, 0.5 * c, box)
+        d = M.shape[1]
+        poly = LpParams(np.zeros(d), M, c, box)
+        scaled = LpParams(np.zeros(d), 0.5 * M, 0.5 * c, box)
         k, ks = polytope_condition_number(poly), polytope_condition_number(scaled)
         # box rows are unscaled, so kappa scales by 1/2 only when an M-row
         # subset attains the minimum in both; it never grows by more than 1x
@@ -91,14 +92,15 @@ class TestConditionNumber:
         assert ks >= 0.5 * k - 1e-9
 
     def test_unbounded_polytope_rejected(self):
-        poly = Polytope(M=np.array([[1.0, 0.0]]), c=np.array([0.0]), box=None)
+        poly = LpParams(p=np.zeros(2), M=np.array([[1.0, 0.0]]), c=np.array([0.0]))
         with pytest.raises(ValueError):
             polytope_condition_number(poly)
 
 
 class TestDistanceAndViolation:
     def test_projection_onto_unit_box(self):
-        poly = Polytope(
+        poly = LpParams(
+            p=np.zeros(2),
             M=np.array([[1.0, 0.0]]),  # redundant inside the box
             c=np.array([-2.0]),
             box=(np.full(2, -1.0), np.full(2, 1.0)),
@@ -110,7 +112,8 @@ class TestDistanceAndViolation:
         assert dist0 == 0.0 and np.allclose(proj0, [0.3, -0.2])
 
     def test_l1_violation_counts_all_rows(self):
-        poly = Polytope(
+        poly = LpParams(
+            p=np.zeros(2),
             M=np.array([[1.0, 0.0]]),
             c=np.array([0.5]),
             box=(np.full(2, -1.0), np.full(2, 1.0)),
@@ -122,7 +125,7 @@ class TestDistanceAndViolation:
         # violation >= distance * kappa at exterior points
         for _ in range(50):
             M, c, box = random_feasible_polytope_data(rng)
-            poly = Polytope(M, c, box)
+            poly = LpParams(np.zeros(M.shape[1]), M, c, box)
             kappa = polytope_condition_number(poly)
             for _ in range(10):
                 x = rng.uniform(-4.0, 4.0, size=M.shape[1])

@@ -9,7 +9,6 @@ from lpbound.inference import (
     ThetaEstimate,
     asymptotic_variance,
     ball_constrained_lstsq,
-    bootstrap_se,
     combine_two_sided,
     find_triplet,
     run_inference,
@@ -124,29 +123,6 @@ class TestAsymptoticVariance:
         bad = sigma - 2.0 * np.linalg.eigvalsh(sigma)[-1] * np.eye(sigma.shape[0])
         with pytest.raises(InferenceError):
             asymptotic_variance(A, x, v, bad)
-
-
-class TestBootstrapSe:
-    def test_matches_analytic_for_gaussian_noise(self, rng):
-        A, x, v, sigma = _random_config(rng)
-        root = np.linalg.cholesky(sigma + 1e-9 * np.eye(14))
-        theta0 = rng.normal(size=14)
-        d, q = 2, 4
-
-        def resampler(seed):
-            draw = theta0 + root @ np.random.default_rng(seed).normal(size=14)
-            p, vecM, c = draw[:d], draw[d : d + q * d], draw[d + q * d :]
-            M = vecM.reshape((q, d), order="F")
-            return LpParams(p, M, c, (np.full(d, -10.0), np.full(d, 10.0)))
-
-        se = bootstrap_se(resampler, A, x, v, B=800, seed=5)
-        analytic = math.sqrt(asymptotic_variance(A, x, v, sigma))
-        assert abs(se - analytic) < 0.1 * analytic
-
-    def test_requires_enough_draws(self, rng):
-        A, x, v, sigma = _random_config(rng)
-        with pytest.raises(InferenceError):
-            bootstrap_se(lambda s: None, A, x, v, B=10, seed=0)
 
 
 class TestRunInference:

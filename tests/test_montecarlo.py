@@ -98,6 +98,43 @@ class TestConsistencyStudy:
         text = run_consistency(scenario).to_csv()
         assert text.splitlines()[0] == "estimator,n,mean,bias,std,rmse,failures,coverage,mean_lcb"
 
+    def test_inference_study_counts_failures(self, monkeypatch):
+        import lpbound.montecarlo as mc
+        from lpbound.inference import InferenceError
+
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise InferenceError("forced")
+            return real(*args, **kwargs)
+
+        real = mc.run_inference
+        monkeypatch.setattr(mc, "run_inference", fail_first)
+        scenario = SimulationScenario(
+            dgp="example_b", b=0.0, sample_sizes=(500,), replications=3, seed=2
+        )
+        row = run_inference_study(scenario).rows[0]
+        assert len(calls) == 3
+        assert row.failures == 1
+        assert row.coverage in (0.0, 0.5, 1.0)
+        assert row.mean is not None and row.mean_lcb is not None
+
+    def test_inference_study_all_failed_reports_no_statistics(self, monkeypatch):
+        import lpbound.montecarlo as mc
+        from lpbound.estimators import PenaltyError
+
+        def fail(*args, **kwargs):
+            raise PenaltyError("forced")
+
+        monkeypatch.setattr(mc, "run_inference", fail)
+        scenario = SimulationScenario(
+            dgp="example_b", b=0.0, sample_sizes=(500,), replications=2, seed=2
+        )
+        report = run_inference_study(scenario)
+        assert report.to_csv().splitlines()[1] == "debiased_ci,500,,,,,2,,"
+
     def test_inference_study_requires_noisy_dgp(self):
         scenario = SimulationScenario(dgp="example_a", sample_sizes=(100,), replications=2)
         with pytest.raises(ScenarioError):
