@@ -187,7 +187,6 @@ class AssumptionSpec:
     bounds: Optional[Tuple[float, float]] = None
     relax: float = 0.0  # slack subtracted from every monotonicity restriction
     target: object = None
-    direction: str = "lower"
 
     def __post_init__(self):
         self.kinds = frozenset(self.kinds)
@@ -202,8 +201,6 @@ class AssumptionSpec:
                 raise CompileError(f"bounds need K0 < K1, got ({k0}, {k1})")
         if self.relax < 0:
             raise CompileError("relaxation must be nonnegative")
-        if self.direction not in ("lower", "upper"):
-            raise CompileError(f"direction must be lower/upper, got {self.direction!r}")
         # conditional monotonicity refines the plain monotone-instrument
         # condition, so the latter is always part of the compiled system
         if self.kinds & {KIND_CMIV_S, KIND_CMIV_P}:

@@ -10,8 +10,6 @@ validation fault. Faults print a machine-readable error object.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import replace
@@ -196,8 +194,16 @@ def _write_output(text: str, out: Optional[str]) -> None:
             raise CliError("io_error", f"cannot write {out}: {exc}")
 
 
-def _penalty_config(doc: dict, where: str = "penalty") -> PenaltyConfig:
-    _check_keys(doc, {"w", "alpha", "wn_rule", "variant"}, where)
+def _seed(config: dict, args) -> int:
+    """--seed when given, else the config's seed (default 0)."""
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise CliError("validation_error", f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
+def _penalty_config(doc: dict) -> PenaltyConfig:
+    _check_keys(doc, {"w", "alpha", "wn_rule", "variant"}, "penalty")
     try:
         return PenaltyConfig(
             w=doc.get("w"),
@@ -205,7 +211,7 @@ def _penalty_config(doc: dict, where: str = "penalty") -> PenaltyConfig:
             wn_rule=doc.get("wn_rule", "loglog"),
             variant=doc.get("variant", "rowwise"),
         )
-    except PenaltyError as exc:
+    except (PenaltyError, TypeError) as exc:
         raise CliError("validation_error", str(exc))
 
 
@@ -231,6 +237,9 @@ def cmd_estimate(config: dict, args) -> int:
     n = config.get("n")
     if n is not None and (not isinstance(n, int) or n < 1):
         raise CliError("validation_error", "n must be a positive integer")
+    for key in ("kappa_n", "kappa0"):
+        if key in config and not isinstance(config[key], (int, float)):
+            raise CliError("validation_error", f"{key} must be a number")
     pcfg = _penalty_config(config.get("penalty", {}))
     result = {"estimators": {}}
 
@@ -239,14 +248,15 @@ def cmd_estimate(config: dict, args) -> int:
             result["estimators"]["plugin"] = _solution_fields(plug_in_value(params))
         if "penalty" in names or "debiased" in names:
             w = pcfg.resolve_w(params, n)
-            result["penalty_vector"] = w.tolist()
+            w_rows = np.broadcast_to(np.asarray(w, dtype=float), (params.q,))
+            result["penalty_vector"] = w_rows.tolist()
         if "penalty" in names:
             result["estimators"]["penalty"] = {
                 "status": OPTIMAL,
-                "value": penalty_value(params, pcfg, n),
+                "value": penalty_value(params, w),
             }
         if "debiased" in names:
-            deb = debiased_estimate(params, pcfg, n=n)
+            deb = debiased_estimate(params, w)
             result["estimators"]["debiased"] = {
                 "status": OPTIMAL,
                 "value": deb.value,
@@ -299,7 +309,7 @@ def _inference_config(config: dict) -> InferenceConfig:
             v_bar_alpha=config.get("v_bar_alpha", 0.1),
             sigma_min=config.get("sigma_min", 0.0),
         )
-    except (InferenceError, PenaltyError) as exc:
+    except (InferenceError, PenaltyError, TypeError) as exc:
         raise CliError("validation_error", str(exc))
 
 
@@ -374,22 +384,23 @@ def _inference_result_doc(res: InferenceResult) -> dict:
 def cmd_infer(config: dict, args) -> int:
     _check_keys(config, _INFER_KEYS, "infer config")
     cfg = _inference_config(config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(config, args)
     mode = config.get("mode", "csv")
     if mode == "example_b":
         n = _require(config, "n", "infer config")
         if not isinstance(n, int) or n < 2:
             raise CliError("validation_error", "n must be an integer >= 2")
         b = config.get("b", 0.0)
+        if not isinstance(b, (int, float)):
+            raise CliError("validation_error", "b must be a number")
         U = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 3))
         estimator = _example_b_estimator(U, b)
-        handle = n
     else:
         rows, template = _infer_rows(config, seed)
         estimator = _row_estimator(rows, template)
-        handle = rows.shape[0]
+        n = rows.shape[0]
     try:
-        res = run_inference(handle, estimator, cfg, seed)
+        res = run_inference(n, estimator, cfg, seed)
     except (InferenceError, PenaltyError) as exc:
         raise CliError("inference_failed", str(exc), exit_code=EXIT_COMPUTE)
     _write_output(canonical_dumps(_inference_result_doc(res)), args.out)
@@ -403,11 +414,19 @@ _SIMULATE_KEYS = {
     "seed", "alpha", "kappa0", "penalty", "slater", "grid",
 }
 
+_STUDIES = {
+    "consistency": run_consistency,
+    "inference": run_inference_study,
+    "uniform_grid": run_uniform_grid,
+}
+
 
 def cmd_simulate(config: dict, args) -> int:
     _check_keys(config, _SIMULATE_KEYS, "simulate config")
     study = config.get("study", "consistency")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if not isinstance(study, str) or study not in _STUDIES:
+        raise CliError("validation_error", f"unknown study {study!r}")
+    seed = _seed(config, args)
     kwargs = {
         k: config[k]
         for k in ("b", "sample_sizes", "replications", "estimators",
@@ -420,36 +439,12 @@ def cmd_simulate(config: dict, args) -> int:
         scenario = SimulationScenario(
             dgp=_require(config, "dgp", "simulate config"), seed=seed, **kwargs
         )
+    except (ScenarioError, TypeError) as exc:
+        raise CliError("validation_error", str(exc))
+    try:
+        text = _STUDIES[study](scenario).to_csv()
     except ScenarioError as exc:
         raise CliError("validation_error", str(exc))
-    if study == "consistency":
-        text = run_consistency(scenario).to_csv()
-    elif study == "inference":
-        try:
-            text = run_inference_study(scenario).to_csv()
-        except ScenarioError as exc:
-            raise CliError("validation_error", str(exc))
-    elif study == "uniform_grid":
-        try:
-            res = run_uniform_grid(scenario)
-        except ScenarioError as exc:
-            raise CliError("validation_error", str(exc))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["n", "sup_std", "sqrt_n_scaled", "adaptive_scaled", "sqrt_n_normalized"]
-        )
-        for i, n in enumerate(res.sample_sizes):
-            writer.writerow([
-                n,
-                repr(float(res.sup_std[i])),
-                repr(float(res.sqrt_n_scaled[i])),
-                repr(float(res.adaptive_scaled[i])),
-                repr(float(res.sqrt_n_normalized[i])),
-            ])
-        text = buf.getvalue()
-    else:
-        raise CliError("validation_error", f"unknown study {study!r}")
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -476,34 +471,30 @@ def _aicm_inference(records, base_spec, direction: str, cfg: InferenceConfig,
                     sigma: np.ndarray, seed) -> InferenceResult:
     """Split-sample CI for one direction of the compiled program's value."""
     flip = -1.0 if direction == "upper" else 1.0
+    offset = 0.0  # the compiled offset, set by the estimator on each fold
 
     def estimator(idx: np.ndarray) -> ThetaEstimate:
+        nonlocal offset
         try:
             table = ingest_sample([records[i] for i in idx])
         except TableError as exc:
             raise InferenceError(f"fold produced an invalid table: {exc}")
         prog = compile_program(table, base_spec)
         lp = prog.lp
+        offset = prog.offset
         params = LpParams(p=flip * lp.p, M=lp.M, c=lp.c, box=lp.box)
-        estimator.offset = prog.offset
         return ThetaEstimate(params=params, sigma=sigma)
 
     res = run_inference(len(records), estimator, cfg, seed)
-    offset = getattr(estimator, "offset", 0.0)
-    if direction == "upper":
-        return replace(
-            res,
-            estimate=-res.estimate + offset,
-            ci_lower_onesided=-res.ci_upper_onesided + offset,
-            ci_upper_onesided=-res.ci_lower_onesided + offset,
-            ci_twosided=(-res.ci_twosided[1] + offset, -res.ci_twosided[0] + offset),
-        )
+    lo, up, two = res.ci_lower_onesided, res.ci_upper_onesided, res.ci_twosided
+    if flip < 0:  # the upper bound is minus the minimum of -p'x: the ends swap
+        lo, up, two = up, lo, two[::-1]
     return replace(
         res,
-        estimate=res.estimate + offset,
-        ci_lower_onesided=res.ci_lower_onesided + offset,
-        ci_upper_onesided=res.ci_upper_onesided + offset,
-        ci_twosided=(res.ci_twosided[0] + offset, res.ci_twosided[1] + offset),
+        estimate=flip * res.estimate + offset,
+        ci_lower_onesided=flip * lo + offset,
+        ci_upper_onesided=flip * up + offset,
+        ci_twosided=(flip * two[0] + offset, flip * two[1] + offset),
     )
 
 
@@ -554,7 +545,7 @@ def cmd_aicm(config: dict, args) -> int:
     ci_doc = config.get("ci")
     if ci_doc is not None:
         _check_keys(ci_doc, _CI_KEYS, "ci")
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
+        seed = _seed(config, args)
         alpha = ci_doc.get("alpha", 0.05)
         cfg = _inference_config({"alpha": alpha, "gamma": ci_doc.get("gamma", 0.5)})
         try:

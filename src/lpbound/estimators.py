@@ -23,7 +23,6 @@ from .linalg import (
     solve_lp,
     smallest_singular_value,
     binding_rows,
-    DimensionError,
     SolverError,
     TAU_RANK,
 )
@@ -60,15 +59,13 @@ class PenaltyConfig:
         if self.variant not in ("rowwise", "scalar"):
             raise PenaltyError(f"unknown variant {self.variant!r}")
 
-    def resolve_w(self, params: LpParams, n: Optional[int] = None) -> np.ndarray:
+    def resolve_w(self, params: LpParams, n: Optional[int] = None):
+        """The explicit w, or the data-driven choice of select_penalty."""
         if self.w is not None:
-            w = np.broadcast_to(np.asarray(self.w, dtype=float), (params.q,)).copy()
-            if np.any(w < 0):
-                raise PenaltyError("penalty vector must be nonnegative")
-            return w
+            return self.w
         if n is None:
             raise PenaltyError("no explicit penalty given and no sample size to select one")
-        return select_penalty(params.M, params.p, n, self)
+        return select_penalty(params, n, self)
 
 
 @dataclass
@@ -82,16 +79,18 @@ class DebiasedResult:
 
 def plug_in_value(params: LpParams) -> LpSolution:
     """B(theta-hat): the LP solved at the estimated parameters."""
-    return solve_lp(params, include_box=True)
+    return solve_lp(params)
 
 
-def _relaxed_params(params: LpParams, cfg: PenaltyConfig, n: Optional[int]) -> LpParams:
+def _relaxed_params(params: LpParams, w) -> LpParams:
     """The (x, a)-space LP whose value equals min_X L(x; theta, w)."""
     lower, upper = params.box
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise PenaltyError("penalized estimation requires a compact box")
-    w = cfg.resolve_w(params, n)
     q = params.q
+    w = np.broadcast_to(np.asarray(w, dtype=float), (q,))
+    if np.any(w < 0):
+        raise PenaltyError("penalty vector must be nonnegative")
     return LpParams(
         p=np.concatenate([params.p, w]),
         M=np.hstack([params.M, np.eye(q)]),
@@ -100,20 +99,18 @@ def _relaxed_params(params: LpParams, cfg: PenaltyConfig, n: Optional[int]) -> L
     )
 
 
-def penalty_value(params: LpParams, cfg: PenaltyConfig, n: Optional[int] = None) -> float:
-    """min over the box of p'x + w'(c - Mx)^+ (always finite on a compact box)."""
-    sol = solve_lp(_relaxed_params(params, cfg, n), include_box=True)
+def penalty_value(params: LpParams, w) -> float:
+    """min over the box of p'x + w'(c - Mx)^+ (always finite on a compact box).
+
+    w is a scalar broadcast to every row or a length-q vector, nonnegative.
+    """
+    sol = solve_lp(_relaxed_params(params, w))
     if not sol.optimal:  # feasible (a = (c - Mx)^+) and box-bounded
         raise SolverError(f"relaxed penalty LP reported {sol.status}")
     return float(sol.value)
 
 
-def debiased_estimate(
-    params: LpParams,
-    cfg: PenaltyConfig,
-    pick: str = "max",
-    n: Optional[int] = None,
-) -> DebiasedResult:
+def debiased_estimate(params: LpParams, w, pick: str = "max") -> DebiasedResult:
     """Vertex-solution of the penalized problem with the penalty term dropped.
 
     Solves the relaxed LP while optimizing p'x in the `pick` direction over
@@ -122,10 +119,10 @@ def debiased_estimate(
     """
     if pick not in ("max", "min"):
         raise PenaltyError(f"pick must be 'max' or 'min', got {pick!r}")
-    relaxed = _relaxed_params(params, cfg, n)
+    relaxed = _relaxed_params(params, w)
     sense = -1.0 if pick == "max" else 1.0
     secondary = np.concatenate([sense * params.p, np.zeros(params.q)])
-    sol = solve_lp(relaxed, include_box=True, secondary=secondary)
+    sol = solve_lp(relaxed, secondary=secondary)
     if not sol.optimal:  # feasible (a = (c - Mx)^+) and box-bounded
         raise SolverError(f"relaxed penalty LP reported {sol.status}")
     x_hat = sol.vertex[: params.d]
@@ -164,7 +161,7 @@ def set_expansion_value(params: LpParams, kappa_n: float, n: int) -> LpSolution:
         raise PenaltyError("kappa_n must be nonnegative")
     eps = math.sqrt(kappa_n / n)
     expanded = LpParams(p=params.p, M=params.M, c=params.c - eps, box=params.box)
-    return solve_lp(expanded, include_box=True)
+    return solve_lp(expanded)
 
 
 def tao_vu_quantile(alpha: float) -> float:
@@ -182,48 +179,26 @@ def _wn(n: int, rule: str) -> float:
     return max(1.0, math.log(n) / math.log(100.0))
 
 
-def select_penalty(
-    m_hat: np.ndarray,
-    p: np.ndarray,
-    n: int,
-    cfg: Optional[PenaltyConfig] = None,
-    augmented: bool = False,
-) -> np.ndarray:
-    """Data-driven penalty vector w_j = w_n * d * ||p|| / (delta_alpha * ||M_j||).
-
-    With augmented=True, returns (1, w')' for the value-as-variable LP
-    augmentation (the leading row t >= p'x needs no penalty beyond 1).
-    """
-    M = np.asarray(m_hat, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if M.ndim != 2 or p.ndim != 1 or M.shape[1] != p.shape[0]:
-        raise DimensionError("m_hat must be q x d with p of length d")
-    cfg = cfg or PenaltyConfig()
+def select_penalty(params: LpParams, n: int, cfg: PenaltyConfig) -> np.ndarray:
+    """Data-driven penalty vector w_j = w_n * d * ||p|| / (delta_alpha * ||M_j||)."""
+    M, p = params.M, params.p
     row_norms = np.linalg.norm(M, axis=1)
     if np.any(row_norms <= 0.0):
         bad = int(np.flatnonzero(row_norms <= 0.0)[0])
         raise PenaltyError(
             f"row {bad} of M has zero norm; drop or renormalize it before selecting a penalty"
         )
-    d = M.shape[1]
     wn = _wn(n, cfg.wn_rule)
     delta = tao_vu_quantile(cfg.alpha)
     if cfg.variant == "scalar":
-        w = np.full(M.shape[0], wn * float(np.linalg.norm(p)) / delta)
-    else:
-        w = wn * d * float(np.linalg.norm(p)) / (delta * row_norms)
-    if augmented:
-        return np.concatenate([[1.0], w])
-    return w
+        return np.full(params.q, wn * float(np.linalg.norm(p)) / delta)
+    return wn * params.d * float(np.linalg.norm(p)) / (delta * row_norms)
 
 
-def select_v_bar(m_hat: np.ndarray, p: np.ndarray, alpha: float = 0.1) -> float:
+def select_v_bar(params: LpParams, alpha: float = 0.1) -> float:
     """Radius bound v_bar = d * ||p|| / (min_j ||M_j|| * delta_alpha)."""
-    M = np.asarray(m_hat, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if M.ndim != 2 or p.ndim != 1 or M.shape[1] != p.shape[0]:
-        raise DimensionError("m_hat must be q x d with p of length d")
-    row_norms = np.linalg.norm(M, axis=1)
+    row_norms = np.linalg.norm(params.M, axis=1)
     if np.any(row_norms <= 0.0):
         raise PenaltyError("all rows of M must have positive norm")
-    return M.shape[1] * float(np.linalg.norm(p)) / (float(row_norms.min()) * tao_vu_quantile(alpha))
+    delta = tao_vu_quantile(alpha)
+    return params.d * float(np.linalg.norm(params.p)) / (float(row_norms.min()) * delta)

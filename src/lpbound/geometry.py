@@ -44,11 +44,7 @@ class DeltaReport:
     value: float = math.nan
 
 
-def delta_condition(
-    params: LpParams,
-    tau_val: float = TAU_VAL,
-    tau_feas: float = TAU_FEAS,
-) -> DeltaReport:
+def delta_condition(params: LpParams) -> DeltaReport:
     """max over optimal KKT bases J (|J| = d, rows of M only) of sigma_d(M_J).
 
     A basis J qualifies when M_J is invertible, x* = M_J^{-1} c_J is feasible,
@@ -56,11 +52,11 @@ def delta_condition(
     nonnegative. All qualifying sets are reported; delta is the largest
     sigma_d among them. An empty family signals a tolerance failure.
     """
-    sol = solve_lp(params, include_box=True)
+    sol = solve_lp(params)
     if sol.status != OPTIMAL:
         raise ValueError(f"delta_condition needs a solvable LP, status: {sol.status}")
     d, q = params.d, params.q
-    M_all, c_all = params.effective_system(include_box=True)
+    M_all, c_all = params.effective_system()
     scale_c = 1.0 + np.abs(c_all)
     sets: List[np.ndarray] = []
     sigmas: List[float] = []
@@ -74,12 +70,12 @@ def delta_condition(
         if sigma <= TAU_RANK * max(1.0, np.abs(sub).max()):
             continue
         x = np.linalg.solve(sub, params.c[list(J)])
-        if not np.all(M_all @ x - c_all >= -tau_feas * scale_c):
+        if not np.all(M_all @ x - c_all >= -TAU_FEAS * scale_c):
             continue
-        if abs(params.p @ x - sol.value) > tau_val * (1.0 + abs(sol.value)):
+        if abs(params.p @ x - sol.value) > TAU_VAL * (1.0 + abs(sol.value)):
             continue
         lam = np.linalg.solve(sub.T, params.p)
-        if np.any(lam < -tau_feas):
+        if np.any(lam < -TAU_FEAS):
             continue
         sets.append(np.array(J))
         sigmas.append(sigma)
@@ -107,7 +103,7 @@ def _is_bounded(params: LpParams) -> bool:
         for sense in (1.0, -1.0):
             p = np.zeros(d)
             p[i] = sense
-            sol = solve_lp(LpParams(p, params.M, params.c, params.box), include_box=True)
+            sol = solve_lp(LpParams(p, params.M, params.c, params.box))
             if sol.status == UNBOUNDED:
                 return False
             if sol.status != OPTIMAL:
@@ -115,7 +111,7 @@ def _is_bounded(params: LpParams) -> bool:
     return True
 
 
-def polytope_condition_number(params: LpParams, cap: int = ENUMERATION_CAP) -> float:
+def polytope_condition_number(params: LpParams) -> float:
     """min over vertices, over full-rank d-subsets of binding rows, of sigma_d.
 
     The polytope is {x : Mx >= c} intersected with the box; the objective p
@@ -125,10 +121,10 @@ def polytope_condition_number(params: LpParams, cap: int = ENUMERATION_CAP) -> f
     """
     if not _is_bounded(params):
         raise ValueError("polytope condition number requires a bounded polytope")
-    vertices = enumerate_vertices(params, include_box=True, cap=cap)
+    vertices = enumerate_vertices(params)
     if not vertices:
         raise ValueError("polytope is empty (no vertices)")
-    M_all, _ = params.effective_system(include_box=True)
+    M_all, _ = params.effective_system()
     best = math.inf
     for _, rows in vertices:
         for B in itertools.combinations(rows, params.d):
@@ -143,13 +139,11 @@ def polytope_condition_number(params: LpParams, cap: int = ENUMERATION_CAP) -> f
 
 def l1_violation(params: LpParams, x: np.ndarray) -> float:
     """sum_j (c_j - M_j x)^+ over all rows including box rows."""
-    M, c = params.effective_system(include_box=True)
+    M, c = params.effective_system()
     return float(np.sum(np.clip(c - M @ np.asarray(x, dtype=float), 0.0, None)))
 
 
-def distance_to_polytope(
-    params: LpParams, x: np.ndarray, cap: int = ENUMERATION_CAP
-) -> Tuple[float, np.ndarray]:
+def distance_to_polytope(params: LpParams, x: np.ndarray) -> Tuple[float, np.ndarray]:
     """Euclidean distance from x to {Mx >= c} and the projection attaining it.
 
     Projects x onto the affine hull of every row subset, keeps the feasible
@@ -157,12 +151,12 @@ def distance_to_polytope(
     of x is the projection onto the affine hull of its active set.
     """
     x = np.asarray(x, dtype=float)
-    M, c = params.effective_system(include_box=True)
+    M, c = params.effective_system()
     scale_c = 1.0 + np.abs(c)
     if np.all(M @ x - c >= -TAU_FEAS * scale_c):
         return 0.0, x.copy()
     q = M.shape[0]
-    if 2 ** q > cap:
+    if 2 ** q > ENUMERATION_CAP:
         raise EnumerationCapError(f"2^{q} subsets exceed the cap")
     best = math.inf
     best_z = None
@@ -180,7 +174,7 @@ def distance_to_polytope(
     return best, best_z
 
 
-def check_a1(params: LpParams, w: np.ndarray, tol: float = TAU_KKT) -> str:
+def check_a1(params: LpParams, w: np.ndarray) -> str:
     """Whether the penalty w strictly dominates some optimal dual vector.
 
     Returns "holds", "fails", or "undetermined". First tries the enumerated
@@ -191,7 +185,7 @@ def check_a1(params: LpParams, w: np.ndarray, tol: float = TAU_KKT) -> str:
     w = np.broadcast_to(np.asarray(w, dtype=float), (params.q,))
     if np.all(np.isinf(w)):
         return "holds"
-    primal = solve_lp(params, include_box=True)
+    primal = solve_lp(params)
     if primal.status != OPTIMAL:
         raise ValueError(f"check_a1 needs a solvable LP, status: {primal.status}")
     try:
@@ -202,7 +196,7 @@ def check_a1(params: LpParams, w: np.ndarray, tol: float = TAU_KKT) -> str:
         for J, lam in zip(report.j_star_sets, report.kkt_vectors):
             full = np.zeros(params.q)
             full[J] = lam
-            if np.all(full < w - tol):
+            if np.all(full < w - TAU_KKT):
                 return "holds"
     if np.any(np.isinf(w)):
         # the search LP below needs finite penalties; fall back on enumeration
@@ -211,7 +205,7 @@ def check_a1(params: LpParams, w: np.ndarray, tol: float = TAU_KKT) -> str:
         # box rows bind at the returned optimum: the dual over M rows alone
         # does not characterize the KKT set, so refuse an LP-based verdict
         return "undetermined"
-    # max s  s.t.  M'lambda = p, lambda >= 0, |c'lambda - B| <= tol,
+    # max s  s.t.  M'lambda = p, lambda >= 0, |c'lambda - B| <= TAU_KKT,
     #              lambda_j + s <= w_j.
     # Variables (lambda, s) with s free; rows as >= constraints.
     d, q = params.d, params.q
@@ -224,9 +218,9 @@ def check_a1(params: LpParams, w: np.ndarray, tol: float = TAU_KKT) -> str:
         rows.append(np.concatenate([-params.M[:, i], [0.0]]))
         rhs.append(-params.p[i])
     rows.append(np.concatenate([params.c, [0.0]]))
-    rhs.append(B - tol)
+    rhs.append(B - TAU_KKT)
     rows.append(np.concatenate([-params.c, [0.0]]))
-    rhs.append(-B - tol)
+    rhs.append(-B - TAU_KKT)
     for j in range(q):
         e = np.zeros(q + 1)
         e[j] = -1.0
@@ -238,12 +232,12 @@ def check_a1(params: LpParams, w: np.ndarray, tol: float = TAU_KKT) -> str:
     obj = np.zeros(q + 1)
     obj[q] = -1.0  # maximize s
     search = LpParams(obj, np.array(rows), np.array(rhs), (lower, upper))
-    sol = solve_lp(search, include_box=True)
+    sol = solve_lp(search)
     if sol.status != OPTIMAL:
         return "fails"
     s = -sol.value
-    if s > tol:
+    if s > TAU_KKT:
         return "holds"
-    if s < -tol:
+    if s < -TAU_KKT:
         return "fails"
     return "undetermined"

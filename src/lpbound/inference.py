@@ -36,23 +36,22 @@ class InferenceError(ValueError):
 
 @dataclass
 class ThetaEstimate:
-    """Estimated LP parameters with an optional covariance of the estimate.
+    """Estimated LP parameters with the covariance of the estimate.
 
     sigma is the S x S covariance of the full parameter vector in the
     (p, vec M, c) ordering, scaled so that theta_hat ~ (theta, sigma / n).
     """
 
     params: LpParams
-    sigma: Optional[np.ndarray] = None
+    sigma: np.ndarray
 
     def __post_init__(self):
-        if self.sigma is not None:
-            self.sigma = np.asarray(self.sigma, dtype=float)
-            S = self.params.d + self.params.q * self.params.d + self.params.q
-            if self.sigma.shape != (S, S):
-                raise DimensionError(
-                    f"sigma must be {S}x{S} for (q,d)=({self.params.q},{self.params.d})"
-                )
+        self.sigma = np.asarray(self.sigma, dtype=float)
+        S = self.params.d + self.params.q * self.params.d + self.params.q
+        if self.sigma.shape != (S, S):
+            raise DimensionError(
+                f"sigma must be {S}x{S} for (q,d)=({self.params.q},{self.params.d})"
+            )
 
 
 # A ThetaEstimator maps a subset of observation indices to a ThetaEstimate.
@@ -96,6 +95,10 @@ class InferenceConfig:
             raise InferenceError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.sigma_min < 0:
             raise InferenceError("sigma_min must be nonnegative")
+        if not (0.0 < self.v_bar_alpha < 1.0):
+            raise InferenceError(f"v_bar_alpha must lie in (0,1), got {self.v_bar_alpha}")
+        if self.v_bar is not None and not self.v_bar > 0:
+            raise InferenceError(f"v_bar must be positive, got {self.v_bar}")
 
 
 def split_sample(n: int, gamma: float, seed) -> Tuple[np.ndarray, np.ndarray]:
@@ -158,8 +161,7 @@ def find_triplet(
     theta1: LpParams, w: np.ndarray, v_bar: float
 ) -> OptimalTriplet:
     """Fold-1 triplet: debiased vertex, its binding set, and dual weights."""
-    cfg = PenaltyConfig(w=w)
-    result = debiased_estimate(theta1, cfg, pick="max")
+    result = debiased_estimate(theta1, w)
     A = result.binding
     if not full_rank_binding(theta1.M, A):
         raise InferenceError(
@@ -207,28 +209,17 @@ def asymptotic_variance(
 
 
 def run_inference(
-    data_handle,
-    estimator: ThetaEstimator,
-    cfg: InferenceConfig,
-    seed,
+    n: int, estimator: ThetaEstimator, cfg: InferenceConfig, seed
 ) -> InferenceResult:
-    """Full split-sample procedure.
-
-    data_handle: either an integer sample size or an object with __len__;
-    the estimator receives index subsets into it.
-    """
-    n = data_handle if isinstance(data_handle, int) else len(data_handle)
+    """Full split-sample procedure on a sample of size n; the estimator
+    receives index subsets of range(n)."""
     fold1, fold2 = split_sample(n, cfg.gamma, seed)
     n1, n2 = len(fold1), len(fold2)
 
     est1 = estimator(fold1)
     theta1 = est1.params
     w = cfg.penalty.resolve_w(theta1, n1)
-    v_bar = (
-        cfg.v_bar
-        if cfg.v_bar is not None
-        else select_v_bar(theta1.M, theta1.p, cfg.v_bar_alpha)
-    )
+    v_bar = cfg.v_bar if cfg.v_bar is not None else select_v_bar(theta1, cfg.v_bar_alpha)
     triplet = find_triplet(theta1, w, v_bar)
 
     est2 = estimator(fold2)
@@ -237,8 +228,6 @@ def run_inference(
     v_A = v[A]
     estimate = float(v_A @ (theta2.c[A] - theta2.M[A] @ x) + theta1.p @ x)
 
-    if est2.sigma is None:
-        raise InferenceError("inference requires the estimator to supply sigma")
     sigma_hat = math.sqrt(asymptotic_variance(A, x, v, est2.sigma))
 
     degenerate = sigma_hat <= cfg.sigma_min or sigma_hat == 0.0

@@ -1,6 +1,6 @@
 """Dense linear-algebra utilities and a small exact-tolerance LP solver.
 
-Solves min p'x subject to Mx >= c (plus optional box rows) with a two-phase
+Solves min p'x subject to Mx >= c and the box rows with a two-phase
 revised simplex using Bland's anti-cycling rule, and provides the
 vertex-enumeration oracle, the smallest singular value and the column-major
 (de)vectorization helpers used throughout the package.
@@ -38,7 +38,7 @@ class DimensionError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised when a subset enumeration would exceed the configured cap."""
+    """Raised when a subset enumeration would exceed ENUMERATION_CAP."""
 
 
 class SolverError(RuntimeError):
@@ -59,18 +59,13 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return arr
 
 
-def default_box(d: int, bound: float = np.inf):
-    lower = np.full(d, -bound, dtype=float)
-    upper = np.full(d, bound, dtype=float)
-    return lower, upper
-
-
 @dataclass
 class LpParams:
     """The LP triplet theta = (p, M, c) plus the known compact box X.
 
-    The program is  min p'x  s.t.  Mx >= c  (and x in the box when the box is
-    included).  Box bounds may be +-inf for unconstrained coordinates.
+    The program is  min p'x  s.t.  Mx >= c  and x in the box.  Box bounds may
+    be +-inf for unconstrained coordinates; box=None leaves every coordinate
+    unconstrained.
     """
 
     p: np.ndarray
@@ -92,7 +87,7 @@ class LpParams:
         if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.M)) and np.all(np.isfinite(self.c))):
             raise DimensionError("p, M, c entries must be finite")
         if self.box is None:
-            self.box = default_box(d)
+            self.box = (np.full(d, -np.inf), np.full(d, np.inf))
         lower = _as_vector(self.box[0], "box lower")
         upper = _as_vector(self.box[1], "box upper")
         if lower.shape[0] != d or upper.shape[0] != d:
@@ -127,10 +122,8 @@ class LpParams:
             return np.zeros((0, d)), np.zeros(0)
         return np.array(rows), np.array(rhs)
 
-    def effective_system(self, include_box: bool):
-        """Constraint rows actually used by the solver: M (+ box rows)."""
-        if not include_box:
-            return self.M, self.c
+    def effective_system(self):
+        """Constraint rows actually used by the solver: M, then the box rows."""
         B, b = self.box_rows()
         if B.shape[0] == 0:
             return self.M, self.c
@@ -149,10 +142,10 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def binding_rows(M: np.ndarray, c: np.ndarray, x: np.ndarray, tol: float = TAU_BIND) -> np.ndarray:
-    """Indices j with |M_j x - c_j| <= tol * (1 + |c_j|)."""
+def binding_rows(M: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Indices j with |M_j x - c_j| <= TAU_BIND * (1 + |c_j|)."""
     resid = np.abs(M @ x - c)
-    return np.flatnonzero(resid <= tol * (1.0 + np.abs(c)))
+    return np.flatnonzero(resid <= TAU_BIND * (1.0 + np.abs(c)))
 
 
 def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
@@ -196,12 +189,12 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
         basis[leave] = enter
 
 
-def _solve_standard(cost: np.ndarray, A: np.ndarray, b: np.ndarray, slack_cols=None,
+def _solve_standard(cost: np.ndarray, A: np.ndarray, b: np.ndarray, slack_cols,
                     stage2_cost=None):
     """Two-phase simplex for min cost'z s.t. Az = b, z >= 0.
 
-    slack_cols optionally maps each row to a column holding a +-1 unit slack;
-    rows whose slack can start basic skip phase-1 artificials entirely.
+    slack_cols maps each row to a column holding a +-1 unit slack; rows whose
+    slack can start basic skip phase-1 artificials entirely.
 
     stage2_cost, when given, is minimized exactly over the optimal face of the
     first objective: with reduced costs r >= 0 at an optimal basis, the face
@@ -216,17 +209,15 @@ def _solve_standard(cost: np.ndarray, A: np.ndarray, b: np.ndarray, slack_cols=N
     b *= sign
 
     basis = [-1] * m
-    artificial_rows = list(range(m))
-    if slack_cols is not None:
-        artificial_rows = []
-        for i in range(m):
-            j = slack_cols[i]
-            # after the sign flip the slack coefficient is +-1; it can start
-            # basic iff its value b_i / A[i, j] is nonnegative
-            if A[i, j] > 0.0 or b[i] == 0.0:
-                basis[i] = j
-            else:
-                artificial_rows.append(i)
+    artificial_rows = []
+    for i in range(m):
+        j = slack_cols[i]
+        # after the sign flip the slack coefficient is +-1; it can start
+        # basic iff its value b_i / A[i, j] is nonnegative
+        if A[i, j] > 0.0 or b[i] == 0.0:
+            basis[i] = j
+        else:
+            artificial_rows.append(i)
 
     if artificial_rows:
         E = np.zeros((m, len(artificial_rows)))
@@ -281,9 +272,8 @@ def _solve_standard(cost: np.ndarray, A: np.ndarray, b: np.ndarray, slack_cols=N
     return OPTIMAL, z[:nvar]
 
 
-def solve_lp(params: LpParams, include_box: bool = True,
-             secondary: np.ndarray = None) -> LpSolution:
-    """Solve min p'x s.t. Mx >= c (and the box when included).
+def solve_lp(params: LpParams, secondary: np.ndarray = None) -> LpSolution:
+    """Solve min p'x s.t. Mx >= c and x in the box.
 
     Returns a basic optimal solution (a vertex of the feasible polyhedron
     whenever it has vertices); the binding set is classified post hoc over the
@@ -293,7 +283,7 @@ def solve_lp(params: LpParams, include_box: bool = True,
     over the set of optima of the primary objective; value/vertex/binding then
     describe the returned point of that face.
     """
-    A_rows, rhs = params.effective_system(include_box)
+    A_rows, rhs = params.effective_system()
     d = params.d
     m = A_rows.shape[0]
     # Standard form variables: x = xp - xm (free split), slack s >= 0 with
@@ -307,7 +297,7 @@ def solve_lp(params: LpParams, include_box: bool = True,
         if secondary.shape != (d,):
             raise DimensionError(f"secondary objective must have length {d}")
         stage2 = np.concatenate([secondary, -secondary, np.zeros(m)])
-    status, z = _solve_standard(cost, A, rhs, slack_cols=slack_cols, stage2_cost=stage2)
+    status, z = _solve_standard(cost, A, rhs, slack_cols, stage2_cost=stage2)
     if status != OPTIMAL:
         return LpSolution(status=status)
     x = z[:d] - z[d:2 * d]
@@ -320,19 +310,19 @@ def solve_lp(params: LpParams, include_box: bool = True,
     )
 
 
-def enumerate_vertices(params: LpParams, include_box: bool = True, cap: int = ENUMERATION_CAP):
-    """All vertices of {x: Mx >= c} (plus box rows when included).
+def enumerate_vertices(params: LpParams):
+    """All vertices of {x: Mx >= c} inside the box.
 
     Returns a list of (vertex, binding-set) pairs; binding sets index the
-    effective rows (params.M first, then any box rows). Candidate vertices are
+    effective rows (params.M first, then the finite box rows). Candidate vertices are
     x = A_J^{-1} rhs_J over d-subsets J with |det| above the rank tolerance,
     kept when feasible within TAU_FEAS, deduplicated within TAU_DEDUP.
     """
-    A_rows, rhs = params.effective_system(include_box)
+    A_rows, rhs = params.effective_system()
     q_eff, d = A_rows.shape
-    if math.comb(q_eff, d) > cap:
+    if math.comb(q_eff, d) > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"instance too large: C({q_eff},{d}) subsets exceed cap {cap}"
+            f"instance too large: C({q_eff},{d}) subsets exceed cap {ENUMERATION_CAP}"
         )
     scale = max(1.0, float(np.abs(A_rows).max()))
     feas_tol = TAU_FEAS * max(1.0, float(np.abs(rhs).max()), scale)

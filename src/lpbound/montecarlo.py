@@ -61,6 +61,8 @@ class SimulationScenario:
     def __post_init__(self):
         if self.replications < 1:
             raise ScenarioError("replications must be at least 1")
+        if not all(isinstance(v, (int, float)) for v in (self.b, self.alpha, self.kappa0)):
+            raise ScenarioError("b, alpha and kappa0 must be numbers")
         sizes = list(self.sample_sizes)
         if any(b >= a for a, b in zip(sizes[1:], sizes)):
             raise ScenarioError("sample_sizes must be strictly increasing")
@@ -186,8 +188,11 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
         values: Dict[str, List[float]] = {e: [] for e in scenario.estimators}
         failures: Dict[str, int] = {e: 0 for e in scenario.estimators}
         kappa_n = default_kappa_n(n, scenario.kappa0)
+        penalized = {"penalty", "debiased"} & set(scenario.estimators)
         for rep in range(scenario.replications):
             params = draw_theta(scenario, n, rng_for(scenario.seed, n_idx, rep))
+            if penalized:
+                w = scenario.penalty.resolve_w(params, n)
             for est in scenario.estimators:
                 if est == "plugin":
                     sol = solve_lp(params)
@@ -196,10 +201,9 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
                     else:
                         failures[est] += 1
                 elif est == "penalty":
-                    values[est].append(penalty_value(params, scenario.penalty, n=n))
+                    values[est].append(penalty_value(params, w))
                 elif est == "debiased":
-                    res = debiased_estimate(params, scenario.penalty, pick="max", n=n)
-                    values[est].append(res.value)
+                    values[est].append(debiased_estimate(params, w).value)
                 else:
                     sol = set_expansion_value(params, kappa_n, n)
                     if sol.status == OPTIMAL:
@@ -324,6 +328,17 @@ class UniformGridResult:
     sqrt_n_normalized: np.ndarray  # sqrt_n series matched to adaptive at n[0]
     delta: float
 
+    CSV_COLUMNS = ("n", "sup_std", "sqrt_n_scaled", "adaptive_scaled", "sqrt_n_normalized")
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.CSV_COLUMNS)
+        for i, n in enumerate(self.sample_sizes):
+            series = (getattr(self, col)[i] for col in self.CSV_COLUMNS[1:])
+            writer.writerow([n, *(repr(float(v)) for v in series)])
+        return buf.getvalue()
+
 
 def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
     """Std of per-replication sup-deviations of the penalty estimator, scaled
@@ -343,7 +358,6 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
             sol = solve_lp(_grid_params(a, 0.0, 0.0, true_d))
             truths.append(float(sol.value))
         sups = np.zeros(scenario.replications)
-        cfg = PenaltyConfig(w=w)
         for rep in range(scenario.replications):
             rng = rng_for(scenario.seed, n_idx, rep)
             noise = rng.uniform(-0.5, 0.5, size=(n, 3)).mean(axis=0)
@@ -354,7 +368,7 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
             worst = 0.0
             for a, truth in zip(pts, truths):
                 params = _grid_params(a, float(noise[0]), float(noise[1]), dshift)
-                value = penalty_value(params, cfg)
+                value = penalty_value(params, w)
                 worst = max(worst, abs(value - truth))
             sups[rep] = worst
         sup_std[n_idx] = sups.std(ddof=0)

@@ -204,12 +204,13 @@ class TestSimulateCommand:
         assert {r["estimator"] for r in rows} == {"plugin", "penalty", "debiased", "setexp"}
 
     def test_unknown_estimator_exits_2(self, tmp_path, capsys):
-        cfg = write_json(
-            tmp_path / "cfg.json",
+        for doc in (
             {"study": "consistency", "dgp": "example_a", "estimators": ["bogus"]},
-        )
-        assert run_cli(["simulate", "--config", cfg], tmp_path / "o.csv") == EXIT_USAGE
-        assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation_error"
+            {"study": "consistency", "dgp": "uniform_grid"},  # a study its design lacks
+        ):
+            cfg = write_json(tmp_path / "cfg.json", doc)
+            assert run_cli(["simulate", "--config", cfg], tmp_path / "o.csv") == EXIT_USAGE
+            assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation_error"
 
     def test_uniform_grid_csv(self, tmp_path):
         cfg = write_json(
@@ -223,6 +224,31 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--config", cfg, "--seed", "2"], out) == EXIT_OK
         header = out.read_text().splitlines()[0]
         assert header == "n,sup_std,sqrt_n_scaled,adaptive_scaled,sqrt_n_normalized"
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate", {"replications": "x"}),
+    ("simulate", {"sample_sizes": 5}),
+    ("simulate", {"seed": "x"}),
+    ("simulate", {"b": "x"}),
+    ("estimate", {"penalty": {"alpha": "x"}}),
+    ("estimate", {"kappa0": "x"}),
+    ("infer", {"gamma": "x"}),
+    ("infer", {"v_bar": "x"}),
+    ("infer", {"v_bar_alpha": "x"}),
+    ("infer", {"seed": "x"}),
+    ("infer", {"b": "x"}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override):
+    base = {
+        "simulate": {"study": "consistency", "dgp": "example_a",
+                     "sample_sizes": [100], "replications": 1},
+        "estimate": {"lp": write_json(tmp_path / "lp.json", EXAMPLE1_DOC), "n": 100},
+        "infer": {"mode": "example_b", "n": 100},
+    }[command]
+    cfg = write_json(tmp_path / "cfg.json", {**base, **override})
+    assert run_cli([command, "--config", cfg], tmp_path / "o") == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation_error"
 
 
 class TestAicmCommand:

@@ -32,13 +32,13 @@ class TestPlugIn:
 
 class TestPenalty:
     def test_large_penalty_recovers_lp_value(self):
-        value = penalty_value(example1_params(0.0), PenaltyConfig(w=2.0))
+        value = penalty_value(example1_params(0.0), 2.0)
         assert abs(value - (-1.0)) < 1e-9
 
     def test_small_penalty_below_lp_value(self):
         # with w = 0.7 the dual multiplier of 1 on the lower box-like row
         # dominates the penalty, so relaxing that row is profitable
-        value = penalty_value(example1_params(0.0), PenaltyConfig(w=0.7))
+        value = penalty_value(example1_params(0.0), 0.7)
         assert abs(value - (-1.3)) < 1e-9
 
     def test_penalty_never_exceeds_plugin_when_feasible(self, rng):
@@ -47,7 +47,7 @@ class TestPenalty:
             sol = plug_in_value(params)
             if sol.status != OPTIMAL:
                 continue
-            value = penalty_value(params, PenaltyConfig(w=float(rng.uniform(0.1, 5.0))))
+            value = penalty_value(params, float(rng.uniform(0.1, 5.0)))
             assert value <= sol.value + 1e-9
 
     def test_requires_compact_box(self):
@@ -57,10 +57,9 @@ class TestPenalty:
             c=np.array([0.0]),
             box=(np.array([-np.inf]), np.array([np.inf])),
         )
-        # no w and no n: the box is checked before the penalty is resolved
         for estimate in (penalty_value, debiased_estimate):
             with pytest.raises(PenaltyError, match="compact box"):
-                estimate(params, PenaltyConfig())
+                estimate(params, 1.0)
 
     @pytest.mark.parametrize("seed, index", [(12, 7), (5, 17)])
     def test_large_penalty_costs_reach_the_plugin_value(self, seed, index):
@@ -76,13 +75,13 @@ class TestPenalty:
             c = M @ x0 - rng.uniform(0.1, 1.0, q)
         params = LpParams(p, M, c, (np.full(d, -5.0), np.full(d, 5.0)))
         plug_in = plug_in_value(params).value
-        value = penalty_value(params, PenaltyConfig(), n=1000)
+        value = penalty_value(params, select_penalty(params, 1000, PenaltyConfig()))
         assert abs(value - plug_in) <= TAU_VAL * (1.0 + abs(plug_in))
 
 
 class TestDebiased:
     def test_recovers_degenerate_vertex(self):
-        deb = debiased_estimate(example1_params(0.0), PenaltyConfig(w=2.0))
+        deb = debiased_estimate(example1_params(0.0), 2.0)
         assert deb.value == -1.0
         assert np.array_equal(deb.vertex, [-1.0, -1.0])
         assert deb.binding.tolist() == [0, 1, 2]
@@ -90,9 +89,8 @@ class TestDebiased:
 
     def test_pick_direction_moves_along_optimal_face(self):
         params = example1_params(0.0)
-        cfg = PenaltyConfig(w=0.7)
-        hi = debiased_estimate(params, cfg, pick="max")
-        lo = debiased_estimate(params, cfg, pick="min")
+        hi = debiased_estimate(params, 0.7, pick="max")
+        lo = debiased_estimate(params, 0.7, pick="min")
         assert abs(hi.penalized_value - lo.penalized_value) < 1e-9
         assert hi.value >= lo.value - 1e-12
 
@@ -145,7 +143,7 @@ class TestTaoVu:
 class TestSelectionRules:
     def test_rowwise_rule_at_reference_size(self):
         params = example1_params(0.0)
-        w = select_penalty(params.M, params.p, 100, PenaltyConfig())
+        w = select_penalty(params, 100, PenaltyConfig())
         delta = tao_vu_quantile(0.2)
         # w_n = 1 at n = 100; rows 0-1 have norm sqrt(2), rows 2-3 norm 1
         assert np.allclose(w[:2], 2.0 / (delta * math.sqrt(2.0)), rtol=1e-12)
@@ -153,35 +151,30 @@ class TestSelectionRules:
 
     def test_wn_floor_and_growth(self):
         params = example1_params(0.0)
-        small = select_penalty(params.M, params.p, 10, PenaltyConfig())
-        ref = select_penalty(params.M, params.p, 100, PenaltyConfig())
-        big = select_penalty(params.M, params.p, 10**6, PenaltyConfig())
+        small = select_penalty(params, 10, PenaltyConfig())
+        ref = select_penalty(params, 100, PenaltyConfig())
+        big = select_penalty(params, 10**6, PenaltyConfig())
         assert np.allclose(small, ref)  # w_n floored at 1
         assert np.all(big > ref)
 
     def test_scalar_variant_ignores_row_norms(self):
         params = example1_params(0.0)
-        w = select_penalty(params.M, params.p, 100, PenaltyConfig(variant="scalar"))
+        w = select_penalty(params, 100, PenaltyConfig(variant="scalar"))
         assert np.allclose(w, 1.0 / tao_vu_quantile(0.2))
 
-    def test_augmented_prepends_unit_row(self):
-        params = example1_params(0.0)
-        w = select_penalty(params.M, params.p, 100, PenaltyConfig(), augmented=True)
-        assert w[0] == 1.0 and w.size == params.q + 1
-
     def test_zero_row_rejected(self):
-        M = np.array([[0.0, 0.0], [1.0, 0.0]])
+        params = LpParams(np.array([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2))
         with pytest.raises(PenaltyError):
-            select_penalty(M, np.array([1.0, 0.0]), 100, PenaltyConfig())
+            select_penalty(params, 100, PenaltyConfig())
 
     def test_v_bar_uses_smallest_row_norm(self):
         params = example1_params(0.0)
-        v_bar = select_v_bar(params.M, params.p, alpha=0.1)
+        v_bar = select_v_bar(params, alpha=0.1)
         delta = tao_vu_quantile(0.1)
         assert abs(v_bar - 2.0 / (1.0 * delta)) < 1e-12
 
     def test_explicit_penalty_validation(self):
         with pytest.raises(PenaltyError):
-            PenaltyConfig(w=-1.0).resolve_w(example1_params(0.0))
+            penalty_value(example1_params(0.0), -1.0)
         with pytest.raises(PenaltyError):
             PenaltyConfig().resolve_w(example1_params(0.0))  # no n to select with

@@ -28,7 +28,7 @@ class TestDeltaCondition:
     def test_kkt_vectors_are_dual_feasible(self):
         params = example1_params(0.0)
         report = delta_condition(params)
-        M_all, c_all = params.effective_system(include_box=True)
+        M_all, c_all = params.effective_system()
         for J, lam in zip(report.j_star_sets, report.kkt_vectors):
             assert np.all(lam >= -1e-8)
             assert np.allclose(M_all[J].T @ lam, params.p, atol=1e-9)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lpbound.linalg import (
     INFEASIBLE,
     OPTIMAL,
+    TAU_VAL,
     UNBOUNDED,
     DimensionError,
     LpParams,
@@ -97,6 +98,26 @@ class TestAgainstEnumeration:
             assert abs(sol.value - best) < 1e-9 * (1.0 + abs(best))
             checked += 1
         assert checked > 100
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        d=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_values_match_highs_past_the_enumeration_cap(self, d, seed):
+        # boxed LPs with a strictly interior point, up to (30, 90), where
+        # vertex enumeration cannot reach; HiGHS is an independent solver
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(seed)
+        q = 3 * d
+        M, p = rng.normal(size=(q, d)), rng.normal(size=d)
+        half = float(rng.uniform(0.5, 3.0))
+        c = M @ rng.uniform(-half, half, size=d) - rng.uniform(0.1, 1.0, size=q)
+        params = LpParams(p=p, M=M, c=c, box=(np.full(d, -half), np.full(d, half)))
+        sol = solve_lp(params)
+        ref = linprog(p, A_ub=-M, b_ub=-c, bounds=(-half, half), method="highs")
+        assert sol.status == OPTIMAL and ref.status == 0
+        assert abs(sol.value - ref.fun) <= TAU_VAL * (1.0 + abs(ref.fun))
 
     def test_unit_box_vertices(self):
         params = LpParams(
