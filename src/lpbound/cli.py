@@ -1,10 +1,12 @@
 """Command-line interface: estimate, infer, simulate, and aicm commands.
 
 Configuration documents and LP files are JSON; bulk numeric output is CSV.
-All parsing is fail-closed (unknown keys are rejected) and every command
-honors --seed for bit-reproducible output. Exit codes: 0 success (solver
-statuses are data), 1 computational fault that blocks output, 2 usage or
-validation fault. Faults print a machine-readable error object.
+All parsing is fail-closed: unknown keys are rejected, and so are keys the
+selected study or mode never reads. Only the commands that draw random
+numbers (infer, simulate, aicm) take --seed, for bit-reproducible output.
+Exit codes: 0 success (solver statuses are data), 1 computational fault
+that blocks output, 2 usage or validation fault. Faults print a
+machine-readable error object.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,6 +37,7 @@ from .estimators import (
     PenaltyError,
     debiased_estimate,
     default_kappa_n,
+    penalty_rows,
     penalty_value,
     plug_in_value,
     set_expansion_value,
@@ -202,16 +205,15 @@ def _seed(config: dict, args) -> int:
     return seed
 
 
-def _penalty_config(doc: dict) -> PenaltyConfig:
-    _check_keys(doc, {"w", "alpha", "wn_rule", "variant"}, "penalty")
+def _config(cls, doc: dict, where: str, **given):
+    """cls built from the config keys in doc plus the values the command
+    fixes itself; the dataclass holds every default and range check."""
+    _check_keys(doc, {f.name for f in fields(cls)} - set(given), where)
+    if "penalty" in doc:
+        doc = dict(doc, penalty=_config(PenaltyConfig, doc["penalty"], "penalty"))
     try:
-        return PenaltyConfig(
-            w=doc.get("w"),
-            alpha=doc.get("alpha", 0.2),
-            wn_rule=doc.get("wn_rule", "loglog"),
-            variant=doc.get("variant", "rowwise"),
-        )
-    except (PenaltyError, TypeError) as exc:
+        return cls(**doc, **given)
+    except (TypeError, ValueError) as exc:
         raise CliError("validation_error", str(exc))
 
 
@@ -224,11 +226,12 @@ def _solution_fields(sol) -> dict:
 
 # -- estimate -----------------------------------------------------------------
 
-_ESTIMATE_KEYS = {"lp", "estimators", "n", "penalty", "kappa_n", "kappa0", "seed"}
+_ESTIMATE_KEYS = {"lp", "estimators", "n", "penalty", "kappa_n", "kappa0"}
 
 
 def cmd_estimate(config: dict, args) -> int:
     _check_keys(config, _ESTIMATE_KEYS, "estimate config")
+    pcfg = _config(PenaltyConfig, config.get("penalty", {}), "penalty")
     params, labels = load_lp_file(_require(config, "lp", "estimate config"))
     names = config.get("estimators", list(ESTIMATORS))
     unknown = set(names) - set(ESTIMATORS)
@@ -240,7 +243,6 @@ def cmd_estimate(config: dict, args) -> int:
     for key in ("kappa_n", "kappa0"):
         if key in config and not isinstance(config[key], (int, float)):
             raise CliError("validation_error", f"{key} must be a number")
-    pcfg = _penalty_config(config.get("penalty", {}))
     result = {"estimators": {}}
 
     try:
@@ -248,8 +250,7 @@ def cmd_estimate(config: dict, args) -> int:
             result["estimators"]["plugin"] = _solution_fields(plug_in_value(params))
         if "penalty" in names or "debiased" in names:
             w = pcfg.resolve_w(params, n)
-            w_rows = np.broadcast_to(np.asarray(w, dtype=float), (params.q,))
-            result["penalty_vector"] = w_rows.tolist()
+            result["penalty_vector"] = penalty_rows(w, params.q).tolist()
         if "penalty" in names:
             result["estimators"]["penalty"] = {
                 "status": OPTIMAL,
@@ -293,26 +294,6 @@ def cmd_estimate(config: dict, args) -> int:
 
 # -- infer --------------------------------------------------------------------
 
-_INFER_KEYS = {
-    "mode", "lp", "sigma", "n", "b", "data", "alpha", "gamma", "v_bar",
-    "v_bar_alpha", "sigma_min", "penalty", "seed",
-}
-
-
-def _inference_config(config: dict) -> InferenceConfig:
-    try:
-        return InferenceConfig(
-            gamma=config.get("gamma", 0.5),
-            alpha=config.get("alpha", 0.05),
-            penalty=_penalty_config(config.get("penalty", {})),
-            v_bar=config.get("v_bar"),
-            v_bar_alpha=config.get("v_bar_alpha", 0.1),
-            sigma_min=config.get("sigma_min", 0.0),
-        )
-    except (InferenceError, PenaltyError, TypeError) as exc:
-        raise CliError("validation_error", str(exc))
-
-
 def _row_estimator(rows: np.ndarray, template: LpParams):
     """Fold estimator for i.i.d. draws of the stacked parameter vector:
     theta-hat is the column mean and sigma the per-observation covariance."""
@@ -332,10 +313,9 @@ def _row_estimator(rows: np.ndarray, template: LpParams):
     return estimate
 
 
-def _infer_rows(config: dict, seed: int) -> Tuple[np.ndarray, LpParams]:
-    mode = config.get("mode", "csv")
+def _infer_rows(config: dict, mode: str, seed: int) -> Tuple[np.ndarray, LpParams]:
+    params, _ = load_lp_file(_require(config, "lp", "infer config"))
     if mode == "gaussian":
-        params, _ = load_lp_file(_require(config, "lp", "infer config"))
         n = _require(config, "n", "infer config")
         theta = np.concatenate([params.p, params.M.flatten(order="F"), params.c])
         sigma = _as_float_array(_require(config, "sigma", "infer config"), "sigma", 2)
@@ -347,20 +327,21 @@ def _infer_rows(config: dict, seed: int) -> Tuple[np.ndarray, LpParams]:
         rng = np.random.default_rng(seed)
         rows = rng.multivariate_normal(theta, sigma, size=int(n), method="svd")
         return rows, params
-    if mode == "csv":
-        params, _ = load_lp_file(_require(config, "lp", "infer config"))
-        path = _require(config, "data", "infer config")
-        try:
-            rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise CliError("io_error", f"cannot read data CSV {path}: {exc}")
-        S = params.d + params.q * params.d + params.q
-        if rows.shape[1] != S:
-            raise CliError(
-                "dimension_mismatch", f"data rows have {rows.shape[1]} columns, need {S}"
-            )
-        return rows, params
-    raise CliError("validation_error", f"unknown infer mode {mode!r}")
+    path = _require(config, "data", "infer config")
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise CliError("io_error", f"cannot read data CSV {path}: {exc}")
+    S = params.d + params.q * params.d + params.q
+    if rows.shape[1] != S:
+        raise CliError(
+            "dimension_mismatch", f"data rows have {rows.shape[1]} columns, need {S}"
+        )
+    return rows, params
+
+
+# mode -> the keys it reads besides mode, seed and the InferenceConfig fields
+_INFER_MODES = {"example_b": {"n", "b"}, "gaussian": {"lp", "sigma", "n"}, "csv": {"lp", "data"}}
 
 
 def _inference_result_doc(res: InferenceResult) -> dict:
@@ -382,10 +363,13 @@ def _inference_result_doc(res: InferenceResult) -> dict:
 
 
 def cmd_infer(config: dict, args) -> int:
-    _check_keys(config, _INFER_KEYS, "infer config")
-    cfg = _inference_config(config)
-    seed = _seed(config, args)
     mode = config.get("mode", "csv")
+    if not isinstance(mode, str) or mode not in _INFER_MODES:
+        raise CliError("validation_error", f"unknown infer mode {mode!r}")
+    own = _INFER_MODES[mode] | {"mode", "seed"}
+    doc = {k: v for k, v in config.items() if k not in own}
+    cfg = _config(InferenceConfig, doc, "infer config")
+    seed = _seed(config, args)
     if mode == "example_b":
         n = _require(config, "n", "infer config")
         if not isinstance(n, int) or n < 2:
@@ -396,7 +380,7 @@ def cmd_infer(config: dict, args) -> int:
         U = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 3))
         estimator = _example_b_estimator(U, b)
     else:
-        rows, template = _infer_rows(config, seed)
+        rows, template = _infer_rows(config, mode, seed)
         estimator = _row_estimator(rows, template)
         n = rows.shape[0]
     try:
@@ -409,40 +393,27 @@ def cmd_infer(config: dict, args) -> int:
 
 # -- simulate -----------------------------------------------------------------
 
-_SIMULATE_KEYS = {
-    "study", "dgp", "b", "sample_sizes", "replications", "estimators",
-    "seed", "alpha", "kappa0", "penalty", "slater", "grid",
-}
-
+# study -> (runner, the keys it reads besides those every study reads)
 _STUDIES = {
-    "consistency": run_consistency,
-    "inference": run_inference_study,
-    "uniform_grid": run_uniform_grid,
+    "consistency": (run_consistency, {"b", "estimators", "kappa0", "penalty"}),
+    "inference": (run_inference_study, {"b", "alpha", "penalty"}),
+    "uniform_grid": (run_uniform_grid, {"slater", "grid"}),
 }
 
 
 def cmd_simulate(config: dict, args) -> int:
-    _check_keys(config, _SIMULATE_KEYS, "simulate config")
     study = config.get("study", "consistency")
     if not isinstance(study, str) or study not in _STUDIES:
         raise CliError("validation_error", f"unknown study {study!r}")
+    run, keys = _STUDIES[study]
+    common = {"study", "dgp", "seed", "sample_sizes", "replications"}
+    _check_keys(config, keys | common, "simulate config")
+    _require(config, "dgp", "simulate config")
     seed = _seed(config, args)
-    kwargs = {
-        k: config[k]
-        for k in ("b", "sample_sizes", "replications", "estimators",
-                  "alpha", "kappa0", "slater", "grid")
-        if k in config
-    }
-    if "penalty" in config:
-        kwargs["penalty"] = _penalty_config(config["penalty"])
+    doc = {k: v for k, v in config.items() if k not in ("study", "seed")}
+    scenario = _config(SimulationScenario, doc, "simulate config", seed=seed)
     try:
-        scenario = SimulationScenario(
-            dgp=_require(config, "dgp", "simulate config"), seed=seed, **kwargs
-        )
-    except (ScenarioError, TypeError) as exc:
-        raise CliError("validation_error", str(exc))
-    try:
-        text = _STUDIES[study](scenario).to_csv()
+        text = run(scenario).to_csv()
     except ScenarioError as exc:
         raise CliError("validation_error", str(exc))
     _write_output(text, args.out)
@@ -451,7 +422,7 @@ def cmd_simulate(config: dict, args) -> int:
 
 # -- aicm ---------------------------------------------------------------------
 
-_AICM_KEYS = {"data", "assumptions", "target", "ci", "seed", "dump_lp"}
+_AICM_KEYS = {"data", "assumptions", "target", "ci", "seed"}
 _ASSUMPTION_KEYS = {"kinds", "bounds", "relax"}
 _TARGET_KEYS = {"type", "t", "d"}
 _CI_KEYS = {"alpha", "bootstrap_reps", "gamma"}
@@ -536,7 +507,7 @@ def cmd_aicm(config: dict, args) -> int:
     result["valid_only"] = program.valid_only
     if isinstance(target, ATE):
         result["ets_estimate"] = ets_estimate(table, target.t, target.d)
-    if args.diagnostics or config.get("dump_lp"):
+    if args.diagnostics:
         result["lp"] = lp_to_document(
             program.lp, labels=["/".join(map(str, lab)) for lab in program.variable_labels]
         )
@@ -546,22 +517,22 @@ def cmd_aicm(config: dict, args) -> int:
     if ci_doc is not None:
         _check_keys(ci_doc, _CI_KEYS, "ci")
         seed = _seed(config, args)
-        alpha = ci_doc.get("alpha", 0.05)
-        cfg = _inference_config({"alpha": alpha, "gamma": ci_doc.get("gamma", 0.5)})
+        doc = {k: v for k, v in ci_doc.items() if k != "bootstrap_reps"}
+        cfg = _config(InferenceConfig, doc, "ci")
         try:
             sigma = bootstrap_theta_covariance(
                 records, spec, B=ci_doc.get("bootstrap_reps", 200), seed=seed
             )
             res_lo = _aicm_inference(records, spec, "lower", cfg, sigma, seed)
             res_up = _aicm_inference(records, spec, "upper", cfg, sigma, seed)
-            interval = combine_two_sided(res_lo, res_up, alpha)
+            interval = combine_two_sided(res_lo, res_up, cfg.alpha)
         except (InferenceError, TableError, PenaltyError) as exc:
             raise CliError("inference_failed", str(exc), exit_code=EXIT_COMPUTE)
         result["ci"] = {
             "lower": interval.lower,
             "upper": interval.upper,
             "crossed": interval.crossed,
-            "alpha": alpha,
+            "alpha": cfg.alpha,
             "estimates": {"lower": res_lo.estimate, "upper": res_up.estimate},
         }
     _write_output(canonical_dumps(result), args.out)
@@ -577,18 +548,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimation and inference for linear programs with estimated parameters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("estimate", "LP-value estimators on an LP file"),
-        ("infer", "split-sample confidence intervals"),
-        ("simulate", "Monte Carlo studies (CSV reports)"),
-        ("aicm", "causal-assumption bounds from microdata"),
+    for name, helptext, seeded, diagnostics in (
+        ("estimate", "LP-value estimators on an LP file", False, True),
+        ("infer", "split-sample confidence intervals", True, False),
+        ("simulate", "Monte Carlo studies (CSV reports)", True, False),
+        ("aicm", "causal-assumption bounds from microdata", True, True),
     ):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="JSON configuration file")
-        cmd.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
-        cmd.add_argument("--diagnostics", action="store_true",
-                         help="include extra diagnostics in the output")
+        if seeded:
+            cmd.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
+        if diagnostics:
+            cmd.add_argument("--diagnostics", action="store_true",
+                             help="include extra diagnostics in the output")
     return parser
 
 
@@ -608,6 +581,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config = _load_json(args.config, "config")
+        if not isinstance(config, dict):
+            raise CliError("invalid_document", f"{args.command} config must be a JSON object")
         return _DISPATCH[args.command](config, args)
     except CliError as exc:
         code, message, exit_code = exc.code, str(exc), exc.exit_code

@@ -12,12 +12,14 @@ term removes the first-order bias when the penalty dominates a KKT vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .linalg import (
+    DimensionError,
     LpParams,
     LpSolution,
     solve_lp,
@@ -33,31 +35,29 @@ class PenaltyError(ValueError):
     pass
 
 
+def _nonnegative(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0
+
+
 @dataclass
 class PenaltyConfig:
     """Penalty vector (or the rule that selects it).
 
-    w: explicit penalty (scalar broadcast or length-q vector); when None the
-       data-driven rule of select_penalty is used.
+    w: explicit penalty (nonnegative scalar broadcast or length-q vector);
+       when None the data-driven rule of select_penalty is used.
     alpha: quantile level for the singular-value lower bound (default 0.2).
-    wn_rule: growth rule for w_n: "loglog" (ln ln n / ln ln 100, floored at 1)
-       or "log" (ln n / ln 100, floored at 1).
-    variant: "rowwise" (row-norm aware rule, canonical) or "scalar"
-       (||p|| * w_n / delta_alpha broadcast to all rows).
     """
 
     w: Optional[object] = None
     alpha: float = 0.2
-    wn_rule: str = "loglog"
-    variant: str = "rowwise"
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise PenaltyError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.wn_rule not in ("loglog", "log"):
-            raise PenaltyError(f"unknown wn_rule {self.wn_rule!r}")
-        if self.variant not in ("rowwise", "scalar"):
-            raise PenaltyError(f"unknown variant {self.variant!r}")
+        if self.w is not None:
+            w = np.asarray(self.w, dtype=object)
+            if w.ndim > 1 or not all(map(_nonnegative, w.ravel())):
+                raise PenaltyError(f"w must be a nonnegative number or list, got {self.w!r}")
 
     def resolve_w(self, params: LpParams, n: Optional[int] = None):
         """The explicit w, or the data-driven choice of select_penalty."""
@@ -82,13 +82,21 @@ def plug_in_value(params: LpParams) -> LpSolution:
     return solve_lp(params)
 
 
+def penalty_rows(w, q: int) -> np.ndarray:
+    """The penalty w (a scalar or one entry per row of M) as a length-q vector."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim > 1 or w.size not in (1, q):
+        raise DimensionError(f"penalty w has {w.size} entries for {q} rows of M")
+    return np.broadcast_to(w, (q,))
+
+
 def _relaxed_params(params: LpParams, w) -> LpParams:
     """The (x, a)-space LP whose value equals min_X L(x; theta, w)."""
     lower, upper = params.box
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise PenaltyError("penalized estimation requires a compact box")
     q = params.q
-    w = np.broadcast_to(np.asarray(w, dtype=float), (q,))
+    w = penalty_rows(w, q)
     if np.any(w < 0):
         raise PenaltyError("penalty vector must be nonnegative")
     return LpParams(
@@ -171,12 +179,11 @@ def tao_vu_quantile(alpha: float) -> float:
     return (math.sqrt(1.0 - 2.0 * math.log1p(-alpha)) - 1.0) ** 2
 
 
-def _wn(n: int, rule: str) -> float:
+def _wn(n: int) -> float:
+    """w_n = ln ln n / ln ln 100, floored at 1."""
     if n < 3:
         raise PenaltyError("n must be at least 3 so ln ln n is defined")
-    if rule == "loglog":
-        return max(1.0, math.log(math.log(n)) / math.log(math.log(100.0)))
-    return max(1.0, math.log(n) / math.log(100.0))
+    return max(1.0, math.log(math.log(n)) / math.log(math.log(100.0)))
 
 
 def select_penalty(params: LpParams, n: int, cfg: PenaltyConfig) -> np.ndarray:
@@ -188,10 +195,8 @@ def select_penalty(params: LpParams, n: int, cfg: PenaltyConfig) -> np.ndarray:
         raise PenaltyError(
             f"row {bad} of M has zero norm; drop or renormalize it before selecting a penalty"
         )
-    wn = _wn(n, cfg.wn_rule)
+    wn = _wn(n)
     delta = tao_vu_quantile(cfg.alpha)
-    if cfg.variant == "scalar":
-        return np.full(params.q, wn * float(np.linalg.norm(p)) / delta)
     return wn * params.d * float(np.linalg.norm(p)) / (delta * row_norms)
 
 

@@ -63,7 +63,14 @@ class SimulationScenario:
             raise ScenarioError("replications must be at least 1")
         if not all(isinstance(v, (int, float)) for v in (self.b, self.alpha, self.kappa0)):
             raise ScenarioError("b, alpha and kappa0 must be numbers")
+        if not (0.0 < self.alpha < 1.0):
+            raise ScenarioError(f"alpha must lie in (0,1), got {self.alpha}")
+        if self.kappa0 < 0:
+            raise ScenarioError(f"kappa0 must be nonnegative, got {self.kappa0}")
         sizes = list(self.sample_sizes)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 3
+                   for n in sizes):
+            raise ScenarioError(f"sample sizes must be integers >= 3, got {sizes}")
         if any(b >= a for a, b in zip(sizes[1:], sizes)):
             raise ScenarioError("sample_sizes must be strictly increasing")
         unknown = set(self.estimators) - set(ESTIMATORS)
@@ -194,22 +201,21 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
             if penalized:
                 w = scenario.penalty.resolve_w(params, n)
             for est in scenario.estimators:
-                if est == "plugin":
-                    sol = solve_lp(params)
-                    if sol.status == OPTIMAL:
-                        values[est].append(float(sol.value))
+                try:
+                    if est == "plugin":
+                        value = solve_lp(params).value
+                    elif est == "penalty":
+                        value = penalty_value(params, w)
+                    elif est == "debiased":
+                        value = debiased_estimate(params, w).value
                     else:
-                        failures[est] += 1
-                elif est == "penalty":
-                    values[est].append(penalty_value(params, w))
-                elif est == "debiased":
-                    values[est].append(debiased_estimate(params, w).value)
+                        value = set_expansion_value(params, kappa_n, n).value
+                except (SolverError, PenaltyError):
+                    value = None
+                if value is None:
+                    failures[est] += 1
                 else:
-                    sol = set_expansion_value(params, kappa_n, n)
-                    if sol.status == OPTIMAL:
-                        values[est].append(float(sol.value))
-                    else:
-                        failures[est] += 1
+                    values[est].append(float(value))
         for est in scenario.estimators:
             row = ReportRow(estimator=est, n=n, failures=failures[est])
             rows.append(_with_moments(row, np.array(values[est]), truth))

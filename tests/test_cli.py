@@ -68,12 +68,13 @@ class TestEstimateCommand:
         assert abs(doc["diagnostics"]["delta"] - (math.sqrt(5) - 1) / 2) < 1e-9
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
-        bad = dict(EXAMPLE1_DOC, p=[1.0, 0.0, 0.0])
-        lp = write_json(tmp_path / "lp.json", bad)
-        cfg = write_json(tmp_path / "cfg.json", {"lp": lp})
-        assert run_cli(["estimate", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["code"] == "dimension_mismatch"
+        bad = write_json(tmp_path / "bad.json", dict(EXAMPLE1_DOC, p=[1.0, 0.0, 0.0]))
+        lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
+        for doc in ({"lp": bad}, {"lp": lp, "penalty": {"w": [1.0, 2.0]}}):  # w: 2 of 4 rows
+            cfg = write_json(tmp_path / "cfg.json", doc)
+            assert run_cli(["estimate", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"]["code"] == "dimension_mismatch"
 
     def test_infeasible_plugin_is_data_not_crash(self, tmp_path):
         doc = {
@@ -182,11 +183,47 @@ class TestInferCommand:
         assert run_cli(["infer", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation_error"
 
-    @pytest.mark.parametrize("key, value", [("sigma_source", "bootstrap"), ("bootstrap_reps", 500)])
-    def test_removed_bootstrap_keys_fail_closed(self, tmp_path, capsys, key, value):
-        cfg = write_json(tmp_path / "cfg.json", {"mode": "example_b", "n": 100, key: value})
-        assert run_cli(["infer", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
+    @pytest.mark.parametrize("command, doc", [
+        pytest.param("infer", {"sigma_source": "bootstrap"}, id="sigma_source-bootstrap"),
+        pytest.param("infer", {"bootstrap_reps": 500}, id="bootstrap_reps-500"),
+        # removed keys
+        pytest.param("estimate", {"lp": "lp.json", "penalty": {"wn_rule": "log"}},
+                     id="penalty-wn_rule"),
+        pytest.param("estimate", {"lp": "lp.json", "penalty": {"variant": "scalar"}},
+                     id="penalty-variant"),
+        pytest.param("estimate", {"lp": "lp.json", "seed": 1}, id="estimate-seed"),
+        pytest.param("aicm", {"data": "micro.csv", "assumptions": {"kinds": ["bounds"]},
+                              "target": {"type": "mean", "t": "1"}, "dump_lp": True},
+                     id="aicm-dump_lp"),
+        # keys the selected study or mode never reads
+        pytest.param("simulate", {"study": "uniform_grid", "dgp": "uniform_grid",
+                                  "penalty": {"w": 1}}, id="uniform_grid-penalty"),
+        pytest.param("simulate", {"study": "inference", "dgp": "example_b",
+                                  "estimators": ["plugin"]}, id="inference-estimators"),
+        pytest.param("simulate", {"study": "consistency", "dgp": "example_a", "grid": "single"},
+                     id="consistency-grid"),
+        pytest.param("infer", {"data": "rows.csv"}, id="example_b-data"),
+        pytest.param("infer", {"sigma": "junk"}, id="example_b-sigma"),
+        pytest.param("infer", {"mode": "gaussian", "lp": "lp.json", "sigma": [[0.0]],
+                               "data": "rows.csv"}, id="gaussian-data"),
+        pytest.param("infer", {"mode": "csv", "lp": "lp.json", "data": "rows.csv", "n": 100},
+                     id="csv-n"),
+    ])
+    def test_removed_bootstrap_keys_fail_closed(self, tmp_path, capsys, command, doc):
+        if command == "infer" and "mode" not in doc:
+            doc = {"mode": "example_b", "n": 100, **doc}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert run_cli([command, "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "unknown_key"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--seed", "1"], ["infer", "--diagnostics"], ["simulate", "--diagnostics"],
+], ids=" ".join)
+def test_flag_the_command_never_reads_exits_2(tmp_path, capsys, argv):
+    cfg = write_json(tmp_path / "cfg.json", {})
+    assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -238,6 +275,13 @@ class TestSimulateCommand:
     ("infer", {"v_bar_alpha": "x"}),
     ("infer", {"seed": "x"}),
     ("infer", {"b": "x"}),
+    # right type, out of range
+    pytest.param("simulate", {"study": "inference", "dgp": "example_b", "alpha": 1.5},
+                 id="simulate-inference-alpha"),
+    pytest.param("simulate", {"sample_sizes": [2]}, id="simulate-sample_sizes-range"),
+    pytest.param("simulate", {"kappa0": -1}, id="simulate-kappa0-range"),
+    pytest.param("simulate", {"penalty": {"w": -1}}, id="simulate-penalty-w"),
+    pytest.param("estimate", {"penalty": {"w": "x"}}, id="estimate-penalty-w"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override):
     base = {
@@ -312,11 +356,10 @@ class TestAicmCommand:
                 "assumptions": {"kinds": ["bounds", "miv"], "bounds": [0.0, 1.0]},
                 "target": {"type": "ate", "t": "1", "d": "0"},
                 "ci": {"alpha": 0.05, "bootstrap_reps": 100},
-                "dump_lp": True,
             },
         )
         out = tmp_path / "out.json"
-        assert run_cli(["aicm", "--config", cfg, "--seed", "6"], out) == EXIT_OK
+        assert run_cli(["aicm", "--config", cfg, "--seed", "6", "--diagnostics"], out) == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["bounds"]["lower"] <= doc["bounds"]["upper"]
         assert doc["ci"]["lower"] <= doc["ci"]["upper"]

@@ -16,7 +16,7 @@ from lpbound.estimators import (
     set_expansion_value,
     tao_vu_quantile,
 )
-from lpbound.linalg import LpParams, OPTIMAL, TAU_VAL, solve_lp
+from lpbound.linalg import DimensionError, LpParams, OPTIMAL, TAU_VAL, solve_lp
 
 from conftest import example1_params, random_lp
 
@@ -157,11 +157,6 @@ class TestSelectionRules:
         assert np.allclose(small, ref)  # w_n floored at 1
         assert np.all(big > ref)
 
-    def test_scalar_variant_ignores_row_norms(self):
-        params = example1_params(0.0)
-        w = select_penalty(params, 100, PenaltyConfig(variant="scalar"))
-        assert np.allclose(w, 1.0 / tao_vu_quantile(0.2))
-
     def test_zero_row_rejected(self):
         params = LpParams(np.array([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2))
         with pytest.raises(PenaltyError):
@@ -178,3 +173,8 @@ class TestSelectionRules:
             penalty_value(example1_params(0.0), -1.0)
         with pytest.raises(PenaltyError):
             PenaltyConfig().resolve_w(example1_params(0.0))  # no n to select with
+        for w in ("x", [1.0, 2.0, "a"], [[1.0]], -1.0, float("nan")):
+            with pytest.raises(PenaltyError):
+                PenaltyConfig(w=w)
+        with pytest.raises(DimensionError):
+            penalty_value(example1_params(0.0), [1.0, 2.0])  # 2 entries for 4 rows

@@ -91,6 +91,29 @@ class TestConsistencyStudy:
         assert 0 < row.failures < 200
         assert row.failures / 200.0 > 0.2
 
+    def test_consistency_study_counts_failures(self, monkeypatch):
+        import lpbound.montecarlo as mc
+        from lpbound.linalg import SolverError
+
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise SolverError("forced")
+            return real(*args, **kwargs)
+
+        real = mc.penalty_value
+        monkeypatch.setattr(mc, "penalty_value", fail_first)
+        scenario = SimulationScenario(
+            dgp="example_a", b=0.0, sample_sizes=(100,), replications=3, seed=2
+        )
+        rows = {r.estimator: r for r in run_consistency(scenario).rows}
+        assert len(calls) == 3
+        assert rows["penalty"].failures == 1
+        assert rows["penalty"].mean is not None
+        assert all(rows[e].failures == 0 for e in ("plugin", "debiased", "setexp"))
+
     def test_csv_columns(self):
         scenario = SimulationScenario(
             dgp="example_a", b=0.0, sample_sizes=(100,), replications=2, seed=1
