@@ -115,24 +115,21 @@ def ingest_sample(records: Sequence[Tuple]) -> ConditionalMomentTable:
     rows = [(r[0], r[1], r[2]) for r in records]
     if not rows:
         raise TableError("no records")
-    treatments = sorted({t for _, t, _ in rows})
-    instruments = sorted({z for _, _, z in rows})
+    ys, ts, zs = zip(*rows)
+    treatments = sorted(set(ts))
+    instruments = sorted(set(zs))
     nt, nz = len(treatments), len(instruments)
     t_idx = {t: i for i, t in enumerate(treatments)}
     z_idx = {z: i for i, z in enumerate(instruments)}
-    total = np.zeros((nt, nz))
-    count = np.zeros((nt, nz), dtype=int)
-    present = np.zeros(nt, dtype=int)
-    absent = np.zeros(nt, dtype=int)
-    for y, t, z in rows:
-        i, j = t_idx[t], z_idx[z]
-        count[i, j] += 1
-        missing = y in _MISSING or (isinstance(y, float) and math.isnan(y))
-        if missing:
-            absent[i] += 1
-        else:
-            present[i] += 1
-            total[i, j] += float(y)
+    t_code = np.array([t_idx[v] for v in ts])
+    cell = t_code * nz + np.array([z_idx[v] for v in zs])
+    missing = np.array([y in _MISSING or (isinstance(y, float) and math.isnan(y)) for y in ys])
+    y = np.array([0.0 if gone else float(v) for v, gone in zip(ys, missing)])
+    # bincount adds in record order, as a running sum over the records would
+    count = np.bincount(cell, minlength=nt * nz).reshape(nt, nz)
+    total = np.bincount(cell, weights=y, minlength=nt * nz).reshape(nt, nz)
+    present = np.bincount(t_code[~missing], minlength=nt)
+    absent = np.bincount(t_code[missing], minlength=nt)
     observed = set()
     for i, t in enumerate(treatments):
         if present[i] and absent[i]:
@@ -199,8 +196,8 @@ class AssumptionSpec:
             k0, k1 = self.bounds
             if not (k0 < k1):
                 raise CompileError(f"bounds need K0 < K1, got ({k0}, {k1})")
-        if self.relax < 0:
-            raise CompileError("relaxation must be nonnegative")
+        if not isinstance(self.relax, (int, float)) or self.relax < 0:
+            raise CompileError(f"relaxation must be a nonnegative number, got {self.relax!r}")
         # conditional monotonicity refines the plain monotone-instrument
         # condition, so the latter is always part of the compiled system
         if self.kinds & {KIND_CMIV_S, KIND_CMIV_P}:

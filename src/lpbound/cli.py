@@ -205,6 +205,13 @@ def _seed(config: dict, args) -> int:
     return seed
 
 
+def _at_least_2(value, name: str) -> int:
+    """value, when it is an integer >= 2 (a sample size or a draw count)."""
+    if not isinstance(value, int) or value < 2:
+        raise CliError("validation_error", f"{name} must be an integer >= 2")
+    return value
+
+
 def _config(cls, doc: dict, where: str, **given):
     """cls built from the config keys in doc plus the values the command
     fixes itself; the dataclass holds every default and range check."""
@@ -313,10 +320,10 @@ def _row_estimator(rows: np.ndarray, template: LpParams):
     return estimate
 
 
-def _infer_rows(config: dict, mode: str, seed: int) -> Tuple[np.ndarray, LpParams]:
+def _infer_rows(config: dict, n: Optional[int], seed: int) -> Tuple[np.ndarray, LpParams]:
+    """Gaussian draws of theta when n is given, else the rows of the data CSV."""
     params, _ = load_lp_file(_require(config, "lp", "infer config"))
-    if mode == "gaussian":
-        n = _require(config, "n", "infer config")
+    if n is not None:
         theta = np.concatenate([params.p, params.M.flatten(order="F"), params.c])
         sigma = _as_float_array(_require(config, "sigma", "infer config"), "sigma", 2)
         if sigma.shape != (theta.size, theta.size):
@@ -325,7 +332,7 @@ def _infer_rows(config: dict, mode: str, seed: int) -> Tuple[np.ndarray, LpParam
                 f"sigma must be {theta.size}x{theta.size}, got {sigma.shape}",
             )
         rng = np.random.default_rng(seed)
-        rows = rng.multivariate_normal(theta, sigma, size=int(n), method="svd")
+        rows = rng.multivariate_normal(theta, sigma, size=n, method="svd")
         return rows, params
     path = _require(config, "data", "infer config")
     try:
@@ -370,17 +377,15 @@ def cmd_infer(config: dict, args) -> int:
     doc = {k: v for k, v in config.items() if k not in own}
     cfg = _config(InferenceConfig, doc, "infer config")
     seed = _seed(config, args)
+    n = None if mode == "csv" else _at_least_2(_require(config, "n", "infer config"), "n")
     if mode == "example_b":
-        n = _require(config, "n", "infer config")
-        if not isinstance(n, int) or n < 2:
-            raise CliError("validation_error", "n must be an integer >= 2")
         b = config.get("b", 0.0)
         if not isinstance(b, (int, float)):
             raise CliError("validation_error", "b must be a number")
         U = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 3))
         estimator = _example_b_estimator(U, b)
     else:
-        rows, template = _infer_rows(config, mode, seed)
+        rows, template = _infer_rows(config, n, seed)
         estimator = _row_estimator(rows, template)
         n = rows.shape[0]
     try:
@@ -479,9 +484,12 @@ def cmd_aicm(config: dict, args) -> int:
         bounds = tuple(_as_float_array(bounds, "bounds", 1))
         if len(bounds) != 2:
             raise CliError("validation_error", "bounds must be [K0, K1]")
+    kinds = _require(a_doc, "kinds", "assumptions")
+    if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
+        raise CliError("validation_error", f"kinds must be a list of strings, got {kinds!r}")
     try:
         spec = AssumptionSpec(
-            kinds=frozenset(_require(a_doc, "kinds", "assumptions")),
+            kinds=frozenset(kinds),
             bounds=bounds,
             relax=a_doc.get("relax", 0.0),
             target=target,
@@ -517,12 +525,11 @@ def cmd_aicm(config: dict, args) -> int:
     if ci_doc is not None:
         _check_keys(ci_doc, _CI_KEYS, "ci")
         seed = _seed(config, args)
+        reps = _at_least_2(ci_doc.get("bootstrap_reps", 200), "bootstrap_reps")
         doc = {k: v for k, v in ci_doc.items() if k != "bootstrap_reps"}
         cfg = _config(InferenceConfig, doc, "ci")
         try:
-            sigma = bootstrap_theta_covariance(
-                records, spec, B=ci_doc.get("bootstrap_reps", 200), seed=seed
-            )
+            sigma = bootstrap_theta_covariance(records, spec, B=reps, seed=seed)
             res_lo = _aicm_inference(records, spec, "lower", cfg, sigma, seed)
             res_up = _aicm_inference(records, spec, "upper", cfg, sigma, seed)
             interval = combine_two_sided(res_lo, res_up, cfg.alpha)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import (
     LpParams,
+    binding_rows,
     solve_lp,
     enumerate_vertices,
     smallest_singular_value,
@@ -201,7 +202,7 @@ def check_a1(params: LpParams, w: np.ndarray) -> str:
     if np.any(np.isinf(w)):
         # the search LP below needs finite penalties; fall back on enumeration
         return "undetermined"
-    if primal.binding is not None and np.any(primal.binding >= params.q):
+    if np.any(binding_rows(*params.effective_system(), primal.vertex) >= params.q):
         # box rows bind at the returned optimum: the dual over M rows alone
         # does not characterize the KKT set, so refuse an LP-based verdict
         return "undetermined"

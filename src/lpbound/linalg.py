@@ -1,9 +1,10 @@
 """Dense linear-algebra utilities and a small exact-tolerance LP solver.
 
 Solves min p'x subject to Mx >= c and the box rows with a two-phase
-revised simplex using Bland's anti-cycling rule, and provides the
-vertex-enumeration oracle, the smallest singular value and the column-major
-(de)vectorization helpers used throughout the package.
+revised simplex using Bland's anti-cycling rule (the standard form is set out
+in solve_lp), and provides the vertex-enumeration oracle, the smallest
+singular value and the column-major (de)vectorization helpers used
+throughout the package.
 """
 from __future__ import annotations
 
@@ -104,30 +105,15 @@ class LpParams:
     def q(self) -> int:
         return self.M.shape[0]
 
-    def box_rows(self):
-        """Finite box bounds as explicit constraint rows (B, b): Bx >= b."""
-        lower, upper = self.box
-        d = self.d
-        rows = []
-        rhs = []
-        eye = np.eye(d)
-        for i in range(d):
-            if np.isfinite(lower[i]):
-                rows.append(eye[i])
-                rhs.append(lower[i])
-            if np.isfinite(upper[i]):
-                rows.append(-eye[i])
-                rhs.append(-upper[i])
-        if not rows:
-            return np.zeros((0, d)), np.zeros(0)
-        return np.array(rows), np.array(rhs)
-
     def effective_system(self):
-        """Constraint rows actually used by the solver: M, then the box rows."""
-        B, b = self.box_rows()
-        if B.shape[0] == 0:
-            return self.M, self.c
-        return np.vstack([self.M, B]), np.concatenate([self.c, b])
+        """Constraint rows actually used by the solver: M, then the finite
+        box rows x_i >= lower_i and -x_i >= -upper_i, in coordinate order."""
+        lower, upper = self.box
+        eye = np.eye(self.d)
+        rows = np.hstack([eye, -eye]).reshape(2 * self.d, self.d)
+        rhs = np.column_stack([lower, -upper]).ravel()
+        finite = np.isfinite(rhs)
+        return np.vstack([self.M, rows[finite]]), np.concatenate([self.c, rhs[finite]])
 
 
 @dataclass
@@ -135,7 +121,6 @@ class LpSolution:
     status: str
     value: Optional[float] = None
     vertex: Optional[np.ndarray] = None
-    binding: Optional[np.ndarray] = None  # indices into the rows of params.M
 
     @property
     def optimal(self) -> bool:
@@ -155,7 +140,8 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
     Revised simplex: the basis system is re-factorized each iteration (dense
     solve), entering/leaving chosen by Bland's rule so cycling is impossible.
     `allowed` optionally masks columns permitted to enter the basis (used to
-    restrict optimization to an optimal face). Returns (status, z, basis).
+    restrict optimization to an optimal face). Returns (status, z, basis,
+    reduced), with the reduced costs of the final basis when optimal.
     """
     m, nvar = A.shape
     basis = list(basis)
@@ -175,12 +161,12 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
         if candidates.size == 0:
             z = np.zeros(nvar)
             z[basis] = np.maximum(xB, 0.0)
-            return OPTIMAL, z, basis
+            return OPTIMAL, z, basis, reduced
         enter = int(candidates[0])  # Bland: smallest eligible index
         direction = Binv @ A[:, enter]
         positive = direction > _PIVOT_TOL
         if not positive.any():
-            return UNBOUNDED, None, basis
+            return UNBOUNDED, None, basis, None
         ratios = np.full(m, np.inf)
         ratios[positive] = np.maximum(xB[positive], 0.0) / direction[positive]
         rmin = ratios.min()
@@ -189,125 +175,72 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
         basis[leave] = enter
 
 
-def _solve_standard(cost: np.ndarray, A: np.ndarray, b: np.ndarray, slack_cols,
-                    stage2_cost=None):
-    """Two-phase simplex for min cost'z s.t. Az = b, z >= 0.
-
-    slack_cols maps each row to a column holding a +-1 unit slack; rows whose
-    slack can start basic skip phase-1 artificials entirely.
-
-    stage2_cost, when given, is minimized exactly over the optimal face of the
-    first objective: with reduced costs r >= 0 at an optimal basis, the face
-    is {z feasible : z_j = 0 whenever r_j > 0}, so those columns are barred
-    from entering and the simplex is re-run with the second objective.
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    m, nvar = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)
-    A *= sign[:, None]
-    b *= sign
-
-    basis = [-1] * m
-    artificial_rows = []
-    for i in range(m):
-        j = slack_cols[i]
-        # after the sign flip the slack coefficient is +-1; it can start
-        # basic iff its value b_i / A[i, j] is nonnegative
-        if A[i, j] > 0.0 or b[i] == 0.0:
-            basis[i] = j
-        else:
-            artificial_rows.append(i)
-
-    if artificial_rows:
-        E = np.zeros((m, len(artificial_rows)))
-        for k, i in enumerate(artificial_rows):
-            E[i, k] = 1.0
-            basis[i] = nvar + k
-        A1 = np.hstack([A, E])
-        c1 = np.concatenate([np.zeros(nvar), np.ones(len(artificial_rows))])
-        status, z, basis = _bland_simplex(c1, A1, b, basis)
-        if status != OPTIMAL:
-            raise SolverError("phase 1, bounded below by zero, reported unbounded")
-        if float(z[nvar:].sum()) > 1e-7:
-            return INFEASIBLE, None
-        # Drive residual artificials (basic at zero) out of the basis; rows
-        # where that is impossible are redundant and dropped.
-        drop_rows = []
-        for i in range(m):
-            if basis[i] < nvar:
-                continue
-            Bmat = A1[:, basis]
-            ei = np.zeros(m)
-            ei[i] = 1.0
-            u = np.linalg.solve(Bmat.T, ei)
-            row = u @ A
-            basis_set = set(basis)
-            replacement = next(
-                (j for j in range(nvar) if j not in basis_set and abs(row[j]) > 1e-9),
-                None,
-            )
-            if replacement is None:
-                drop_rows.append(i)
-            else:
-                basis[i] = replacement
-        if drop_rows:
-            keep = [i for i in range(m) if i not in set(drop_rows)]
-            A = A[keep]
-            b = b[keep]
-            basis = [basis[i] for i in keep]
-
-    status, z, basis = _bland_simplex(cost, A, b, basis)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None
-    if stage2_cost is not None:
-        Binv = np.linalg.inv(A[:, basis])
-        y = Binv.T @ cost[basis]
-        reduced = cost - A.T @ y
-        reduced[basis] = 0.0
-        allowed = reduced <= _REDUCED_COST_TOL
-        status, z, basis = _bland_simplex(stage2_cost, A, b, basis, allowed=allowed)
-        if status == UNBOUNDED:
-            return UNBOUNDED, None
-    return OPTIMAL, z[:nvar]
-
-
 def solve_lp(params: LpParams, secondary: np.ndarray = None) -> LpSolution:
-    """Solve min p'x s.t. Mx >= c and x in the box.
+    """Solve min p'x s.t. Mx >= c and x in the box; a basic optimal solution
+    (a vertex of the feasible polyhedron whenever it has vertices).
 
-    Returns a basic optimal solution (a vertex of the feasible polyhedron
-    whenever it has vertices); the binding set is classified post hoc over the
-    rows of params.M so degenerate vertices report all binding rows.
+    Standard form over z = (x+, x-, s) >= 0: x = x+ - x-, and row i of the
+    effective system (M, then the finite box rows) reads A_i x - s_i = rhs_i
+    with its surplus s_i in column 2d + i. Each row is multiplied by the sign
+    of rhs_i, so a row with rhs_i <= 0 starts with s_i basic and a row with
+    rhs_i > 0 gets a phase-1 artificial. Phase 1 minimizes the sum of the
+    artificials and drives any left basic at zero out of the basis; phase 2
+    minimizes p'x.
 
     When `secondary` (length d) is given, secondary'x is minimized exactly
-    over the set of optima of the primary objective; value/vertex/binding then
-    describe the returned point of that face.
+    over the set of optima of the primary objective: with reduced costs
+    r >= 0 at an optimal basis, the face is {z feasible : z_j = 0 whenever
+    r_j > 0}, so those columns are barred from entering. value and vertex
+    then describe the returned point of that face.
     """
     A_rows, rhs = params.effective_system()
     d = params.d
     m = A_rows.shape[0]
-    # Standard form variables: x = xp - xm (free split), slack s >= 0 with
-    # A x - s = rhs.
-    A = np.hstack([A_rows, -A_rows, -np.eye(m)])
+    nvar = 2 * d + m
     cost = np.concatenate([params.p, -params.p, np.zeros(m)])
-    slack_cols = [2 * d + i for i in range(m)]
     stage2 = None
     if secondary is not None:
         secondary = np.asarray(secondary, dtype=float)
         if secondary.shape != (d,):
             raise DimensionError(f"secondary objective must have length {d}")
         stage2 = np.concatenate([secondary, -secondary, np.zeros(m)])
-    status, z = _solve_standard(cost, A, rhs, slack_cols, stage2_cost=stage2)
+    sign = np.where(rhs < 0, -1.0, 1.0)
+    A = sign[:, None] * np.hstack([A_rows, -A_rows, -np.eye(m)])
+    b = sign * rhs
+    basis = list(range(2 * d, nvar))
+    artificial_rows = np.flatnonzero(rhs > 0)
+    if artificial_rows.size:
+        for k, i in enumerate(artificial_rows):
+            basis[i] = nvar + k
+        A1 = np.hstack([A, np.eye(m)[:, artificial_rows]])
+        c1 = np.concatenate([np.zeros(nvar), np.ones(artificial_rows.size)])
+        status, z, basis, _ = _bland_simplex(c1, A1, b, basis)
+        if status != OPTIMAL:
+            raise SolverError("phase 1, bounded below by zero, reported unbounded")
+        if float(z[nvar:].sum()) > 1e-7:
+            return LpSolution(status=INFEASIBLE)
+        # Drive residual artificials (basic at zero) out of the basis. One
+        # always can: if the artificial e_r sits at position i, then
+        # u = B^-T e_i has u_r = 1, so row r's surplus is nonbasic with
+        # entry +-1 in u'A.
+        for i in range(m):
+            if basis[i] < nvar:
+                continue
+            u = np.linalg.solve(A1[:, basis].T, np.eye(m)[i])
+            entering = np.abs(u @ A) > 1e-9
+            entering[[j for j in basis if j < nvar]] = False
+            if not entering.any():
+                raise SolverError(f"no column can replace the artificial of row {i}")
+            basis[i] = int(np.argmax(entering))
+
+    status, z, basis, reduced = _bland_simplex(cost, A, b, basis)
+    if status == OPTIMAL and stage2 is not None:
+        allowed = reduced <= _REDUCED_COST_TOL
+        status, z, basis, _ = _bland_simplex(stage2, A, b, basis, allowed=allowed)
     if status != OPTIMAL:
         return LpSolution(status=status)
     x = z[:d] - z[d:2 * d]
-    value = float(params.p @ x)
-    return LpSolution(
-        status=OPTIMAL,
-        value=value,
-        vertex=x,
-        binding=binding_rows(params.M, params.c, x),
-    )
+    return LpSolution(status=OPTIMAL, value=float(params.p @ x), vertex=x)
 
 
 def enumerate_vertices(params: LpParams):
@@ -337,8 +270,7 @@ def enumerate_vertices(params: LpParams):
             continue
         if any(np.max(np.abs(x - v)) <= TAU_DEDUP for v, _ in found):
             continue
-        binding = np.flatnonzero(np.abs(A_rows @ x - rhs) <= TAU_BIND * (1.0 + np.abs(rhs)))
-        found.append((x, binding))
+        found.append((x, binding_rows(A_rows, rhs, x)))
     return found
 
 

@@ -208,6 +208,21 @@ class TestIngestAndTable:
         assert table.mean[table.t_index("1"), 0] == 2.0
         assert abs(table.prob.sum() - 1.0) < 1e-12
 
+    def test_cell_moments_match_a_running_sum_over_records(self, rng):
+        # the reference adds each record in turn; bincount must match bitwise
+        records = [(None if t == "2" else float(rng.normal()), t, z)
+                   for t, z in zip(rng.choice(["0", "1", "2"], 500), rng.choice(["a", "b", "c"], 500))]
+        table = ingest_sample(records)
+        total, count = np.zeros((3, 3)), np.zeros((3, 3), dtype=int)
+        for y, t, z in records:
+            i, j = "012".index(t), "abc".index(z)
+            count[i, j] += 1
+            total[i, j] += 0.0 if y is None else y
+        assert np.array_equal(table.count, count)
+        assert np.array_equal(table.mean[:2], total[:2] / count[:2])
+        assert np.isnan(table.mean[2]).all() and table.observed == {"0", "1"}
+        assert np.array_equal(table.prob, count / count.sum())
+
 
 class TestScalars:
     def test_alpha_allocation_reference_value(self):

@@ -282,16 +282,37 @@ class TestSimulateCommand:
     pytest.param("simulate", {"kappa0": -1}, id="simulate-kappa0-range"),
     pytest.param("simulate", {"penalty": {"w": -1}}, id="simulate-penalty-w"),
     pytest.param("estimate", {"penalty": {"w": "x"}}, id="estimate-penalty-w"),
+    # gaussian infer checks n as example_b does: an integer >= 2
+    pytest.param("infer-gaussian", {"n": "x"}, id="infer-gaussian-n-type"),
+    pytest.param("infer-gaussian", {"n": 1.5}, id="infer-gaussian-n-fraction"),
+    pytest.param("infer-gaussian", {"n": 1}, id="infer-gaussian-n-range"),
+    pytest.param("aicm", {"assumptions": {"kinds": ["bounds"], "bounds": [0, 1], "relax": "x"}},
+                 id="aicm-relax"),
+    pytest.param("aicm", {"assumptions": {"kinds": "bounds", "bounds": [0, 1]}},
+                 id="aicm-kinds-string"),
+    pytest.param("aicm", {"assumptions": {"kinds": 5, "bounds": [0, 1]}}, id="aicm-kinds-number"),
+    pytest.param("aicm", {"ci": {"bootstrap_reps": "x"}}, id="aicm-bootstrap_reps-type"),
+    pytest.param("aicm", {"ci": {"bootstrap_reps": 0}}, id="aicm-bootstrap_reps-0"),
+    pytest.param("aicm", {"ci": {"bootstrap_reps": 1}}, id="aicm-bootstrap_reps-1"),
+    pytest.param("aicm", {"ci": {"bootstrap_reps": 2.5}}, id="aicm-bootstrap_reps-fraction"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override):
+    lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
+    data = tmp_path / "micro.csv"
+    data.write_text("y,t,z\n" + "".join(
+        f"{0.1 * k},{t},{z}\n" for k in range(3) for t in "01" for z in ("z1", "z2")
+    ))
     base = {
         "simulate": {"study": "consistency", "dgp": "example_a",
                      "sample_sizes": [100], "replications": 1},
-        "estimate": {"lp": write_json(tmp_path / "lp.json", EXAMPLE1_DOC), "n": 100},
+        "estimate": {"lp": lp, "n": 100},
         "infer": {"mode": "example_b", "n": 100},
+        "infer-gaussian": {"mode": "gaussian", "lp": lp, "sigma": np.eye(14).tolist()},
+        "aicm": {"data": str(data), "assumptions": {"kinds": ["bounds"], "bounds": [0, 1]},
+                 "target": {"type": "ate", "t": "1", "d": "0"}},
     }[command]
     cfg = write_json(tmp_path / "cfg.json", {**base, **override})
-    assert run_cli([command, "--config", cfg], tmp_path / "o") == EXIT_USAGE
+    assert run_cli([command.split("-")[0], "--config", cfg], tmp_path / "o") == EXIT_USAGE
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation_error"
 
 

@@ -149,6 +149,17 @@ class TestPenaltyDomination:
         # the unique dual has a multiplier exactly 1 on the third row
         assert check_a1(example1_params(0.0), np.full(4, 1.0)) == "undetermined"
 
+    def test_box_supported_optimum_undetermined(self):
+        # the optimum rests on the box (x1 = -1); the only M-row multiplier
+        # is 0 < w, but the M-row dual LP cannot see the box multipliers
+        params = LpParams(
+            p=np.array([1.0, 0.0]),
+            M=np.array([[0.0, 1.0]]),
+            c=np.array([-2.0]),
+            box=(np.full(2, -1.0), np.full(2, 1.0)),
+        )
+        assert check_a1(params, np.array([1.0])) == "undetermined"
+
     def test_negative_slope_instance(self):
         assert check_a1(example1_params(-0.05), np.full(4, 0.7)) == "fails"
         assert check_a1(example1_params(-0.05), np.full(4, 25.0)) == "holds"

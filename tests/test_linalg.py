@@ -131,6 +131,45 @@ class TestAgainstEnumeration:
         assert pts == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
 
 
+class TestDriveOut:
+    """A repeated row leaves a phase-1 artificial basic at zero, which must be
+    driven out of the basis before phase 2."""
+
+    def test_doubled_row_instance(self):
+        params = LpParams(
+            p=np.array([-1.0, 1.0, 0.0]),
+            M=np.array([[-1.0, 1.0, 0.0], [-2.0, -1.0, 0.0], [2.0, 0.0, -1.0],
+                        [-2.0, -2.0, 1.0], [-2.0, 2.0, 0.0]]),
+            c=np.array([1.0, 1.0, 1.0, -1.0, 2.0]),
+            box=(np.full(3, -3.0), np.full(3, 3.0)),
+        )
+        sol = solve_lp(params)
+        best = min(float(params.p @ v) for v, _ in enumerate_vertices(params))
+        assert sol.status == OPTIMAL
+        assert abs(sol.value - 1.0) < 1e-9 and abs(best - 1.0) < 1e-9
+
+    def test_integer_lps_with_a_doubled_row_match_enumeration(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            d, q = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            M = rng.integers(-2, 3, size=(q, d)).astype(float)
+            c = rng.integers(-2, 3, size=q).astype(float)
+            params = LpParams(
+                p=rng.integers(-2, 3, size=d).astype(float),
+                M=np.vstack([M[:1], M]),
+                c=np.concatenate([c[:1], c]),
+                box=(np.full(d, -3.0), np.full(d, 3.0)),
+            )
+            sol = solve_lp(params)
+            vertices = enumerate_vertices(params)
+            if not vertices:
+                assert sol.status == INFEASIBLE
+                continue
+            best = min(float(params.p @ v) for v, _ in vertices)
+            assert sol.status == OPTIMAL
+            assert abs(sol.value - best) < 1e-9 * (1.0 + abs(best))
+
+
 class TestLinalgUtilities:
     def test_smallest_singular_value_identity(self):
         assert abs(smallest_singular_value(np.eye(3)) - 1.0) < 1e-12
