@@ -1,5 +1,7 @@
 """Estimation and inference for linear programs with estimated parameters."""
 
+from types import ModuleType as _ModuleType
+
 from .linalg import (
     LpParams,
     LpSolution,
@@ -62,56 +64,8 @@ from .montecarlo import (
     run_uniform_grid,
 )
 
-__all__ = [
-    "LpParams",
-    "LpSolution",
-    "solve_lp",
-    "enumerate_vertices",
-    "smallest_singular_value",
-    "inverse_vectorize",
-    "vectorize",
-    "OPTIMAL",
-    "INFEASIBLE",
-    "UNBOUNDED",
-    "PenaltyConfig",
-    "plug_in_value",
-    "penalty_value",
-    "debiased_estimate",
-    "set_expansion_value",
-    "default_kappa_n",
-    "tao_vu_quantile",
-    "select_penalty",
-    "select_v_bar",
-    "delta_condition",
-    "polytope_condition_number",
-    "l1_violation",
-    "distance_to_polytope",
-    "check_a1",
-    "ThetaEstimate",
-    "InferenceConfig",
-    "InferenceResult",
-    "run_inference",
-    "combine_two_sided",
-    "split_sample",
-    "find_triplet",
-    "asymptotic_variance",
-    "ConditionalMomentTable",
-    "AssumptionSpec",
-    "MeanPotential",
-    "ATE",
-    "ingest_sample",
-    "read_microdata_csv",
-    "compile",
-    "bound_value",
-    "cmivw_bounds",
-    "ets_estimate",
-    "alpha_allocation",
-    "bootstrap_theta_covariance",
-    "SimulationScenario",
-    "SimulationReport",
-    "run_consistency",
-    "run_inference_study",
-    "run_uniform_grid",
-]
+# every public name imported above (the submodules themselves excepted)
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

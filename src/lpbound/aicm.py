@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import LpParams, solve_lp, OPTIMAL
+from .linalg import LpParams, is_real, solve_lp, OPTIMAL
 
 _PROB_TOL = 1e-10
 
@@ -196,8 +196,8 @@ class AssumptionSpec:
             k0, k1 = self.bounds
             if not (k0 < k1):
                 raise CompileError(f"bounds need K0 < K1, got ({k0}, {k1})")
-        if not isinstance(self.relax, (int, float)) or self.relax < 0:
-            raise CompileError(f"relaxation must be a nonnegative number, got {self.relax!r}")
+        if not (is_real(self.relax) and self.relax >= 0):
+            raise CompileError(f"relax must be a nonnegative number, got {self.relax!r}")
         # conditional monotonicity refines the plain monotone-instrument
         # condition, so the latter is always part of the compiled system
         if self.kinds & {KIND_CMIV_S, KIND_CMIV_P}:

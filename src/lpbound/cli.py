@@ -51,7 +51,7 @@ from .inference import (
     combine_two_sided,
     run_inference,
 )
-from .linalg import OPTIMAL, DimensionError, LpParams, inverse_vectorize
+from .linalg import OPTIMAL, DimensionError, LpParams, inverse_vectorize, is_real
 from .linalg import solve_lp  # noqa: F401  perfbench's tracer test expects this binding
 from .montecarlo import (
     ESTIMATORS,
@@ -248,7 +248,7 @@ def cmd_estimate(config: dict, args) -> int:
     if n is not None and (not isinstance(n, int) or n < 1):
         raise CliError("validation_error", "n must be a positive integer")
     for key in ("kappa_n", "kappa0"):
-        if key in config and not isinstance(config[key], (int, float)):
+        if key in config and not is_real(config[key]):
             raise CliError("validation_error", f"{key} must be a number")
     result = {"estimators": {}}
 
@@ -380,7 +380,7 @@ def cmd_infer(config: dict, args) -> int:
     n = None if mode == "csv" else _at_least_2(_require(config, "n", "infer config"), "n")
     if mode == "example_b":
         b = config.get("b", 0.0)
-        if not isinstance(b, (int, float)):
+        if not is_real(b):
             raise CliError("validation_error", "b must be a number")
         U = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 3))
         estimator = _example_b_estimator(U, b)
@@ -481,9 +481,11 @@ def cmd_aicm(config: dict, args) -> int:
     target = _parse_target(_require(config, "target", "aicm config"))
     bounds = a_doc.get("bounds")
     if bounds is not None:
-        bounds = tuple(_as_float_array(bounds, "bounds", 1))
-        if len(bounds) != 2:
-            raise CliError("validation_error", "bounds must be [K0, K1]")
+        bounds = _as_float_array(bounds, "bounds", 1)
+        if len(bounds) != 2 or not np.all(np.isfinite(bounds)):
+            raise CliError("validation_error",
+                           f"bounds must be two finite numbers [K0, K1], got {bounds.tolist()}")
+        bounds = tuple(bounds)
     kinds = _require(a_doc, "kinds", "assumptions")
     if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
         raise CliError("validation_error", f"kinds must be a list of strings, got {kinds!r}")

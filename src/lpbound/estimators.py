@@ -12,7 +12,6 @@ term removes the first-order bias when the penalty dominates a KKT vector.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +24,7 @@ from .linalg import (
     solve_lp,
     smallest_singular_value,
     binding_rows,
+    is_real,
     SolverError,
     TAU_RANK,
 )
@@ -36,7 +36,7 @@ class PenaltyError(ValueError):
 
 
 def _nonnegative(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0
+    return is_real(v) and v >= 0
 
 
 @dataclass
@@ -52,8 +52,8 @@ class PenaltyConfig:
     alpha: float = 0.2
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise PenaltyError(f"alpha must lie in (0,1), got {self.alpha}")
+        if not (is_real(self.alpha) and 0.0 < self.alpha < 1.0):
+            raise PenaltyError(f"alpha must lie in (0,1), got {self.alpha!r}")
         if self.w is not None:
             w = np.asarray(self.w, dtype=object)
             if w.ndim > 1 or not all(map(_nonnegative, w.ravel())):

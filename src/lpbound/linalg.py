@@ -2,14 +2,17 @@
 
 Solves min p'x subject to Mx >= c and the box rows with a two-phase
 revised simplex using Bland's anti-cycling rule (the standard form is set out
-in solve_lp), and provides the vertex-enumeration oracle, the smallest
-singular value and the column-major (de)vectorization helpers used
-throughout the package.
+in solve_lp). The simplex keeps a dense basis inverse, updated by one
+rank-one step per pivot and taken afresh every _REFACTOR_EVERY pivots and
+before every verdict (see _bland_simplex). The module also provides the
+vertex-enumeration oracle, the smallest singular value and the
+column-major (de)vectorization helpers used throughout the package.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +35,7 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-10
 _REDUCED_COST_TOL = 1e-9
+_REFACTOR_EVERY = 50  # simplex pivots between fresh basis inverses
 
 
 class DimensionError(ValueError):
@@ -44,6 +48,12 @@ class EnumerationCapError(RuntimeError):
 
 class SolverError(RuntimeError):
     """Raised when the simplex reports a status its problem cannot have."""
+
+
+def is_real(v) -> bool:
+    """v is a real number. JSON true and false load as bool, which
+    isinstance counts as an int, so they are not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -137,8 +147,15 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
                    allowed: np.ndarray = None):
     """min cost'z s.t. Az = b, z >= 0 from a feasible starting basis.
 
-    Revised simplex: the basis system is re-factorized each iteration (dense
-    solve), entering/leaving chosen by Bland's rule so cycling is impossible.
+    Revised simplex with the entering and leaving columns chosen by Bland's
+    rule, so cycling is impossible. The basis is inverted once; each pivot
+    then updates the inverse by one rank-one (product-form) step: row `leave`
+    is divided by the pivot entry and `outer(direction, row)` is subtracted
+    from the others. The inverse is taken afresh every _REFACTOR_EVERY
+    pivots, and before any verdict: when the updated inverse finds no
+    entering column or no positive pivot entry, the basis is inverted again
+    and tested again, so OPTIMAL and UNBOUNDED (with z and the reduced costs)
+    come from a fresh inverse only.
     `allowed` optionally masks columns permitted to enter the basis (used to
     restrict optimization to an optimal face). Returns (status, z, basis,
     reduced), with the reduced costs of the final basis when optimal.
@@ -148,8 +165,11 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
     # relative to the cost scale: with penalties in the hundreds, rounding
     # alone leaves reduced costs of -1e-9 at an optimal basis
     tol = _REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
+    Binv = None  # None: invert the basis afresh
     while True:
-        Binv = np.linalg.inv(A[:, basis])
+        if Binv is None:
+            Binv = np.linalg.inv(A[:, basis])
+            updates = 0  # pivots made since this inverse was taken
         xB = Binv @ b
         y = Binv.T @ cost[basis]
         reduced = cost - A.T @ y
@@ -159,6 +179,9 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
             eligible &= allowed
         candidates = np.flatnonzero(eligible)
         if candidates.size == 0:
+            if updates:
+                Binv = None
+                continue
             z = np.zeros(nvar)
             z[basis] = np.maximum(xB, 0.0)
             return OPTIMAL, z, basis, reduced
@@ -166,6 +189,9 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
         direction = Binv @ A[:, enter]
         positive = direction > _PIVOT_TOL
         if not positive.any():
+            if updates:
+                Binv = None
+                continue
             return UNBOUNDED, None, basis, None
         ratios = np.full(m, np.inf)
         ratios[positive] = np.maximum(xB[positive], 0.0) / direction[positive]
@@ -173,6 +199,13 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
         ties = np.flatnonzero(ratios <= rmin + 1e-12)
         leave = min(ties, key=lambda i: basis[i])  # Bland tie-break
         basis[leave] = enter
+        updates += 1
+        if updates == _REFACTOR_EVERY:
+            Binv = None
+        else:
+            row = Binv[leave] / direction[leave]
+            Binv -= np.outer(direction, row)
+            Binv[leave] = row
 
 
 def solve_lp(params: LpParams, secondary: np.ndarray = None) -> LpSolution:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .linalg import LpParams, SolverError, solve_lp, OPTIMAL
+from .linalg import LpParams, SolverError, is_real, solve_lp, OPTIMAL
 from .estimators import (
     PenaltyConfig,
     PenaltyError,
@@ -59,18 +59,28 @@ class SimulationScenario:
     grid: str = "full"  # uniform-grid: "full" 9-point grid or "single" {0}
 
     def __post_init__(self):
+        if not isinstance(self.replications, int) or isinstance(self.replications, bool):
+            raise ScenarioError(f"replications must be an integer, got {self.replications!r}")
         if self.replications < 1:
             raise ScenarioError("replications must be at least 1")
-        if not all(isinstance(v, (int, float)) for v in (self.b, self.alpha, self.kappa0)):
-            raise ScenarioError("b, alpha and kappa0 must be numbers")
+        for key in ("b", "alpha", "kappa0"):
+            value = getattr(self, key)
+            if not is_real(value):
+                raise ScenarioError(f"{key} must be a number, got {value!r}")
+        if not isinstance(self.slater, bool):
+            raise ScenarioError(f"slater must be true or false, got {self.slater!r}")
+        if not isinstance(self.estimators, (list, tuple)) or not all(
+                isinstance(e, str) for e in self.estimators):
+            raise ScenarioError(f"estimators must be a list of names, got {self.estimators!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ScenarioError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.kappa0 < 0:
             raise ScenarioError(f"kappa0 must be nonnegative, got {self.kappa0}")
-        sizes = list(self.sample_sizes)
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 3
-                   for n in sizes):
-            raise ScenarioError(f"sample sizes must be integers >= 3, got {sizes}")
+        sizes = self.sample_sizes
+        if not (isinstance(sizes, (list, tuple)) and all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 3
+                for n in sizes)):
+            raise ScenarioError(f"sample_sizes must be integers >= 3, got {sizes!r}")
         if any(b >= a for a, b in zip(sizes[1:], sizes)):
             raise ScenarioError("sample_sizes must be strictly increasing")
         unknown = set(self.estimators) - set(ESTIMATORS)

@@ -281,6 +281,13 @@ class TestSimulateCommand:
     pytest.param("simulate", {"sample_sizes": [2]}, id="simulate-sample_sizes-range"),
     pytest.param("simulate", {"kappa0": -1}, id="simulate-kappa0-range"),
     pytest.param("simulate", {"penalty": {"w": -1}}, id="simulate-penalty-w"),
+    # a fraction, and a bool where a number is read: bool passes isinstance(x, int)
+    pytest.param("simulate", {"replications": 1.5}, id="simulate-replications-fraction"),
+    pytest.param("simulate", {"replications": True}, id="simulate-replications-bool"),
+    pytest.param("simulate", {"b": True}, id="simulate-b-bool"),
+    pytest.param("simulate", {"study": "uniform_grid", "dgp": "uniform_grid", "slater": "yes"},
+                 id="simulate-slater-string"),
+    pytest.param("simulate", {"estimators": "plugin"}, id="simulate-estimators-string"),
     pytest.param("estimate", {"penalty": {"w": "x"}}, id="estimate-penalty-w"),
     # gaussian infer checks n as example_b does: an integer >= 2
     pytest.param("infer-gaussian", {"n": "x"}, id="infer-gaussian-n-type"),
@@ -295,6 +302,8 @@ class TestSimulateCommand:
     pytest.param("aicm", {"ci": {"bootstrap_reps": 0}}, id="aicm-bootstrap_reps-0"),
     pytest.param("aicm", {"ci": {"bootstrap_reps": 1}}, id="aicm-bootstrap_reps-1"),
     pytest.param("aicm", {"ci": {"bootstrap_reps": 2.5}}, id="aicm-bootstrap_reps-fraction"),
+    pytest.param("aicm", {"assumptions": {"kinds": ["bounds"], "bounds": [0, float("inf")]}},
+                 id="aicm-bounds-infinite"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override):
     lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
@@ -313,7 +322,11 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override)
     }[command]
     cfg = write_json(tmp_path / "cfg.json", {**base, **override})
     assert run_cli([command.split("-")[0], "--config", cfg], tmp_path / "o") == EXIT_USAGE
-    assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation_error"
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "validation_error"
+    # the message opens with the key at fault, a top-level or nested key
+    keys = set(override) | {k for v in override.values() if isinstance(v, dict) for k in v}
+    assert error["message"].split()[0] in keys
 
 
 class TestAicmCommand:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpbound import linalg
+from lpbound.estimators import PenaltyConfig, _relaxed_params
 from lpbound.linalg import (
     INFEASIBLE,
     OPTIMAL,
@@ -168,6 +171,124 @@ class TestDriveOut:
             best = min(float(params.p @ v) for v, _ in vertices)
             assert sol.status == OPTIMAL
             assert abs(sol.value - best) < 1e-9 * (1.0 + abs(best))
+
+
+def _bland_simplex_reinverting(cost, A, b, basis, allowed=None, pivots=None):
+    """The simplex loop with a fresh basis inverse at every pivot: the
+    reference the rank-one update must reproduce bit for bit. Appends the
+    pivot count of each call to `pivots`."""
+    m, nvar = A.shape
+    basis = list(basis)
+    tol = linalg._REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
+    count = 0
+    while True:
+        Binv = np.linalg.inv(A[:, basis])
+        xB = Binv @ b
+        y = Binv.T @ cost[basis]
+        reduced = cost - A.T @ y
+        reduced[basis] = 0.0
+        eligible = reduced < -tol
+        if allowed is not None:
+            eligible &= allowed
+        candidates = np.flatnonzero(eligible)
+        if candidates.size == 0:
+            pivots.append(count)
+            z = np.zeros(nvar)
+            z[basis] = np.maximum(xB, 0.0)
+            return OPTIMAL, z, basis, reduced
+        enter = int(candidates[0])
+        direction = Binv @ A[:, enter]
+        positive = direction > linalg._PIVOT_TOL
+        if not positive.any():
+            pivots.append(count)
+            return UNBOUNDED, None, basis, None
+        ratios = np.full(m, np.inf)
+        ratios[positive] = np.maximum(xB[positive], 0.0) / direction[positive]
+        rmin = ratios.min()
+        ties = np.flatnonzero(ratios <= rmin + 1e-12)
+        leave = min(ties, key=lambda i: basis[i])
+        basis[leave] = enter
+        count += 1
+
+
+def _relaxed_penalty_lp(seed: int, d: int = 10, q: int = 30):
+    """The relaxed penalty LP of a random feasible boxed (d, q) LP at the
+    data-driven penalty for n = 1000, and the debiased secondary objective."""
+    rng = np.random.default_rng(seed)
+    M, p = rng.standard_normal((q, d)), rng.standard_normal(d)
+    c = M @ rng.uniform(-4.0, 4.0, d) - rng.uniform(0.1, 1.0, q)
+    params = LpParams(p=p, M=M, c=c, box=(np.full(d, -5.0), np.full(d, 5.0)))
+    relaxed = _relaxed_params(params, PenaltyConfig().resolve_w(params, 1000))
+    return relaxed, np.concatenate([-p, np.zeros(q)])
+
+
+def _unbounded_lp():
+    # min -x2 s.t. x2 <= x1 + 1, x >= 0: one pivot, then an unbounded ray
+    return LpParams(p=np.array([0.0, -1.0]), M=np.array([[1.0, -1.0], [0.0, 1.0]]),
+                    c=np.array([-1.0, 0.0]), box=(np.array([0.0, 0.0]), np.full(2, np.inf)))
+
+
+def _rank_one_cases():
+    for seed in (0, 1, 2):
+        relaxed, secondary = _relaxed_penalty_lp(seed)
+        yield f"relaxed-10x30-seed{seed}", relaxed, None
+        yield f"relaxed-10x30-seed{seed}-secondary", relaxed, secondary
+    yield "example_a-b0", example1_params(0.0), None
+    yield "infeasible", LpParams(p=np.array([1.0]), M=np.array([[1.0], [-1.0]]),
+                                 c=np.array([1.0, 1.0]),  # x >= 1 and x <= -1
+                                 box=(np.array([-5.0]), np.array([5.0]))), None
+    yield "unbounded", _unbounded_lp(), None
+
+
+_RANK_ONE_CASES = list(_rank_one_cases())
+
+
+class TestRankOneUpdate:
+    """The simplex updates its basis inverse by one rank-one step per pivot
+    and inverts afresh before any verdict, so solve_lp returns bitwise what a
+    fresh inverse at every pivot returns."""
+
+    @pytest.mark.parametrize("params, secondary", [case[1:] for case in _RANK_ONE_CASES],
+                             ids=[case[0] for case in _RANK_ONE_CASES])
+    def test_bitwise_equal_to_reinverting_every_pivot(self, monkeypatch, params, secondary):
+        sol = solve_lp(params, secondary=secondary)
+        pivots = []
+        monkeypatch.setattr(linalg, "_bland_simplex",
+                            functools.partial(_bland_simplex_reinverting, pivots=pivots))
+        ref = solve_lp(params, secondary=secondary)
+        assert sol.status == ref.status
+        assert sol.value == ref.value
+        if ref.vertex is None:
+            assert sol.vertex is None
+        else:
+            assert sol.vertex.tobytes() == ref.vertex.tobytes()
+        if params.q == 60:  # the relaxed (10,30) LPs cross the refactor interval
+            assert max(pivots) > linalg._REFACTOR_EVERY
+
+    def test_expected_statuses(self):
+        statuses = {name: solve_lp(params, secondary=sec).status
+                    for name, params, sec in _RANK_ONE_CASES}
+        assert statuses.pop("infeasible") == INFEASIBLE
+        assert statuses.pop("unbounded") == UNBOUNDED
+        assert set(statuses.values()) == {OPTIMAL}
+
+    def test_verdicts_come_from_a_fresh_inverse(self, monkeypatch):
+        inverted = []
+        real_inv, simplex = np.linalg.inv, linalg._bland_simplex
+
+        def recording_inv(a):
+            inverted.append(np.array(a))
+            return real_inv(a)
+
+        def checked_simplex(cost, A, b, basis, allowed=None):
+            status, z, final, reduced = simplex(cost, A, b, basis, allowed)
+            assert np.array_equal(inverted[-1], A[:, final])
+            return status, z, final, reduced
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        monkeypatch.setattr(linalg, "_bland_simplex", checked_simplex)
+        for _, params, secondary in _RANK_ONE_CASES:
+            solve_lp(params, secondary=secondary)
 
 
 class TestLinalgUtilities:
