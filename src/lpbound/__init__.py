@@ -53,7 +53,6 @@ from .aicm import (
     bound_value,
     cmivw_bounds,
     ets_estimate,
-    alpha_allocation,
     bootstrap_theta_covariance,
 )
 from .montecarlo import (

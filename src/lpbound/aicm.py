@@ -555,15 +555,6 @@ def ets_estimate(table: ConditionalMomentTable, t, d) -> float:
     return marginal(t) - marginal(d)
 
 
-def alpha_allocation(alpha: float, n_t: int) -> float:
-    """Per-treatment level alpha_t with (1 - alpha_t)^n_t = 1 - alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if n_t < 1:
-        raise ValueError(f"n_t must be at least 1, got {n_t}")
-    return 1.0 - (1.0 - alpha) ** (1.0 / n_t)
-
-
 def bootstrap_theta_covariance(
     records: Sequence[Tuple],
     spec: AssumptionSpec,

@@ -241,11 +241,13 @@ def cmd_estimate(config: dict, args) -> int:
     pcfg = _config(PenaltyConfig, config.get("penalty", {}), "penalty")
     params, labels = load_lp_file(_require(config, "lp", "estimate config"))
     names = config.get("estimators", list(ESTIMATORS))
+    if not isinstance(names, list) or not all(isinstance(e, str) for e in names):
+        raise CliError("validation_error", f"estimators must be a list of names, got {names!r}")
     unknown = set(names) - set(ESTIMATORS)
     if unknown:
         raise CliError("validation_error", f"unknown estimators: {sorted(unknown)}")
     n = config.get("n")
-    if n is not None and (not isinstance(n, int) or n < 1):
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
         raise CliError("validation_error", "n must be a positive integer")
     for key in ("kappa_n", "kappa0"):
         if key in config and not is_real(config[key]):
@@ -478,7 +480,8 @@ def cmd_aicm(config: dict, args) -> int:
     _check_keys(config, _AICM_KEYS, "aicm config")
     a_doc = _require(config, "assumptions", "aicm config")
     _check_keys(a_doc, _ASSUMPTION_KEYS, "assumptions")
-    target = _parse_target(_require(config, "target", "aicm config"))
+    target_doc = _require(config, "target", "aicm config")
+    target = _parse_target(target_doc)
     bounds = a_doc.get("bounds")
     if bounds is not None:
         bounds = _as_float_array(bounds, "bounds", 1)
@@ -507,7 +510,7 @@ def cmd_aicm(config: dict, args) -> int:
     except (TableError, CompileError, OSError) as exc:
         raise CliError("table_error", str(exc))
 
-    result = {"target": {"type": type(target).__name__.lower()}, "bounds": {}}
+    result = {"target": {"type": target_doc["type"]}, "bounds": {}}
     statuses = {}
     for direction in ("lower", "upper"):
         value, status = bound_value(program, direction)

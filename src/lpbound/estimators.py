@@ -107,30 +107,34 @@ def _relaxed_params(params: LpParams, w) -> LpParams:
     )
 
 
-def penalty_value(params: LpParams, w) -> float:
+def penalty_value(params: LpParams, w, bases: Optional[list] = None) -> float:
     """min over the box of p'x + w'(c - Mx)^+ (always finite on a compact box).
 
     w is a scalar broadcast to every row or a length-q vector, nonnegative.
+    `bases` is passed to solve_lp as its warm-start list.
     """
-    sol = solve_lp(_relaxed_params(params, w))
+    sol = solve_lp(_relaxed_params(params, w), bases=bases)
     if not sol.optimal:  # feasible (a = (c - Mx)^+) and box-bounded
         raise SolverError(f"relaxed penalty LP reported {sol.status}")
     return float(sol.value)
 
 
-def debiased_estimate(params: LpParams, w, pick: str = "max") -> DebiasedResult:
+def debiased_estimate(params: LpParams, w, pick: str = "max",
+                      bases: Optional[list] = None) -> DebiasedResult:
     """Vertex-solution of the penalized problem with the penalty term dropped.
 
     Solves the relaxed LP while optimizing p'x in the `pick` direction over
     the optimal face (exact lexicographic second stage), and returns the
-    resulting vertex with its binding rows.
+    resulting vertex with its binding rows. `bases` is passed to solve_lp as
+    its warm-start list: the value does not depend on the start, but at a
+    degenerate optimum the vertex and binding rows may.
     """
     if pick not in ("max", "min"):
         raise PenaltyError(f"pick must be 'max' or 'min', got {pick!r}")
     relaxed = _relaxed_params(params, w)
     sense = -1.0 if pick == "max" else 1.0
     secondary = np.concatenate([sense * params.p, np.zeros(params.q)])
-    sol = solve_lp(relaxed, secondary=secondary)
+    sol = solve_lp(relaxed, secondary=secondary, bases=bases)
     if not sol.optimal:  # feasible (a = (c - Mx)^+) and box-bounded
         raise SolverError(f"relaxed penalty LP reported {sol.status}")
     x_hat = sol.vertex[: params.d]
@@ -163,13 +167,15 @@ def default_kappa_n(n: int, kappa0: float = 0.1) -> float:
     return kappa0 * math.log(math.log(n)) ** 2
 
 
-def set_expansion_value(params: LpParams, kappa_n: float, n: int) -> LpSolution:
-    """LP with the right-hand side relaxed by sqrt(kappa_n / n)."""
+def set_expansion_value(params: LpParams, kappa_n: float, n: int,
+                        bases: Optional[list] = None) -> LpSolution:
+    """LP with the right-hand side relaxed by sqrt(kappa_n / n); `bases` is
+    passed to solve_lp as its warm-start list."""
     if kappa_n < 0:
         raise PenaltyError("kappa_n must be nonnegative")
     eps = math.sqrt(kappa_n / n)
     expanded = LpParams(p=params.p, M=params.M, c=params.c - eps, box=params.box)
-    return solve_lp(expanded)
+    return solve_lp(expanded, bases=bases)
 
 
 def tao_vu_quantile(alpha: float) -> float:

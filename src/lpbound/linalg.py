@@ -4,8 +4,11 @@ Solves min p'x subject to Mx >= c and the box rows with a two-phase
 revised simplex using Bland's anti-cycling rule (the standard form is set out
 in solve_lp). The simplex keeps a dense basis inverse, updated by one
 rank-one step per pivot and taken afresh every _REFACTOR_EVERY pivots and
-before every verdict (see _bland_simplex). The module also provides the
-vertex-enumeration oracle, the smallest singular value and the
+before every verdict (see _bland_simplex). A caller that solves many LPs of
+one shape can pass solve_lp a list of bases from earlier solves: the first
+one still primal feasible replaces phase 1 (a warm start), and each optimal
+solve moves its final basis to the front of the list. The module also
+provides the vertex-enumeration oracle, the smallest singular value and the
 column-major (de)vectorization helpers used throughout the package.
 """
 from __future__ import annotations
@@ -36,6 +39,7 @@ UNBOUNDED = "unbounded"
 _PIVOT_TOL = 1e-10
 _REDUCED_COST_TOL = 1e-9
 _REFACTOR_EVERY = 50  # simplex pivots between fresh basis inverses
+_WARM_FEAS_TOL = 1e-12  # a warm-start basis needs x_B >= -_WARM_FEAS_TOL
 
 
 class DimensionError(ValueError):
@@ -208,7 +212,28 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
             Binv[leave] = row
 
 
-def solve_lp(params: LpParams, secondary: np.ndarray = None) -> LpSolution:
+def _warm_basis(A: np.ndarray, b: np.ndarray, bases) -> Optional[list]:
+    """The first of `bases` that is a basis of Az = b (m columns of A, well
+    conditioned) with x_B = B^-1 b >= -_WARM_FEAS_TOL, or None."""
+    m, nvar = A.shape
+    for basis in bases:
+        if len(basis) != m or max(basis) >= nvar:
+            continue
+        B = A[:, basis]
+        try:
+            Binv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            continue
+        # the infinity-norm condition number; NaN and inf fail the test too
+        if not np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max() <= 1.0 / TAU_RANK:
+            continue
+        if np.all(Binv @ b >= -_WARM_FEAS_TOL):
+            return basis
+    return None
+
+
+def solve_lp(params: LpParams, secondary: np.ndarray = None, *,
+             bases: Optional[list] = None) -> LpSolution:
     """Solve min p'x s.t. Mx >= c and x in the box; a basic optimal solution
     (a vertex of the feasible polyhedron whenever it has vertices).
 
@@ -225,6 +250,17 @@ def solve_lp(params: LpParams, secondary: np.ndarray = None) -> LpSolution:
     r >= 0 at an optimal basis, the face is {z feasible : z_j = 0 whenever
     r_j > 0}, so those columns are barred from entering. value and vertex
     then describe the returned point of that face.
+
+    `bases`, when given, is a list of standard-form bases (lists of column
+    indices) from earlier solves of LPs of the same shape; the caller owns it
+    and solve_lp updates it in place. The first that is nonsingular and
+    primal feasible here (x_B >= -_WARM_FEAS_TOL) replaces phase 1, and phase
+    2 (and the secondary stage) starts from it; when none is, the solve starts
+    cold as without the list. An OPTIMAL solve moves its final basis to the
+    front of the list, so the list holds each set of columns once. Any
+    optimal basis gives the same value, and the secondary stage's optimum is
+    unique in value, but at a degenerate optimum the vertex may depend on
+    the start.
     """
     A_rows, rhs = params.effective_system()
     d = params.d
@@ -240,31 +276,33 @@ def solve_lp(params: LpParams, secondary: np.ndarray = None) -> LpSolution:
     sign = np.where(rhs < 0, -1.0, 1.0)
     A = sign[:, None] * np.hstack([A_rows, -A_rows, -np.eye(m)])
     b = sign * rhs
-    basis = list(range(2 * d, nvar))
-    artificial_rows = np.flatnonzero(rhs > 0)
-    if artificial_rows.size:
-        for k, i in enumerate(artificial_rows):
-            basis[i] = nvar + k
-        A1 = np.hstack([A, np.eye(m)[:, artificial_rows]])
-        c1 = np.concatenate([np.zeros(nvar), np.ones(artificial_rows.size)])
-        status, z, basis, _ = _bland_simplex(c1, A1, b, basis)
-        if status != OPTIMAL:
-            raise SolverError("phase 1, bounded below by zero, reported unbounded")
-        if float(z[nvar:].sum()) > 1e-7:
-            return LpSolution(status=INFEASIBLE)
-        # Drive residual artificials (basic at zero) out of the basis. One
-        # always can: if the artificial e_r sits at position i, then
-        # u = B^-T e_i has u_r = 1, so row r's surplus is nonbasic with
-        # entry +-1 in u'A.
-        for i in range(m):
-            if basis[i] < nvar:
-                continue
-            u = np.linalg.solve(A1[:, basis].T, np.eye(m)[i])
-            entering = np.abs(u @ A) > 1e-9
-            entering[[j for j in basis if j < nvar]] = False
-            if not entering.any():
-                raise SolverError(f"no column can replace the artificial of row {i}")
-            basis[i] = int(np.argmax(entering))
+    basis = None if bases is None else _warm_basis(A, b, bases)
+    if basis is None:  # a cold start from the slack basis
+        basis = list(range(2 * d, nvar))
+        artificial_rows = np.flatnonzero(rhs > 0)
+        if artificial_rows.size:
+            for k, i in enumerate(artificial_rows):
+                basis[i] = nvar + k
+            A1 = np.hstack([A, np.eye(m)[:, artificial_rows]])
+            c1 = np.concatenate([np.zeros(nvar), np.ones(artificial_rows.size)])
+            status, z, basis, _ = _bland_simplex(c1, A1, b, basis)
+            if status != OPTIMAL:
+                raise SolverError("phase 1, bounded below by zero, reported unbounded")
+            if float(z[nvar:].sum()) > 1e-7:
+                return LpSolution(status=INFEASIBLE)
+            # Drive residual artificials (basic at zero) out of the basis. One
+            # always can: if the artificial e_r sits at position i, then
+            # u = B^-T e_i has u_r = 1, so row r's surplus is nonbasic with
+            # entry +-1 in u'A.
+            for i in range(m):
+                if basis[i] < nvar:
+                    continue
+                u = np.linalg.solve(A1[:, basis].T, np.eye(m)[i])
+                entering = np.abs(u @ A) > 1e-9
+                entering[[j for j in basis if j < nvar]] = False
+                if not entering.any():
+                    raise SolverError(f"no column can replace the artificial of row {i}")
+                basis[i] = int(np.argmax(entering))
 
     status, z, basis, reduced = _bland_simplex(cost, A, b, basis)
     if status == OPTIMAL and stage2 is not None:
@@ -272,6 +310,9 @@ def solve_lp(params: LpParams, secondary: np.ndarray = None) -> LpSolution:
         status, z, basis, _ = _bland_simplex(stage2, A, b, basis, allowed=allowed)
     if status != OPTIMAL:
         return LpSolution(status=status)
+    if bases is not None:  # front of the list; drop the same columns in another order
+        members = set(basis)
+        bases[:] = [basis] + [other for other in bases if set(other) != members]
     x = z[:d] - z[d:2 * d]
     return LpSolution(status=OPTIMAL, value=float(params.p @ x), vertex=x)
 

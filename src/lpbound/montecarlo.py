@@ -195,11 +195,17 @@ def _with_moments(row: ReportRow, vals: np.ndarray, truth: float) -> ReportRow:
 
 
 def run_consistency(scenario: SimulationScenario) -> SimulationReport:
-    """Replicated point estimation; failed draws are counted, never imputed."""
+    """Replicated point estimation; failed draws are counted, never imputed.
+
+    Each estimator keeps one list of simplex bases for the whole study, and
+    every solve warm-starts from the first of them still feasible (see
+    linalg.solve_lp). The values equal those of cold solves up to rounding.
+    """
     truth_sol = solve_lp(_true_params(scenario))
     if truth_sol.status != OPTIMAL:
         raise ScenarioError(f"true LP is {truth_sol.status}")
     truth = float(truth_sol.value)
+    bases: Dict[str, list] = {e: [] for e in scenario.estimators}
     rows: List[ReportRow] = []
     for n_idx, n in enumerate(scenario.sample_sizes):
         values: Dict[str, List[float]] = {e: [] for e in scenario.estimators}
@@ -213,13 +219,13 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
             for est in scenario.estimators:
                 try:
                     if est == "plugin":
-                        value = solve_lp(params).value
+                        value = solve_lp(params, bases=bases[est]).value
                     elif est == "penalty":
-                        value = penalty_value(params, w)
+                        value = penalty_value(params, w, bases=bases[est])
                     elif est == "debiased":
-                        value = debiased_estimate(params, w).value
+                        value = debiased_estimate(params, w, bases=bases[est]).value
                     else:
-                        value = set_expansion_value(params, kappa_n, n).value
+                        value = set_expansion_value(params, kappa_n, n, bases=bases[est]).value
                 except (SolverError, PenaltyError):
                     value = None
                 if value is None:
@@ -358,7 +364,13 @@ class UniformGridResult:
 
 def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
     """Std of per-replication sup-deviations of the penalty estimator, scaled
-    by sqrt(n) and by sqrt(n)/w_n."""
+    by sqrt(n) and by sqrt(n)/w_n.
+
+    Each grid point of each sample size keeps one list of simplex bases, and
+    every penalty solve warm-starts from the first of them still feasible
+    (see linalg.solve_lp). The values equal those of cold solves up to
+    rounding.
+    """
     if scenario.dgp != DGP_UNIFORM_GRID:
         raise ScenarioError("run_uniform_grid needs the uniform_grid dgp")
     delta = _grid_delta()
@@ -369,6 +381,7 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
         w = np.full(4, wn)
         pts = grid_points(n, delta, scenario.grid)
         truths = []
+        bases = [[] for _ in pts]
         for a in pts:
             true_d = 0.5 if scenario.slater else 0.0
             sol = solve_lp(_grid_params(a, 0.0, 0.0, true_d))
@@ -382,9 +395,9 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
             else:
                 dshift = float(noise[2])
             worst = 0.0
-            for a, truth in zip(pts, truths):
+            for a, truth, point_bases in zip(pts, truths, bases):
                 params = _grid_params(a, float(noise[0]), float(noise[1]), dshift)
-                value = penalty_value(params, w)
+                value = penalty_value(params, w, bases=point_bases)
                 worst = max(worst, abs(value - truth))
             sups[rep] = worst
         sup_std[n_idx] = sups.std(ddof=0)

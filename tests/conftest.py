@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lpbound import linalg
 from lpbound.linalg import LpParams
 
 
@@ -46,3 +47,17 @@ def random_feasible_polytope_data(rng: np.random.Generator, d_max: int = 3, q_ma
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)
+
+
+@pytest.fixture
+def warm_starts(monkeypatch):
+    """Whether each solve given a list of bases found a warm start in it."""
+    found, pick = [], linalg._warm_basis
+
+    def recording_pick(A, b, bases):
+        basis = pick(A, b, bases)
+        found.append(basis is not None)
+        return basis
+
+    monkeypatch.setattr(linalg, "_warm_basis", recording_pick)
+    return found

@@ -8,7 +8,6 @@ from lpbound.aicm import (
     ConditionalMomentTable,
     MeanPotential,
     TableError,
-    alpha_allocation,
     bootstrap_theta_covariance,
     bound_value,
     cmivw_bounds,
@@ -225,11 +224,6 @@ class TestIngestAndTable:
 
 
 class TestScalars:
-    def test_alpha_allocation_reference_value(self):
-        assert abs(alpha_allocation(0.1, 4) - 0.025996253574703254) < 1e-15
-        a = alpha_allocation(0.05, 3)
-        assert abs((1.0 - a) ** 3 - 0.95) < 1e-12
-
     def test_ets_estimate(self):
         table = ConditionalMomentTable(
             treatments=["0", "1"], instruments=["a", "b"],

@@ -289,6 +289,9 @@ class TestSimulateCommand:
                  id="simulate-slater-string"),
     pytest.param("simulate", {"estimators": "plugin"}, id="simulate-estimators-string"),
     pytest.param("estimate", {"penalty": {"w": "x"}}, id="estimate-penalty-w"),
+    pytest.param("estimate", {"n": True, "estimators": ["plugin"]}, id="estimate-n-bool"),
+    pytest.param("estimate", {"estimators": "plugin"}, id="estimate-estimators-string"),
+    pytest.param("estimate", {"estimators": 5}, id="estimate-estimators-number"),
     # gaussian infer checks n as example_b does: an integer >= 2
     pytest.param("infer-gaussian", {"n": "x"}, id="infer-gaussian-n-type"),
     pytest.param("infer-gaussian", {"n": 1.5}, id="infer-gaussian-n-fraction"),
@@ -357,6 +360,7 @@ class TestAicmCommand:
         doc = json.loads(out.read_text())
         assert abs(doc["bounds"]["lower"] - (-5.0 / 48.0)) < 1e-8
         assert abs(doc["bounds"]["upper"] - 0.1875) < 1e-8
+        assert doc["target"] == {"type": "mean"}  # the config's own name
 
     def test_degenerate_point_bounds(self, tmp_path):
         data = self.proof_example_csv(tmp_path)
@@ -398,6 +402,7 @@ class TestAicmCommand:
         assert doc["bounds"]["lower"] <= doc["bounds"]["upper"]
         assert doc["ci"]["lower"] <= doc["ci"]["upper"]
         assert "ets_estimate" in doc
+        assert doc["target"] == {"type": "ate"}
         assert "M" in doc["lp"] and "p" in doc["lp"]
 
     def test_empty_cell_surfaces_cell(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpbound import linalg
-from lpbound.estimators import PenaltyConfig, _relaxed_params
+from lpbound.estimators import (
+    PenaltyConfig,
+    _relaxed_params,
+    debiased_estimate,
+    default_kappa_n,
+    penalty_value,
+    set_expansion_value,
+)
 from lpbound.linalg import (
     INFEASIBLE,
     OPTIMAL,
@@ -272,7 +280,7 @@ class TestRankOneUpdate:
         assert statuses.pop("unbounded") == UNBOUNDED
         assert set(statuses.values()) == {OPTIMAL}
 
-    def test_verdicts_come_from_a_fresh_inverse(self, monkeypatch):
+    def test_verdicts_come_from_a_fresh_inverse(self, monkeypatch, warm_starts):
         inverted = []
         real_inv, simplex = np.linalg.inv, linalg._bland_simplex
 
@@ -289,6 +297,105 @@ class TestRankOneUpdate:
         monkeypatch.setattr(linalg, "_bland_simplex", checked_simplex)
         for _, params, secondary in _RANK_ONE_CASES:
             solve_lp(params, secondary=secondary)
+        # warm starts: each LP again from its own final basis, and example_a
+        # draws from one another's
+        for _, params, secondary in _RANK_ONE_CASES:
+            bases = []
+            solve_lp(params, secondary=secondary, bases=bases)
+            solve_lp(params, secondary=secondary, bases=bases)
+        for estimator in _ESTIMATORS.values():
+            bases = []
+            for b_hat in _B_HATS:
+                estimator(example1_params(b_hat), bases)
+        assert warm_starts.count(True) > len(_RANK_ONE_CASES)
+
+
+def _standard_form(params):
+    """A and b of solve_lp's standard form, each row multiplied by the sign
+    of its right-hand side."""
+    A_rows, rhs = params.effective_system()
+    sign = np.where(rhs < 0, -1.0, 1.0)
+    return sign[:, None] * np.hstack([A_rows, -A_rows, -np.eye(rhs.size)]), sign * rhs
+
+
+# each estimator's value on example_a at b_hat, solved with a warm-start list
+_ESTIMATORS = {
+    "plugin": lambda params, bases: solve_lp(params, bases=bases),
+    "penalty": lambda params, bases: penalty_value(
+        params, PenaltyConfig().resolve_w(params, 1000), bases=bases),
+    "debiased": lambda params, bases: debiased_estimate(
+        params, PenaltyConfig().resolve_w(params, 1000), bases=bases),
+    "setexp": lambda params, bases: set_expansion_value(
+        params, default_kappa_n(1000), 1000, bases=bases),
+}
+# example_a draws on both sides of the degenerate b = 0
+_B_HATS = (-0.031, 0.024, -0.0047, 0.0112, 0.0, -0.2, 0.15)
+
+
+def _status_value(result):
+    if isinstance(result, float):  # penalty_value
+        return OPTIMAL, result
+    return getattr(result, "status", OPTIMAL), result.value
+
+
+class TestWarmStart:
+    """solve_lp's `bases` list: a start from an earlier solve's basis gives
+    the cold solve's status and value, and a candidate that is not a
+    feasible basis leaves the solve exactly as cold."""
+
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_values_match_cold_solves_across_the_degenerate_vertex(self, name, warm_starts):
+        estimator = _ESTIMATORS[name]
+        for first in _B_HATS:
+            for second in _B_HATS:
+                if first * second >= 0.0 and first != second:
+                    continue  # only draws on opposite sides, and each from itself
+                bases = []
+                estimator(example1_params(first), bases)
+                assert bases
+                warm = _status_value(estimator(example1_params(second), bases))
+                cold = _status_value(estimator(example1_params(second), None))
+                assert warm[0] == cold[0] == OPTIMAL
+                assert abs(warm[1] - cold[1]) <= 1e-12
+        assert any(warm_starts)
+
+    def test_bad_candidates_leave_the_solve_cold(self, warm_starts):
+        params = example1_params(1e-13)  # rows 0 and 1 parallel up to 1e-13
+        A, b = _standard_form(params)
+        m, nvar = A.shape
+        slack = list(range(2 * params.d, nvar))
+        singular = [0, params.d] + slack[2:]  # x1+ and x1- are opposite columns
+        assert np.linalg.matrix_rank(A[:, singular]) < m
+        # x1+ and x2+ basic with the surpluses of rows 0 and 1 out: an
+        # inverse exists and gives a feasible x_B, but cond(B) is about 1e14
+        near_singular = [0, 1] + slack[2:]
+        assert np.linalg.cond(A[:, near_singular]) > 1e13
+        infeasible = next(
+            list(J) for J in itertools.combinations(range(nvar), m)
+            if abs(np.linalg.det(A[:, list(J)])) > 0.1
+            and np.linalg.solve(A[:, list(J)], b).min() < -0.1)
+        cold = solve_lp(params)
+        wrong_shape = ([0, 1, 2], slack[:-1] + [nvar])  # too short; a column A lacks
+        for candidate in (*wrong_shape, singular, near_singular, infeasible):
+            bases = [candidate]
+            sol = solve_lp(params, bases=bases)
+            assert sol.status == cold.status
+            assert sol.value == cold.value
+            assert sol.vertex.tobytes() == cold.vertex.tobytes()
+            assert len(bases) == 2 and bases[1] is candidate  # the final basis goes first
+        assert warm_starts == [False] * 5
+
+    def test_infeasible_lp_with_a_list(self):
+        def lp(c):  # x >= c[0] and x <= -c[1] in the box [-5, 5]
+            return LpParams(p=np.array([1.0]), M=np.array([[1.0], [-1.0]]),
+                            c=np.array(c), box=(np.array([-5.0]), np.array([5.0])))
+
+        bases = []
+        assert solve_lp(lp([-1.0, -1.0]), bases=bases).status == OPTIMAL
+        kept = [list(basis) for basis in bases]
+        sol = solve_lp(lp([1.0, 1.0]), bases=bases)  # x >= 1 and x <= -1
+        assert sol.status == INFEASIBLE and sol.value is None
+        assert bases == kept
 
 
 class TestLinalgUtilities:

@@ -81,6 +81,39 @@ class TestConsistencyStudy:
         b = run_consistency(scenario).to_csv()
         assert a == b
 
+    @pytest.mark.parametrize("b", [0.0, -0.05])
+    def test_warm_started_study_matches_cold_solves(self, warm_starts, b):
+        from lpbound.estimators import (
+            PenaltyConfig, debiased_estimate, default_kappa_n, penalty_value,
+            set_expansion_value,
+        )
+
+        scenario = SimulationScenario(
+            dgp="example_a", b=b, sample_sizes=(100, 1000), replications=50, seed=11
+        )
+        report = run_consistency(scenario)
+        assert warm_starts.count(True) > len(warm_starts) // 2  # the cold loop passes no list
+        truth = solve_lp(example_a_params(b)).value
+        rows = iter(report.rows)
+        for n_idx, n in enumerate(scenario.sample_sizes):
+            values = {"plugin": [], "penalty": [], "debiased": [], "setexp": []}
+            for rep in range(scenario.replications):
+                params = draw_theta(scenario, n, rng_for(scenario.seed, n_idx, rep))
+                w = PenaltyConfig().resolve_w(params, n)
+                values["plugin"].append(solve_lp(params).value)
+                values["penalty"].append(penalty_value(params, w))
+                values["debiased"].append(debiased_estimate(params, w).value)
+                values["setexp"].append(
+                    set_expansion_value(params, default_kappa_n(n, 0.1), n).value)
+            for est, cold in values.items():
+                row = next(rows)
+                cold = np.array(cold)
+                assert (row.estimator, row.n, row.failures) == (est, n, 0)
+                assert abs(row.mean - cold.mean()) <= 1e-12
+                assert abs(row.bias - (cold.mean() - truth)) <= 1e-12
+                assert abs(row.std - cold.std()) <= 1e-12
+                assert abs(row.rmse - np.sqrt(np.mean((cold - truth) ** 2))) <= 1e-12
+
     def test_failure_accounting_on_noisy_rhs(self):
         scenario = SimulationScenario(
             dgp="example_b", b=0.0, sample_sizes=(5000,), replications=200,
