@@ -9,7 +9,6 @@ from .linalg import (
     enumerate_vertices,
     smallest_singular_value,
     inverse_vectorize,
-    vectorize,
     OPTIMAL,
     INFEASIBLE,
     UNBOUNDED,

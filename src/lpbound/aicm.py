@@ -17,11 +17,11 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import LpParams, is_real, solve_lp, OPTIMAL
+from .linalg import LpParams, check_fields, solve_lp, OPTIMAL
 
 _PROB_TOL = 1e-10
 
@@ -30,7 +30,6 @@ KIND_MTR = "mtr"
 KIND_MIV = "miv"
 KIND_CMIV_S = "cmiv_s"
 KIND_CMIV_P = "cmiv_p"
-_KNOWN_KINDS = {KIND_BOUNDS, KIND_MTR, KIND_MIV, KIND_CMIV_S, KIND_CMIV_P}
 
 
 class TableError(ValueError):
@@ -180,23 +179,25 @@ class ATE:
 
 @dataclass
 class AssumptionSpec:
-    kinds: frozenset
-    bounds: Optional[Tuple[float, float]] = None
+    kinds: FrozenSet[Literal[KIND_BOUNDS, KIND_MTR, KIND_MIV, KIND_CMIV_S, KIND_CMIV_P]]
+    bounds: Optional[Sequence[float]] = None  # (K0, K1), stored as a tuple of floats
     relax: float = 0.0  # slack subtracted from every monotonicity restriction
     target: object = None
 
     def __post_init__(self):
+        check_fields(self, CompileError)
         self.kinds = frozenset(self.kinds)
-        unknown = self.kinds - _KNOWN_KINDS
-        if unknown:
-            raise CompileError(f"unknown assumption kinds: {sorted(unknown)}")
+        if self.bounds is not None:
+            if len(self.bounds) != 2 or not np.all(np.isfinite(self.bounds)):
+                raise CompileError(f"bounds must be two finite numbers, got {self.bounds}")
+            self.bounds = tuple(map(float, self.bounds))
         if KIND_BOUNDS in self.kinds:
             if self.bounds is None:
                 raise CompileError("bounds assumption requires (K0, K1)")
             k0, k1 = self.bounds
             if not (k0 < k1):
                 raise CompileError(f"bounds need K0 < K1, got ({k0}, {k1})")
-        if not (is_real(self.relax) and self.relax >= 0):
+        if not self.relax >= 0:
             raise CompileError(f"relax must be a nonnegative number, got {self.relax!r}")
         # conditional monotonicity refines the plain monotone-instrument
         # condition, so the latter is always part of the compiled system
@@ -583,8 +584,6 @@ def bootstrap_theta_covariance(
             continue
         if tab.treatments != base.treatments or tab.instruments != base.instruments:
             continue
-        prog = compile(tab, spec)
-        lp = prog.lp
-        draws.append(np.concatenate([lp.p, lp.M.flatten(order="F"), lp.c]))
+        draws.append(compile(tab, spec).lp.theta())
     theta = np.array(draws)
     return n * np.cov(theta.T, bias=False)

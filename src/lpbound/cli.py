@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
-from typing import List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,10 +51,11 @@ from .inference import (
     combine_two_sided,
     run_inference,
 )
-from .linalg import OPTIMAL, DimensionError, LpParams, inverse_vectorize, is_real
+from .linalg import OPTIMAL, DimensionError, LpParams, check_fields, inverse_vectorize, is_real
 from .linalg import solve_lp  # noqa: F401  perfbench's tracer test expects this binding
 from .montecarlo import (
     ESTIMATORS,
+    Estimator,
     ScenarioError,
     SimulationScenario,
     _example_b_estimator,
@@ -121,9 +122,11 @@ def _check_keys(doc: dict, allowed: set, where: str) -> None:
         raise CliError("unknown_key", f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc: dict, key: str, where: str, kind=object):
     if key not in doc:
         raise CliError("missing_key", f"{where} requires key {key!r}")
+    if not isinstance(doc[key], kind):  # a file name must be a str, never a descriptor
+        raise CliError("validation_error", f"{key} must be {kind.__name__}, got {doc[key]!r}")
     return doc[key]
 
 
@@ -214,8 +217,12 @@ def _at_least_2(value, name: str) -> int:
 
 def _config(cls, doc: dict, where: str, **given):
     """cls built from the config keys in doc plus the values the command
-    fixes itself; the dataclass holds every default and range check."""
+    fixes itself; the dataclass holds every default, type and range check."""
     _check_keys(doc, {f.name for f in fields(cls)} - set(given), where)
+    for f in fields(cls):
+        absent = f.name not in doc and f.name not in given
+        if absent and f.default is MISSING and f.default_factory is MISSING:
+            raise CliError("missing_key", f"{where} requires key {f.name!r}")
     if "penalty" in doc:
         doc = dict(doc, penalty=_config(PenaltyConfig, doc["penalty"], "penalty"))
     try:
@@ -233,32 +240,32 @@ def _solution_fields(sol) -> dict:
 
 # -- estimate -----------------------------------------------------------------
 
-_ESTIMATE_KEYS = {"lp", "estimators", "n", "penalty", "kappa_n", "kappa0"}
+@dataclass
+class EstimateConfig:
+    lp: str  # the LP file
+    estimators: Sequence[Estimator] = ESTIMATORS
+    n: Optional[int] = None  # the sample size behind the default penalty and kappa_n
+    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
+    kappa_n: Optional[float] = None
+    kappa0: float = 0.1
+
+    def __post_init__(self):
+        check_fields(self, ValueError)
+        if self.n is not None and self.n < 1:
+            raise ValueError("n must be a positive integer")
 
 
 def cmd_estimate(config: dict, args) -> int:
-    _check_keys(config, _ESTIMATE_KEYS, "estimate config")
-    pcfg = _config(PenaltyConfig, config.get("penalty", {}), "penalty")
-    params, labels = load_lp_file(_require(config, "lp", "estimate config"))
-    names = config.get("estimators", list(ESTIMATORS))
-    if not isinstance(names, list) or not all(isinstance(e, str) for e in names):
-        raise CliError("validation_error", f"estimators must be a list of names, got {names!r}")
-    unknown = set(names) - set(ESTIMATORS)
-    if unknown:
-        raise CliError("validation_error", f"unknown estimators: {sorted(unknown)}")
-    n = config.get("n")
-    if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
-        raise CliError("validation_error", "n must be a positive integer")
-    for key in ("kappa_n", "kappa0"):
-        if key in config and not is_real(config[key]):
-            raise CliError("validation_error", f"{key} must be a number")
+    cfg = _config(EstimateConfig, config, "estimate config")
+    params, labels = load_lp_file(cfg.lp)
+    names, n = cfg.estimators, cfg.n
     result = {"estimators": {}}
 
     try:
         if "plugin" in names:
             result["estimators"]["plugin"] = _solution_fields(plug_in_value(params))
         if "penalty" in names or "debiased" in names:
-            w = pcfg.resolve_w(params, n)
+            w = cfg.penalty.resolve_w(params, n)
             result["penalty_vector"] = penalty_rows(w, params.q).tolist()
         if "penalty" in names:
             result["estimators"]["penalty"] = {
@@ -275,11 +282,11 @@ def cmd_estimate(config: dict, args) -> int:
                 "penalty_residual": deb.penalty_residual,
             }
         if "setexp" in names:
-            kappa_n = config.get("kappa_n")
+            kappa_n = cfg.kappa_n
             if kappa_n is None:
                 if n is None:
                     raise PenaltyError("set expansion needs kappa_n or a sample size n")
-                kappa_n = default_kappa_n(n, config.get("kappa0", 0.1))
+                kappa_n = default_kappa_n(n, cfg.kappa0)
             if n is None:
                 raise PenaltyError("set expansion needs the sample size n")
             sol = set_expansion_value(params, float(kappa_n), n)
@@ -324,9 +331,9 @@ def _row_estimator(rows: np.ndarray, template: LpParams):
 
 def _infer_rows(config: dict, n: Optional[int], seed: int) -> Tuple[np.ndarray, LpParams]:
     """Gaussian draws of theta when n is given, else the rows of the data CSV."""
-    params, _ = load_lp_file(_require(config, "lp", "infer config"))
+    params, _ = load_lp_file(_require(config, "lp", "infer config", str))
     if n is not None:
-        theta = np.concatenate([params.p, params.M.flatten(order="F"), params.c])
+        theta = params.theta()
         sigma = _as_float_array(_require(config, "sigma", "infer config"), "sigma", 2)
         if sigma.shape != (theta.size, theta.size):
             raise CliError(
@@ -336,7 +343,7 @@ def _infer_rows(config: dict, n: Optional[int], seed: int) -> Tuple[np.ndarray, 
         rng = np.random.default_rng(seed)
         rows = rng.multivariate_normal(theta, sigma, size=n, method="svd")
         return rows, params
-    path = _require(config, "data", "infer config")
+    path = _require(config, "data", "infer config", str)
     try:
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
@@ -415,7 +422,6 @@ def cmd_simulate(config: dict, args) -> int:
     run, keys = _STUDIES[study]
     common = {"study", "dgp", "seed", "sample_sizes", "replications"}
     _check_keys(config, keys | common, "simulate config")
-    _require(config, "dgp", "simulate config")
     seed = _seed(config, args)
     doc = {k: v for k, v in config.items() if k not in ("study", "seed")}
     scenario = _config(SimulationScenario, doc, "simulate config", seed=seed)
@@ -430,7 +436,6 @@ def cmd_simulate(config: dict, args) -> int:
 # -- aicm ---------------------------------------------------------------------
 
 _AICM_KEYS = {"data", "assumptions", "target", "ci", "seed"}
-_ASSUMPTION_KEYS = {"kinds", "bounds", "relax"}
 _TARGET_KEYS = {"type", "t", "d"}
 _CI_KEYS = {"alpha", "bootstrap_reps", "gamma"}
 
@@ -479,30 +484,11 @@ def _aicm_inference(records, base_spec, direction: str, cfg: InferenceConfig,
 def cmd_aicm(config: dict, args) -> int:
     _check_keys(config, _AICM_KEYS, "aicm config")
     a_doc = _require(config, "assumptions", "aicm config")
-    _check_keys(a_doc, _ASSUMPTION_KEYS, "assumptions")
     target_doc = _require(config, "target", "aicm config")
     target = _parse_target(target_doc)
-    bounds = a_doc.get("bounds")
-    if bounds is not None:
-        bounds = _as_float_array(bounds, "bounds", 1)
-        if len(bounds) != 2 or not np.all(np.isfinite(bounds)):
-            raise CliError("validation_error",
-                           f"bounds must be two finite numbers [K0, K1], got {bounds.tolist()}")
-        bounds = tuple(bounds)
-    kinds = _require(a_doc, "kinds", "assumptions")
-    if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
-        raise CliError("validation_error", f"kinds must be a list of strings, got {kinds!r}")
-    try:
-        spec = AssumptionSpec(
-            kinds=frozenset(kinds),
-            bounds=bounds,
-            relax=a_doc.get("relax", 0.0),
-            target=target,
-        )
-    except CompileError as exc:
-        raise CliError("validation_error", str(exc))
+    spec = _config(AssumptionSpec, a_doc, "assumptions", target=target)
 
-    path = _require(config, "data", "aicm config")
+    path = _require(config, "data", "aicm config", str)
     try:
         records = read_microdata_csv(path)
         table = ingest_sample(records)

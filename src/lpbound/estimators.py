@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .linalg import (
     solve_lp,
     smallest_singular_value,
     binding_rows,
-    is_real,
+    check_fields,
     SolverError,
     TAU_RANK,
 )
@@ -33,10 +33,6 @@ from .linalg import (
 
 class PenaltyError(ValueError):
     pass
-
-
-def _nonnegative(v) -> bool:
-    return is_real(v) and v >= 0
 
 
 @dataclass
@@ -48,16 +44,15 @@ class PenaltyConfig:
     alpha: quantile level for the singular-value lower bound (default 0.2).
     """
 
-    w: Optional[object] = None
+    w: Optional[Union[float, List[float]]] = None
     alpha: float = 0.2
 
     def __post_init__(self):
-        if not (is_real(self.alpha) and 0.0 < self.alpha < 1.0):
+        check_fields(self, PenaltyError)
+        if not 0.0 < self.alpha < 1.0:
             raise PenaltyError(f"alpha must lie in (0,1), got {self.alpha!r}")
-        if self.w is not None:
-            w = np.asarray(self.w, dtype=object)
-            if w.ndim > 1 or not all(map(_nonnegative, w.ravel())):
-                raise PenaltyError(f"w must be a nonnegative number or list, got {self.w!r}")
+        if self.w is not None and not np.all(np.asarray(self.w, dtype=float) >= 0):
+            raise PenaltyError(f"w must be a nonnegative number or list, got {self.w!r}")
 
     def resolve_w(self, params: LpParams, n: Optional[int] = None):
         """The explicit w, or the data-driven choice of select_penalty."""

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .linalg import LpParams, DimensionError, is_real
+from .linalg import LpParams, DimensionError, check_fields
 from .estimators import (
     PenaltyConfig,
     debiased_estimate,
@@ -89,13 +89,14 @@ class InferenceConfig:
     sigma_min: float = 0.0
 
     def __post_init__(self):
+        check_fields(self, InferenceError)
         for key in ("gamma", "alpha", "v_bar_alpha"):
             value = getattr(self, key)
-            if not (is_real(value) and 0.0 < value < 1.0):
+            if not 0.0 < value < 1.0:
                 raise InferenceError(f"{key} must lie in (0,1), got {value!r}")
-        if not (is_real(self.sigma_min) and self.sigma_min >= 0):
+        if not self.sigma_min >= 0:
             raise InferenceError("sigma_min must be nonnegative")
-        if self.v_bar is not None and not (is_real(self.v_bar) and self.v_bar > 0):
+        if self.v_bar is not None and not self.v_bar > 0:
             raise InferenceError(f"v_bar must be positive, got {self.v_bar!r}")
 
 

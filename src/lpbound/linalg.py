@@ -8,16 +8,19 @@ before every verdict (see _bland_simplex). A caller that solves many LPs of
 one shape can pass solve_lp a list of bases from earlier solves: the first
 one still primal feasible replaces phase 1 (a warm start), and each optimal
 solve moves its final basis to the front of the list. The module also
-provides the vertex-enumeration oracle, the smallest singular value and the
-column-major (de)vectorization helpers used throughout the package.
+provides the vertex-enumeration oracle, the smallest singular value, the
+inverse of the column-major vectorization behind LpParams.theta, and
+check_fields, which checks each field of a config dataclass against its
+type annotation.
 """
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -58,6 +61,37 @@ def is_real(v) -> bool:
     """v is a real number. JSON true and false load as bool, which
     isinstance counts as an int, so they are not."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _matches(value, tp) -> bool:
+    """value fits the annotation tp. float is a real number and int an
+    integral one, neither a bool; Literal is one of its strings; Union takes
+    any member; Sequence[X] and List[X] are a list or tuple of X, and
+    FrozenSet[X] also a frozenset of X; any other class is isinstance."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp is float:
+        return is_real(value)
+    if tp is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if origin is Literal:
+        return isinstance(value, str) and value in args
+    if origin is Union:
+        return any(_matches(value, member) for member in args)
+    if origin in (collections.abc.Sequence, list, frozenset):
+        kinds = (list, tuple, frozenset) if origin is frozenset else (list, tuple)
+        return isinstance(value, kinds) and all(_matches(v, args[0]) for v in value)
+    return isinstance(value, tp)
+
+
+def check_fields(obj, error) -> None:
+    """Check each field of the dataclass obj against its annotation (see
+    _matches); the first mismatch raises error("<name> must be <type>, got
+    <value>")."""
+    for name, tp in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not _matches(value, tp):
+            shown = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+            raise error(f"{name} must be {shown}, got {value!r}")
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -110,6 +144,10 @@ class LpParams:
         if np.any(lower > upper):
             raise DimensionError("box lower bound exceeds upper bound")
         self.box = (lower, upper)
+
+    def theta(self) -> np.ndarray:
+        """The stacked parameter vector (p, vec M column-major, c)."""
+        return np.concatenate([self.p, self.M.flatten(order="F"), self.c])
 
     @property
     def d(self) -> int:
@@ -232,7 +270,7 @@ def _warm_basis(A: np.ndarray, b: np.ndarray, bases) -> Optional[list]:
     return None
 
 
-def solve_lp(params: LpParams, secondary: np.ndarray = None, *,
+def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
              bases: Optional[list] = None) -> LpSolution:
     """Solve min p'x s.t. Mx >= c and x in the box; a basic optimal solution
     (a vertex of the feasible polyhedron whenever it has vertices).
@@ -354,11 +392,6 @@ def smallest_singular_value(m) -> float:
     if arr.size == 0:
         raise DimensionError("matrix must be nonempty")
     return float(np.linalg.svd(arr, compute_uv=False)[-1])
-
-
-def vectorize(m) -> np.ndarray:
-    """Column-major vec(M)."""
-    return _as_matrix(m, "m").flatten(order="F")
 
 
 def inverse_vectorize(x, q: int, d: int) -> np.ndarray:

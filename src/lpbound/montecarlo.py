@@ -15,11 +15,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Literal, Optional, Sequence, get_args
 
 import numpy as np
 
-from .linalg import LpParams, SolverError, is_real, solve_lp, OPTIMAL
+from .linalg import LpParams, SolverError, check_fields, solve_lp, OPTIMAL
 from .estimators import (
     PenaltyConfig,
     PenaltyError,
@@ -35,7 +35,8 @@ DGP_EXAMPLE_A = "example_a"
 DGP_EXAMPLE_B = "example_b"
 DGP_UNIFORM_GRID = "uniform_grid"
 
-ESTIMATORS = ("plugin", "penalty", "debiased", "setexp")
+Estimator = Literal["plugin", "penalty", "debiased", "setexp"]
+ESTIMATORS = get_args(Estimator)
 
 _BOX2 = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
@@ -46,50 +47,31 @@ class ScenarioError(ValueError):
 
 @dataclass
 class SimulationScenario:
-    dgp: str
+    dgp: Literal[DGP_EXAMPLE_A, DGP_EXAMPLE_B, DGP_UNIFORM_GRID]
     b: float = 0.0
     sample_sizes: Sequence[int] = (100, 500, 1000, 5000)
     replications: int = 1000
-    estimators: Sequence[str] = ESTIMATORS
+    estimators: Sequence[Estimator] = ESTIMATORS
     seed: int = 0
     alpha: float = 0.05
     kappa0: float = 0.1
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     slater: bool = False  # uniform-grid: draw the intercept noise from U[0,1]
-    grid: str = "full"  # uniform-grid: "full" 9-point grid or "single" {0}
+    grid: Literal["full", "single"] = "full"  # uniform-grid: 9-point grid or {0}
 
     def __post_init__(self):
-        if not isinstance(self.replications, int) or isinstance(self.replications, bool):
-            raise ScenarioError(f"replications must be an integer, got {self.replications!r}")
+        check_fields(self, ScenarioError)
         if self.replications < 1:
             raise ScenarioError("replications must be at least 1")
-        for key in ("b", "alpha", "kappa0"):
-            value = getattr(self, key)
-            if not is_real(value):
-                raise ScenarioError(f"{key} must be a number, got {value!r}")
-        if not isinstance(self.slater, bool):
-            raise ScenarioError(f"slater must be true or false, got {self.slater!r}")
-        if not isinstance(self.estimators, (list, tuple)) or not all(
-                isinstance(e, str) for e in self.estimators):
-            raise ScenarioError(f"estimators must be a list of names, got {self.estimators!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ScenarioError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.kappa0 < 0:
+        if not self.kappa0 >= 0:
             raise ScenarioError(f"kappa0 must be nonnegative, got {self.kappa0}")
         sizes = self.sample_sizes
-        if not (isinstance(sizes, (list, tuple)) and all(
-                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 3
-                for n in sizes)):
+        if any(n < 3 for n in sizes):
             raise ScenarioError(f"sample_sizes must be integers >= 3, got {sizes!r}")
         if any(b >= a for a, b in zip(sizes[1:], sizes)):
             raise ScenarioError("sample_sizes must be strictly increasing")
-        unknown = set(self.estimators) - set(ESTIMATORS)
-        if unknown:
-            raise ScenarioError(f"unknown estimators: {sorted(unknown)}")
-        if self.dgp not in (DGP_EXAMPLE_A, DGP_EXAMPLE_B, DGP_UNIFORM_GRID):
-            raise ScenarioError(f"unknown dgp {self.dgp!r}")
-        if self.grid not in ("full", "single"):
-            raise ScenarioError(f"grid must be 'full' or 'single', got {self.grid!r}")
 
 
 @dataclass

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpbound
 from lpbound.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -161,7 +166,7 @@ class TestInferCommand:
     def test_csv_mode(self, tmp_path):
         lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
         params, _ = parse_lp_document(EXAMPLE1_DOC)
-        theta = np.concatenate([params.p, params.M.flatten(order="F"), params.c])
+        theta = params.theta()
         rng = np.random.default_rng(8)
         rows = theta + 0.01 * rng.normal(size=(200, theta.size))
         data = tmp_path / "data.csv"
@@ -307,6 +312,11 @@ class TestSimulateCommand:
     pytest.param("aicm", {"ci": {"bootstrap_reps": 2.5}}, id="aicm-bootstrap_reps-fraction"),
     pytest.param("aicm", {"assumptions": {"kinds": ["bounds"], "bounds": [0, float("inf")]}},
                  id="aicm-bounds-infinite"),
+    # a path key that is not a string: an int would be opened as a file descriptor
+    pytest.param("estimate", {"lp": 0}, id="estimate-lp-int"),
+    pytest.param("infer-gaussian", {"lp": 0}, id="infer-gaussian-lp-int"),
+    pytest.param("infer-csv", {"data": 0}, id="infer-csv-data-int"),
+    pytest.param("aicm", {"data": 0}, id="aicm-data-int"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override):
     lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
@@ -319,7 +329,8 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override)
                      "sample_sizes": [100], "replications": 1},
         "estimate": {"lp": lp, "n": 100},
         "infer": {"mode": "example_b", "n": 100},
-        "infer-gaussian": {"mode": "gaussian", "lp": lp, "sigma": np.eye(14).tolist()},
+        "infer-gaussian": {"mode": "gaussian", "lp": lp, "n": 100, "sigma": np.eye(14).tolist()},
+        "infer-csv": {"mode": "csv", "lp": lp, "data": str(data)},
         "aicm": {"data": str(data), "assumptions": {"kinds": ["bounds"], "bounds": [0, 1]},
                  "target": {"type": "ate", "t": "1", "d": "0"}},
     }[command]
@@ -330,6 +341,20 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override)
     # the message opens with the key at fault, a top-level or nested key
     keys = set(override) | {k for v in override.values() if isinstance(v, dict) for k in v}
     assert error["message"].split()[0] in keys
+
+
+def test_lp_path_that_is_an_int_leaves_stdout_open(tmp_path):
+    # opened as a file descriptor, an int lp would be fd 1, closed on the way
+    # out; a subprocess keeps the test process's own stdout out of harm's way
+    cfg = write_json(tmp_path / "cfg.json", {"lp": 1})
+    script = ("import os; from lpbound.cli import main; "
+              f"code = main(['estimate', '--config', {cfg!r}]); os.fstat(1); print(code)")
+    src = str(Path(lpbound.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, stdin=subprocess.DEVNULL, timeout=120)
+    assert (done.returncode, done.stdout) == (0, f"{EXIT_USAGE}\n")
+    assert json.loads(done.stderr)["error"]["code"] == "validation_error"
 
 
 class TestAicmCommand:

@@ -15,7 +15,7 @@ from lpbound.inference import (
     split_sample,
 )
 from lpbound.estimators import PenaltyConfig
-from lpbound.linalg import LpParams, vectorize
+from lpbound.linalg import LpParams
 
 from conftest import example1_params
 
@@ -140,7 +140,7 @@ class TestRunInference:
 
     def _rows(self, rng, n, noise):
         template = example1_params(0.0)
-        theta = np.concatenate([template.p, vectorize(template.M), template.c])
+        theta = template.theta()
         return theta + noise * rng.normal(size=(n, theta.size)), template
 
     def test_deterministic_given_seed(self, rng):

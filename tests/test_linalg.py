@@ -1,6 +1,9 @@
 import functools
 import itertools
 import math
+import re
+from dataclasses import dataclass
+from typing import FrozenSet, Literal, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpbound import linalg
+from lpbound.aicm import AssumptionSpec, CompileError
 from lpbound.estimators import (
     PenaltyConfig,
     _relaxed_params,
@@ -16,6 +20,7 @@ from lpbound.estimators import (
     penalty_value,
     set_expansion_value,
 )
+from lpbound.inference import InferenceConfig, InferenceError
 from lpbound.linalg import (
     INFEASIBLE,
     OPTIMAL,
@@ -27,9 +32,11 @@ from lpbound.linalg import (
     enumerate_vertices,
     inverse_vectorize,
     smallest_singular_value,
+    check_fields,
     solve_lp,
-    vectorize,
 )
+
+from lpbound.montecarlo import ScenarioError, SimulationScenario
 
 from conftest import example1_params, random_lp
 
@@ -91,6 +98,8 @@ class TestSolveLp:
         assert np.allclose(hi.vertex, [1.0, 1.0], atol=1e-9)
         assert np.allclose(lo.vertex, [-1.0, -1.0], atol=1e-9)
         assert abs(hi.value) < 1e-12 and abs(lo.value) < 1e-12
+        with pytest.raises(TypeError):  # secondary is keyword-only
+            solve_lp(params, np.array([-1.0, -1.0]))
 
 
 class TestAgainstEnumeration:
@@ -420,12 +429,16 @@ class TestLinalgUtilities:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_vectorize_round_trip(self, q, d, seed):
-        m = np.random.default_rng(seed).normal(size=(q, d))
-        assert np.array_equal(inverse_vectorize(vectorize(m), q, d), m)
+        rng = np.random.default_rng(seed)
+        params = LpParams(p=rng.normal(size=d), M=rng.normal(size=(q, d)), c=rng.normal(size=q))
+        theta = params.theta()
+        assert np.array_equal(theta[:d], params.p)
+        assert np.array_equal(inverse_vectorize(theta[d : d + q * d], q, d), params.M)
+        assert np.array_equal(theta[d + q * d :], params.c)
 
     def test_vectorize_is_column_major(self):
-        m = np.array([[1.0, 3.0], [2.0, 4.0]])
-        assert vectorize(m).tolist() == [1.0, 2.0, 3.0, 4.0]
+        params = LpParams(p=[5.0, 6.0], M=[[1.0, 3.0], [2.0, 4.0]], c=[7.0, 8.0])
+        assert params.theta().tolist() == [5.0, 6.0, 1.0, 2.0, 3.0, 4.0, 7.0, 8.0]
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -437,3 +450,50 @@ class TestLinalgUtilities:
             )
         with pytest.raises(DimensionError):
             inverse_vectorize(np.zeros(5), 2, 2)
+
+
+@dataclass
+class _Typed:
+    count: int = 1
+    rate: float = 0.5
+    mode: Literal["a", "b"] = "a"
+    names: Sequence[str] = ()
+    limit: Optional[float] = None
+    tags: FrozenSet[Literal["x", "y"]] = frozenset()
+
+    def __post_init__(self):
+        check_fields(self, ValueError)
+
+
+@pytest.mark.parametrize("value, ok", [
+    ({"count": True}, False),  # a bool is neither an int
+    ({"rate": False}, False),  # nor a float
+    ({"count": 2.0}, False),
+    ({"rate": 2}, True),  # an int is a float
+    ({"names": "ab"}, False),  # a str is not a Sequence[str]
+    ({"names": ["a", "b"]}, True),
+    ({"names": frozenset({"a"})}, False),
+    ({"mode": "b"}, True),
+    ({"mode": "c"}, False),
+    ({"limit": None}, True),  # Optional accepts None
+    ({"limit": "x"}, False),
+    ({"tags": ["x", "y"]}, True),  # a FrozenSet accepts a list
+    ({"tags": ["z"]}, False),
+], ids=repr)
+def test_check_fields(value, ok):
+    if ok:
+        _Typed(**value)
+        return
+    [(name, bad)] = value.items()
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(bad))}$"):
+        _Typed(**value)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: SimulationScenario(dgp="example_a", replications=1.5), ScenarioError),
+    (lambda: InferenceConfig(gamma="x"), InferenceError),
+    (lambda: AssumptionSpec(kinds=["bogus"]), CompileError),
+], ids=["scenario-replications", "inference-gamma", "assumptions-kinds"])
+def test_config_dataclasses_raise_their_module_error(build, error):
+    with pytest.raises(error):
+        build()
