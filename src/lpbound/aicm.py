@@ -188,8 +188,8 @@ class AssumptionSpec:
         check_fields(self, CompileError)
         self.kinds = frozenset(self.kinds)
         if self.bounds is not None:
-            if len(self.bounds) != 2 or not np.all(np.isfinite(self.bounds)):
-                raise CompileError(f"bounds must be two finite numbers, got {self.bounds}")
+            if len(self.bounds) != 2:
+                raise CompileError(f"bounds must be two numbers, got {self.bounds}")
             self.bounds = tuple(map(float, self.bounds))
         if KIND_BOUNDS in self.kinds:
             if self.bounds is None:

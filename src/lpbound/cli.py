@@ -48,10 +48,19 @@ from .inference import (
     InferenceError,
     InferenceResult,
     ThetaEstimate,
+    check_covariance,
     combine_two_sided,
     run_inference,
 )
-from .linalg import OPTIMAL, DimensionError, LpParams, check_fields, inverse_vectorize, is_real
+from .linalg import (
+    OPTIMAL,
+    DimensionError,
+    LpParams,
+    check_fields,
+    inverse_vectorize,
+    is_finite,
+    is_real,
+)
 from .linalg import solve_lp  # noqa: F401  perfbench's tracer test expects this binding
 from .montecarlo import (
     ESTIMATORS,
@@ -260,20 +269,25 @@ def cmd_estimate(config: dict, args) -> int:
     params, labels = load_lp_file(cfg.lp)
     names, n = cfg.estimators, cfg.n
     result = {"estimators": {}}
+    # warm-start lists: set expansion starts from the plug-in's final basis
+    # and the debiased solve from the penalty solve's, which is the basis its
+    # own cold phase 2 would reach
+    original_bases, relaxed_bases = [], []
 
     try:
         if "plugin" in names:
-            result["estimators"]["plugin"] = _solution_fields(plug_in_value(params))
+            sol = plug_in_value(params, bases=original_bases)
+            result["estimators"]["plugin"] = _solution_fields(sol)
         if "penalty" in names or "debiased" in names:
             w = cfg.penalty.resolve_w(params, n)
             result["penalty_vector"] = penalty_rows(w, params.q).tolist()
         if "penalty" in names:
             result["estimators"]["penalty"] = {
                 "status": OPTIMAL,
-                "value": penalty_value(params, w),
+                "value": penalty_value(params, w, bases=relaxed_bases),
             }
         if "debiased" in names:
-            deb = debiased_estimate(params, w)
+            deb = debiased_estimate(params, w, bases=relaxed_bases)
             result["estimators"]["debiased"] = {
                 "status": OPTIMAL,
                 "value": deb.value,
@@ -289,7 +303,7 @@ def cmd_estimate(config: dict, args) -> int:
                 kappa_n = default_kappa_n(n, cfg.kappa0)
             if n is None:
                 raise PenaltyError("set expansion needs the sample size n")
-            sol = set_expansion_value(params, float(kappa_n), n)
+            sol = set_expansion_value(params, float(kappa_n), n, bases=original_bases)
             result["estimators"]["setexp"] = _solution_fields(sol)
             result["kappa_n"] = float(kappa_n)
     except PenaltyError as exc:
@@ -340,6 +354,10 @@ def _infer_rows(config: dict, n: Optional[int], seed: int) -> Tuple[np.ndarray, 
                 "dimension_mismatch",
                 f"sigma must be {theta.size}x{theta.size}, got {sigma.shape}",
             )
+        try:  # multivariate_normal only warns on a covariance that is not PSD
+            check_covariance(sigma, "sigma")
+        except InferenceError as exc:
+            raise CliError("validation_error", str(exc))
         rng = np.random.default_rng(seed)
         rows = rng.multivariate_normal(theta, sigma, size=n, method="svd")
         return rows, params
@@ -389,8 +407,8 @@ def cmd_infer(config: dict, args) -> int:
     n = None if mode == "csv" else _at_least_2(_require(config, "n", "infer config"), "n")
     if mode == "example_b":
         b = config.get("b", 0.0)
-        if not is_real(b):
-            raise CliError("validation_error", "b must be a number")
+        if not (is_real(b) and is_finite(b)):
+            raise CliError("validation_error", f"b must be a finite number, got {b!r}")
         U = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 3))
         estimator = _example_b_estimator(U, b)
     else:

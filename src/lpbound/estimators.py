@@ -72,9 +72,10 @@ class DebiasedResult:
     penalized_value: float
 
 
-def plug_in_value(params: LpParams) -> LpSolution:
-    """B(theta-hat): the LP solved at the estimated parameters."""
-    return solve_lp(params)
+def plug_in_value(params: LpParams, bases: Optional[list] = None) -> LpSolution:
+    """B(theta-hat): the LP solved at the estimated parameters; `bases` is
+    passed to solve_lp as its warm-start list."""
+    return solve_lp(params, bases=bases)
 
 
 def penalty_rows(w, q: int) -> np.ndarray:

@@ -89,7 +89,7 @@ class InferenceConfig:
     sigma_min: float = 0.0
 
     def __post_init__(self):
-        check_fields(self, InferenceError)
+        check_fields(self, InferenceError, infinite=("v_bar",))  # an unbounded dual ball
         for key in ("gamma", "alpha", "v_bar_alpha"):
             value = getattr(self, key)
             if not 0.0 < value < 1.0:
@@ -174,6 +174,19 @@ def find_triplet(
     return OptimalTriplet(A=A, x=result.vertex, v=v)
 
 
+def check_covariance(sigma: np.ndarray, name: str = "Sigma") -> None:
+    """Raise InferenceError unless sigma is finite, symmetric and positive
+    semidefinite, each within _PSD_TOL (relative to its largest entry)."""
+    if not np.all(np.isfinite(sigma)):
+        raise InferenceError(f"{name} must be finite")
+    if not np.allclose(sigma, sigma.T, atol=_PSD_TOL):
+        raise InferenceError(f"{name} must be symmetric")
+    scale = max(1.0, float(np.abs(sigma).max()))
+    evals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
+    if evals.min() < -_PSD_TOL * scale:
+        raise InferenceError(f"{name} is not PSD (min eigenvalue {evals.min():.3e})")
+
+
 def asymptotic_variance(
     A: np.ndarray, x: np.ndarray, v: np.ndarray, Sigma: np.ndarray
 ) -> float:
@@ -192,12 +205,8 @@ def asymptotic_variance(
     S = d + q * d + q
     if Sigma.shape != (S, S):
         raise DimensionError(f"Sigma must be {S}x{S}, got {Sigma.shape}")
-    if not np.allclose(Sigma, Sigma.T, atol=_PSD_TOL):
-        raise InferenceError("Sigma must be symmetric")
+    check_covariance(Sigma)
     scale = max(1.0, float(np.abs(Sigma).max()))
-    evals = np.linalg.eigvalsh(0.5 * (Sigma + Sigma.T))
-    if evals.min() < -_PSD_TOL * scale:
-        raise InferenceError(f"Sigma is not PSD (min eigenvalue {evals.min():.3e})")
     v_A = np.zeros(q)
     v_A[A] = v[A]
     g = np.concatenate([np.zeros(d), -np.kron(x, v_A), v_A])

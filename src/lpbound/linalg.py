@@ -1,17 +1,19 @@
 """Dense linear-algebra utilities and a small exact-tolerance LP solver.
 
 Solves min p'x subject to Mx >= c and the box rows with a two-phase
-revised simplex using Bland's anti-cycling rule (the standard form is set out
-in solve_lp). The simplex keeps a dense basis inverse, updated by one
-rank-one step per pivot and taken afresh every _REFACTOR_EVERY pivots and
-before every verdict (see _bland_simplex). A caller that solves many LPs of
-one shape can pass solve_lp a list of bases from earlier solves: the first
-one still primal feasible replaces phase 1 (a warm start), and each optimal
-solve moves its final basis to the front of the list. The module also
-provides the vertex-enumeration oracle, the smallest singular value, the
-inverse of the column-major vectorization behind LpParams.theta, and
-check_fields, which checks each field of a config dataclass against its
-type annotation.
+revised simplex (the standard form is set out in solve_lp). It prices by the
+most negative reduced cost (Dantzig's rule) and falls back to Bland's
+smallest-index rule, which cannot cycle, after _STALL_LIMIT degenerate pivots
+in a row, so every solve terminates. The simplex keeps a dense basis
+inverse, updated by one rank-one step per pivot and taken afresh every
+_REFACTOR_EVERY pivots and before every verdict (see _simplex). A caller
+that solves many LPs of one shape can pass solve_lp a list of bases from
+earlier solves: the first one still primal feasible replaces phase 1 (a
+warm start), and each optimal solve moves its final basis to the front of
+the list. The module also provides the vertex-enumeration oracle, the
+smallest singular value, the inverse of the column-major vectorization
+behind LpParams.theta, and check_fields, which checks each field of a
+config dataclass against its type annotation.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import collections.abc
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -42,6 +45,7 @@ UNBOUNDED = "unbounded"
 _PIVOT_TOL = 1e-10
 _REDUCED_COST_TOL = 1e-9
 _REFACTOR_EVERY = 50  # simplex pivots between fresh basis inverses
+_STALL_LIMIT = 50  # degenerate pivots in a row before the switch to Bland's rule
 _WARM_FEAS_TOL = 1e-12  # a warm-start basis needs x_B >= -_WARM_FEAS_TOL
 
 
@@ -83,15 +87,28 @@ def _matches(value, tp) -> bool:
     return isinstance(value, tp)
 
 
-def check_fields(obj, error) -> None:
+def is_finite(value) -> bool:
+    """Each real number in value (a number, or a list or tuple of values) is
+    a finite float or converts to one: not NaN or Infinity, which json
+    loads, nor an integer literal beyond the float range."""
+    if isinstance(value, (list, tuple)):
+        return all(map(is_finite, value))
+    return not is_real(value) or abs(value) <= sys.float_info.max
+
+
+def check_fields(obj, error, infinite=()) -> None:
     """Check each field of the dataclass obj against its annotation (see
     _matches); the first mismatch raises error("<name> must be <type>, got
-    <value>")."""
+    <value>"). A number in a field must also be finite (see is_finite), or
+    error("<name> must be finite, got <value>") is raised, except in the
+    fields named in `infinite`."""
     for name, tp in get_type_hints(type(obj)).items():
         value = getattr(obj, name)
         if not _matches(value, tp):
             shown = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
             raise error(f"{name} must be {shown}, got {value!r}")
+        if name not in infinite and not is_finite(value):
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -185,19 +202,29 @@ def binding_rows(M: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(resid <= TAU_BIND * (1.0 + np.abs(c)))
 
 
-def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
-                   allowed: np.ndarray = None):
+def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
+             allowed: np.ndarray = None):
     """min cost'z s.t. Az = b, z >= 0 from a feasible starting basis.
 
-    Revised simplex with the entering and leaving columns chosen by Bland's
-    rule, so cycling is impossible. The basis is inverted once; each pivot
-    then updates the inverse by one rank-one (product-form) step: row `leave`
-    is divided by the pivot entry and `outer(direction, row)` is subtracted
-    from the others. The inverse is taken afresh every _REFACTOR_EVERY
-    pivots, and before any verdict: when the updated inverse finds no
-    entering column or no positive pivot entry, the basis is inverted again
-    and tested again, so OPTIMAL and UNBOUNDED (with z and the reduced costs)
-    come from a fresh inverse only.
+    Revised simplex. The entering column is the eligible one with the most
+    negative reduced cost (Dantzig's rule, ties to the smallest index). The
+    leaving row is the minimum ratio, ties to the smallest basic column
+    (Bland's leaving rule). A pivot is degenerate when that minimum ratio is
+    0; after _STALL_LIMIT degenerate pivots in a row the entering column is
+    the smallest eligible index (Bland's rule) for the rest of the call.
+    Dantzig's rule takes far fewer pivots than Bland's but can cycle at a
+    degenerate vertex (Beale's LP does). A cycle revisits a basis, so the
+    objective cannot fall along it: every pivot in it is degenerate, and the
+    run triggers the switch. With Bland's rule for both columns the simplex
+    cannot cycle (Bland 1977), so every call terminates.
+
+    The basis is inverted once; each pivot then updates the inverse by one
+    rank-one (product-form) step: row `leave` is divided by the pivot entry
+    and `outer(direction, row)` is subtracted from the others. The inverse is
+    taken afresh every _REFACTOR_EVERY pivots, and before any verdict: when
+    the updated inverse finds no entering column or no positive pivot entry,
+    the basis is inverted again and tested again, so OPTIMAL and UNBOUNDED
+    (with z and the reduced costs) come from a fresh inverse only.
     `allowed` optionally masks columns permitted to enter the basis (used to
     restrict optimization to an optimal face). Returns (status, z, basis,
     reduced), with the reduced costs of the final basis when optimal.
@@ -208,6 +235,7 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
     # alone leaves reduced costs of -1e-9 at an optimal basis
     tol = _REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
     Binv = None  # None: invert the basis afresh
+    stall = 0  # degenerate pivots in a row, frozen once it reaches _STALL_LIMIT
     while True:
         if Binv is None:
             Binv = np.linalg.inv(A[:, basis])
@@ -227,7 +255,10 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
             z = np.zeros(nvar)
             z[basis] = np.maximum(xB, 0.0)
             return OPTIMAL, z, basis, reduced
-        enter = int(candidates[0])  # Bland: smallest eligible index
+        if stall >= _STALL_LIMIT:  # Bland: smallest eligible index
+            enter = int(candidates[0])
+        else:  # most negative reduced cost; argmin keeps the first of ties
+            enter = int(candidates[np.argmin(reduced[candidates])])
         direction = Binv @ A[:, enter]
         positive = direction > _PIVOT_TOL
         if not positive.any():
@@ -240,6 +271,8 @@ def _bland_simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
         rmin = ratios.min()
         ties = np.flatnonzero(ratios <= rmin + 1e-12)
         leave = min(ties, key=lambda i: basis[i])  # Bland tie-break
+        if stall < _STALL_LIMIT:
+            stall = stall + 1 if rmin == 0.0 else 0
         basis[leave] = enter
         updates += 1
         if updates == _REFACTOR_EVERY:
@@ -323,7 +356,7 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
                 basis[i] = nvar + k
             A1 = np.hstack([A, np.eye(m)[:, artificial_rows]])
             c1 = np.concatenate([np.zeros(nvar), np.ones(artificial_rows.size)])
-            status, z, basis, _ = _bland_simplex(c1, A1, b, basis)
+            status, z, basis, _ = _simplex(c1, A1, b, basis)
             if status != OPTIMAL:
                 raise SolverError("phase 1, bounded below by zero, reported unbounded")
             if float(z[nvar:].sum()) > 1e-7:
@@ -342,10 +375,10 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
                     raise SolverError(f"no column can replace the artificial of row {i}")
                 basis[i] = int(np.argmax(entering))
 
-    status, z, basis, reduced = _bland_simplex(cost, A, b, basis)
+    status, z, basis, reduced = _simplex(cost, A, b, basis)
     if status == OPTIMAL and stage2 is not None:
         allowed = reduced <= _REDUCED_COST_TOL
-        status, z, basis, _ = _bland_simplex(stage2, A, b, basis, allowed=allowed)
+        status, z, basis, _ = _simplex(stage2, A, b, basis, allowed=allowed)
     if status != OPTIMAL:
         return LpSolution(status=status)
     if bases is not None:  # front of the list; drop the same columns in another order

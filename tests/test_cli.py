@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lpbound
+from lpbound import cli
 from lpbound.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -130,6 +131,57 @@ class TestEstimateCommand:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "computation_failed"
         assert err["message"].startswith("EnumerationCapError")
+
+
+def random_lp_doc(seed: int, d: int = 10, q: int = 30) -> dict:
+    """A random feasible LP in the box [-5, 5]^d, drawn as the lp_scale
+    benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    M, p = rng.standard_normal((q, d)), rng.standard_normal(d)
+    c = M @ rng.uniform(-4.0, 4.0, d) - rng.uniform(0.1, 1.0, q)
+    return {"p": p.tolist(), "M": M.tolist(), "c": c.tolist(),
+            "box": {"lower": [-5.0] * d, "upper": [5.0] * d}}
+
+
+class TestEstimateWarmStarts:
+    """estimate shares one warm-start list between plugin and setexp and one
+    between penalty and debiased; the outputs match solves from cold."""
+
+    @staticmethod
+    def estimate(tmp_path, config) -> dict:
+        cfg = write_json(tmp_path / "cfg.json", config)
+        out = tmp_path / "out.json"
+        assert run_cli(["estimate", "--config", cfg], out) == EXIT_OK
+        return json.loads(out.read_text())["estimators"]
+
+    @staticmethod
+    def solve_cold(monkeypatch):
+        for name in ("plug_in_value", "penalty_value", "debiased_estimate",
+                     "set_expansion_value"):
+            solve = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, bases, solve=solve: solve(*args))
+
+    def test_shared_lists_match_cold_solves(self, tmp_path, monkeypatch, warm_starts):
+        lp = write_json(tmp_path / "lp.json", random_lp_doc(3))
+        shared = self.estimate(tmp_path, {"lp": lp, "n": 1000})
+        # the debiased and set-expansion solves started warm
+        assert warm_starts == [False, False, True, True]
+        self.solve_cold(monkeypatch)
+        cold = self.estimate(tmp_path, {"lp": lp, "n": 1000})
+        assert len(warm_starts) == 4  # no list reached solve_lp
+        for name in ("plugin", "penalty", "debiased"):
+            assert canonical_dumps(shared[name]) == canonical_dumps(cold[name])
+        assert shared["setexp"]["status"] == cold["setexp"]["status"] == "optimal"
+        assert abs(shared["setexp"]["value"] - cold["setexp"]["value"]) <= 1e-12
+        gap = np.subtract(shared["setexp"]["vertex"], cold["setexp"]["vertex"])
+        assert np.abs(gap).max() <= 1e-12
+
+    def test_zero_expansion_from_the_plugin_basis_is_the_plugin(self, tmp_path, warm_starts):
+        lp = write_json(tmp_path / "lp.json", random_lp_doc(3))
+        doc = self.estimate(tmp_path, {"lp": lp, "n": 1000, "kappa_n": 0,
+                                       "estimators": ["plugin", "setexp"]})
+        assert warm_starts == [False, True]
+        assert doc["setexp"]["value"] == doc["plugin"]["value"]
 
 
 class TestInferCommand:
@@ -317,6 +369,18 @@ class TestSimulateCommand:
     pytest.param("infer-gaussian", {"lp": 0}, id="infer-gaussian-lp-int"),
     pytest.param("infer-csv", {"data": 0}, id="infer-csv-data-int"),
     pytest.param("aicm", {"data": 0}, id="aicm-data-int"),
+    # NaN and Infinity, which json reads, where a finite number is needed
+    pytest.param("simulate", {"b": float("nan")}, id="simulate-b-nan"),
+    pytest.param("simulate", {"b": float("inf")}, id="simulate-b-inf"),
+    pytest.param("simulate", {"b": 10**400}, id="simulate-b-beyond-float"),
+    pytest.param("infer", {"b": -10**400}, id="infer-b-beyond-float"),
+    pytest.param("infer", {"b": float("nan")}, id="infer-b-nan"),
+    pytest.param("estimate", {"kappa_n": float("inf")}, id="estimate-kappa_n-inf"),
+    pytest.param("estimate", {"penalty": {"w": float("inf")}}, id="estimate-penalty-w-inf"),
+    pytest.param("estimate", {"penalty": {"w": [1.0, float("nan"), 1.0, 1.0]}},
+                 id="estimate-penalty-w-list-nan"),
+    pytest.param("aicm", {"assumptions": {"kinds": ["bounds"], "bounds": [0, 1],
+                                          "relax": float("inf")}}, id="aicm-relax-inf"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override):
     lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
@@ -343,6 +407,11 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override)
     assert error["message"].split()[0] in keys
 
 
+def test_infinite_v_bar_still_runs(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"mode": "example_b", "n": 200, "v_bar": float("inf")})
+    assert run_cli(["infer", "--config", cfg, "--seed", "1"], tmp_path / "o.json") == EXIT_OK
+
+
 def test_lp_path_that_is_an_int_leaves_stdout_open(tmp_path):
     # opened as a file descriptor, an int lp would be fd 1, closed on the way
     # out; a subprocess keeps the test process's own stdout out of harm's way
@@ -355,6 +424,24 @@ def test_lp_path_that_is_an_int_leaves_stdout_open(tmp_path):
                           env=env, stdin=subprocess.DEVNULL, timeout=120)
     assert (done.returncode, done.stdout) == (0, f"{EXIT_USAGE}\n")
     assert json.loads(done.stderr)["error"]["code"] == "validation_error"
+
+
+def test_gaussian_sigma_that_is_not_psd_exits_2(tmp_path):
+    # numpy only warns on such a covariance and draws from it; a subprocess
+    # sees the warning on stderr as a user would, outside pytest's capture
+    lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"mode": "gaussian", "lp": lp, "n": 100, "sigma": (-np.eye(14)).tolist()})
+    script = ("import sys; from lpbound.cli import main; "
+              f"sys.exit(main(['infer', '--config', {cfg!r}]))")
+    src = str(Path(lpbound.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, stdin=subprocess.DEVNULL, timeout=120)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    error = json.loads(done.stderr)["error"]  # the JSON error is all of stderr
+    assert error["code"] == "validation_error"
+    assert error["message"].startswith("sigma is not PSD")
 
 
 class TestAicmCommand:

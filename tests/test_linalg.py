@@ -190,14 +190,15 @@ class TestDriveOut:
             assert abs(sol.value - best) < 1e-9 * (1.0 + abs(best))
 
 
-def _bland_simplex_reinverting(cost, A, b, basis, allowed=None, pivots=None):
-    """The simplex loop with a fresh basis inverse at every pivot: the
-    reference the rank-one update must reproduce bit for bit. Appends the
-    pivot count of each call to `pivots`."""
+def _simplex_reinverting(cost, A, b, basis, allowed=None, pivots=None):
+    """The simplex loop, with its pricing rule and stall fallback, taking a
+    fresh basis inverse at every pivot: the reference the rank-one update
+    must reproduce bit for bit. Appends the pivot count of each call to
+    `pivots`."""
     m, nvar = A.shape
     basis = list(basis)
     tol = linalg._REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
-    count = 0
+    count = stall = 0
     while True:
         Binv = np.linalg.inv(A[:, basis])
         xB = Binv @ b
@@ -213,7 +214,10 @@ def _bland_simplex_reinverting(cost, A, b, basis, allowed=None, pivots=None):
             z = np.zeros(nvar)
             z[basis] = np.maximum(xB, 0.0)
             return OPTIMAL, z, basis, reduced
-        enter = int(candidates[0])
+        if stall >= linalg._STALL_LIMIT:
+            enter = int(candidates[0])
+        else:
+            enter = int(candidates[np.argmin(reduced[candidates])])
         direction = Binv @ A[:, enter]
         positive = direction > linalg._PIVOT_TOL
         if not positive.any():
@@ -224,6 +228,8 @@ def _bland_simplex_reinverting(cost, A, b, basis, allowed=None, pivots=None):
         rmin = ratios.min()
         ties = np.flatnonzero(ratios <= rmin + 1e-12)
         leave = min(ties, key=lambda i: basis[i])
+        if stall < linalg._STALL_LIMIT:
+            stall = stall + 1 if rmin == 0.0 else 0
         basis[leave] = enter
         count += 1
 
@@ -245,11 +251,24 @@ def _unbounded_lp():
                     c=np.array([-1.0, 0.0]), box=(np.array([0.0, 0.0]), np.full(2, np.inf)))
 
 
+def _beale_lp():
+    """Beale's LP (1955), on which the most-negative-reduced-cost rule cycles:
+    min -3/4 x1 + 20 x2 - 1/2 x3 + 6 x4 s.t. 1/4 x1 - 8 x2 - x3 + 9 x4 <= 0,
+    1/2 x1 - 12 x2 - 1/2 x3 + 3 x4 <= 0, x >= 0 and x3 <= 1; the optimum is
+    -5/4 at x = (1, 0, 1, 0)."""
+    return LpParams(p=[-0.75, 20.0, -0.5, 6.0],
+                    M=-np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0]]),
+                    c=[0.0, 0.0], box=([0.0] * 4, [np.inf, np.inf, 1.0, np.inf]))
+
+
 def _rank_one_cases():
     for seed in (0, 1, 2):
         relaxed, secondary = _relaxed_penalty_lp(seed)
         yield f"relaxed-10x30-seed{seed}", relaxed, None
         yield f"relaxed-10x30-seed{seed}-secondary", relaxed, secondary
+    relaxed, secondary = _relaxed_penalty_lp(0, d=20, q=60)
+    yield "relaxed-20x60-seed0-secondary", relaxed, secondary
+    yield "beale", _beale_lp(), None
     yield "example_a-b0", example1_params(0.0), None
     yield "infeasible", LpParams(p=np.array([1.0]), M=np.array([[1.0], [-1.0]]),
                                  c=np.array([1.0, 1.0]),  # x >= 1 and x <= -1
@@ -270,8 +289,8 @@ class TestRankOneUpdate:
     def test_bitwise_equal_to_reinverting_every_pivot(self, monkeypatch, params, secondary):
         sol = solve_lp(params, secondary=secondary)
         pivots = []
-        monkeypatch.setattr(linalg, "_bland_simplex",
-                            functools.partial(_bland_simplex_reinverting, pivots=pivots))
+        monkeypatch.setattr(linalg, "_simplex",
+                            functools.partial(_simplex_reinverting, pivots=pivots))
         ref = solve_lp(params, secondary=secondary)
         assert sol.status == ref.status
         assert sol.value == ref.value
@@ -279,7 +298,7 @@ class TestRankOneUpdate:
             assert sol.vertex is None
         else:
             assert sol.vertex.tobytes() == ref.vertex.tobytes()
-        if params.q == 60:  # the relaxed (10,30) LPs cross the refactor interval
+        if params.q == 60:  # the relaxed (20,60) LP crosses the refactor interval
             assert max(pivots) > linalg._REFACTOR_EVERY
 
     def test_expected_statuses(self):
@@ -291,7 +310,7 @@ class TestRankOneUpdate:
 
     def test_verdicts_come_from_a_fresh_inverse(self, monkeypatch, warm_starts):
         inverted = []
-        real_inv, simplex = np.linalg.inv, linalg._bland_simplex
+        real_inv, simplex = np.linalg.inv, linalg._simplex
 
         def recording_inv(a):
             inverted.append(np.array(a))
@@ -303,7 +322,7 @@ class TestRankOneUpdate:
             return status, z, final, reduced
 
         monkeypatch.setattr(np.linalg, "inv", recording_inv)
-        monkeypatch.setattr(linalg, "_bland_simplex", checked_simplex)
+        monkeypatch.setattr(linalg, "_simplex", checked_simplex)
         for _, params, secondary in _RANK_ONE_CASES:
             solve_lp(params, secondary=secondary)
         # warm starts: each LP again from its own final basis, and example_a
@@ -407,6 +426,72 @@ class TestWarmStart:
         assert bases == kept
 
 
+def _matches_vertex_oracle(params) -> bool:
+    """solve_lp agrees with vertex enumeration on params; whether the LP was
+    feasible."""
+    sol = solve_lp(params)
+    vertices = enumerate_vertices(params)
+    if not vertices:
+        assert sol.status == INFEASIBLE
+        return False
+    best = min(float(params.p @ v) for v, _ in vertices)
+    assert sol.status == OPTIMAL
+    assert abs(sol.value - best) < 1e-9 * (1.0 + abs(best))
+    return True
+
+
+class TestAntiCycling:
+    """Pricing by the most negative reduced cost cycles on Beale's LP; the
+    switch to Bland's rule after _STALL_LIMIT degenerate pivots in a row
+    ends every solve."""
+
+    @pytest.mark.parametrize("stall_limit", [linalg._STALL_LIMIT, 0], ids=["default", "bland"])
+    def test_beale_lp_terminates_at_its_optimum(self, monkeypatch, stall_limit):
+        monkeypatch.setattr(linalg, "_STALL_LIMIT", stall_limit)
+        sol = solve_lp(_beale_lp())
+        assert sol.status == OPTIMAL
+        assert sol.value == -1.25
+        assert sol.vertex.tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_beale_lp_cycles_without_the_switch(self, monkeypatch):
+        # Beale's right-hand sides are <= 0, so there is no phase 1, and with
+        # a fresh inverse at every pivot each inversion is one pivot's basis
+        # (in order): a repeated basis matrix means the solve has cycled
+        seen, real_inv = set(), np.linalg.inv
+
+        class Cycled(Exception):
+            pass
+
+        def inv(a):
+            if a.tobytes() in seen:
+                raise Cycled
+            seen.add(a.tobytes())
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        monkeypatch.setattr(linalg, "_REFACTOR_EVERY", 1)
+        monkeypatch.setattr(linalg, "_STALL_LIMIT", 10**9)  # never switch
+        with pytest.raises(Cycled):
+            solve_lp(_beale_lp())
+
+    @pytest.mark.parametrize("stall_limit", [linalg._STALL_LIMIT, 1, 0],
+                             ids=["default", "switch-after-1", "bland"])
+    def test_random_lps_match_the_vertex_oracle(self, monkeypatch, stall_limit):
+        monkeypatch.setattr(linalg, "_STALL_LIMIT", stall_limit)
+        rng = np.random.default_rng(11)
+        feasible = 0
+        for _ in range(100):
+            feasible += _matches_vertex_oracle(random_lp(rng))
+            # small integer data: tied reduced costs and degenerate vertices
+            d, q = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            feasible += _matches_vertex_oracle(LpParams(
+                p=rng.integers(-2, 3, size=d).astype(float),
+                M=rng.integers(-2, 3, size=(q, d)).astype(float),
+                c=rng.integers(-2, 3, size=q).astype(float),
+                box=(np.full(d, -3.0), np.full(d, 3.0))))
+        assert feasible > 100
+
+
 class TestLinalgUtilities:
     def test_smallest_singular_value_identity(self):
         assert abs(smallest_singular_value(np.eye(3)) - 1.0) < 1e-12
@@ -479,6 +564,8 @@ class _Typed:
     ({"limit": "x"}, False),
     ({"tags": ["x", "y"]}, True),  # a FrozenSet accepts a list
     ({"tags": ["z"]}, False),
+    ({"rate": float("inf")}, False),  # a float must be finite
+    ({"limit": float("nan")}, False),
 ], ids=repr)
 def test_check_fields(value, ok):
     if ok:
