@@ -46,6 +46,7 @@ from .aicm import (
     AssumptionSpec,
     MeanPotential,
     ATE,
+    Microdata,
     ingest_sample,
     read_microdata_csv,
     compile,

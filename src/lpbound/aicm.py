@@ -13,6 +13,7 @@ treatment, which doubles as an independent oracle for the compiled LPs.
 """
 from __future__ import annotations
 
+import collections.abc
 import csv
 import itertools
 import math
@@ -105,28 +106,86 @@ class ConditionalMomentTable:
 _MISSING = {None, ""}
 
 
+def _sorted_codes(labels: dict, codes: list):
+    """Sorted labels, and codes given in first-seen order (the values of
+    `labels`, in insertion order) renumbered into them."""
+    ordered = sorted(labels)
+    rank = {label: i for i, label in enumerate(ordered)}
+    remap = np.array([rank[label] for label in labels], dtype=np.intp)
+    return ordered, remap[np.array(codes, dtype=np.intp)]
+
+
+class Microdata(collections.abc.Sequence):
+    """(y, t, z) records held as columns.
+
+    y holds the outcomes as floats (0.0 where missing), `missing` marks the
+    records without one, and t and z are integer codes into the sorted label
+    lists t_labels and z_labels. Item i is the record (y or None, t, z);
+    take(idx) is the resample of records idx, sharing the label lists, so a
+    resample may leave some labels without records.
+    """
+
+    def __init__(self, y, missing, t, z, t_labels: List, z_labels: List):
+        self.y, self.missing, self.t, self.z = y, missing, t, z
+        self.t_labels, self.z_labels = t_labels, z_labels
+
+    @classmethod
+    def of(cls, records) -> "Microdata":
+        """records as columns, in one pass over them: y is missing when it
+        is None, "" or a float NaN, and any other y converts by float()."""
+        if isinstance(records, cls):
+            return records
+        y, missing, t, z = [], [], [], []
+        t_seen, z_seen = {}, {}
+        for r in records:
+            v = r[0]
+            gone = v in _MISSING or (isinstance(v, float) and math.isnan(v))
+            missing.append(gone)
+            y.append(0.0 if gone else float(v))
+            t.append(t_seen.setdefault(r[1], len(t_seen)))
+            z.append(z_seen.setdefault(r[2], len(z_seen)))
+        t_labels, t = _sorted_codes(t_seen, t)
+        z_labels, z = _sorted_codes(z_seen, z)
+        return cls(np.array(y, dtype=float), np.array(missing, dtype=bool), t, z, t_labels, z_labels)
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, i) -> Tuple:
+        return (None if self.missing[i] else float(self.y[i]),
+                self.t_labels[self.t[i]], self.z_labels[self.z[i]])
+
+    def take(self, idx) -> "Microdata":
+        return Microdata(self.y[idx], self.missing[idx], self.t[idx], self.z[idx],
+                         self.t_labels, self.z_labels)
+
+
+def _present(codes: np.ndarray, labels: List):
+    """The labels that occur in codes, and the codes renumbered over them."""
+    seen = np.bincount(codes, minlength=len(labels)) > 0
+    if seen.all():
+        return list(labels), codes
+    return [label for label, s in zip(labels, seen) if s], (np.cumsum(seen) - 1)[codes]
+
+
 def ingest_sample(records: Sequence[Tuple]) -> ConditionalMomentTable:
-    """Empirical conditional moment table from (y, t, z) records.
+    """Empirical conditional moment table from (y, t, z) records, a
+    Microdata or any sequence of tuples (converted by Microdata.of).
 
     y is None/NaN/"" for missing outcomes; within a treatment level the
     presence of y must be consistent. Every (t, z) cell must be populated.
     """
-    rows = [(r[0], r[1], r[2]) for r in records]
-    if not rows:
+    data = Microdata.of(records)
+    if not len(data):
         raise TableError("no records")
-    ys, ts, zs = zip(*rows)
-    treatments = sorted(set(ts))
-    instruments = sorted(set(zs))
+    treatments, t_code = _present(data.t, data.t_labels)
+    instruments, z_code = _present(data.z, data.z_labels)
     nt, nz = len(treatments), len(instruments)
-    t_idx = {t: i for i, t in enumerate(treatments)}
-    z_idx = {z: i for i, z in enumerate(instruments)}
-    t_code = np.array([t_idx[v] for v in ts])
-    cell = t_code * nz + np.array([z_idx[v] for v in zs])
-    missing = np.array([y in _MISSING or (isinstance(y, float) and math.isnan(y)) for y in ys])
-    y = np.array([0.0 if gone else float(v) for v, gone in zip(ys, missing)])
+    cell = t_code * nz + z_code
+    missing = data.missing
     # bincount adds in record order, as a running sum over the records would
     count = np.bincount(cell, minlength=nt * nz).reshape(nt, nz)
-    total = np.bincount(cell, weights=y, minlength=nt * nz).reshape(nt, nz)
+    total = np.bincount(cell, weights=data.y, minlength=nt * nz).reshape(nt, nz)
     present = np.bincount(t_code[~missing], minlength=nt)
     absent = np.bincount(t_code[missing], minlength=nt)
     observed = set()
@@ -153,17 +212,39 @@ def ingest_sample(records: Sequence[Tuple]) -> ConditionalMomentTable:
     return ConditionalMomentTable(treatments, instruments, mean, prob, count, frozenset(observed))
 
 
-def read_microdata_csv(path) -> List[Tuple]:
-    """Records from a CSV with header y,t,z; empty y denotes a missing outcome."""
-    out = []
+def _csv_records(reader):
+    """(y or None, t, z) per data row of a microdata CSV reader; a row that
+    is not three fields, or whose y is neither empty nor a finite number,
+    raises TableError naming its line."""
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        if len(row) != 3:
+            raise TableError(f"microdata CSV line {reader.line_num}: expected 3 fields "
+                             f"y,t,z, got {len(row)}")
+        y, t, z = (field.strip() for field in row)
+        if not y:
+            yield None, t, z
+            continue
+        try:
+            value = float(y)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise TableError(f"microdata CSV line {reader.line_num}: y must be a finite "
+                             f"number or empty, got {y!r}")
+        yield value, t, z
+
+
+def read_microdata_csv(path) -> Microdata:
+    """Records from a CSV with header y,t,z. Each y is a finite number or
+    empty, which denotes a missing outcome."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["y", "t", "z"]:
-            raise TableError(f"microdata CSV must have header 'y,t,z', got {reader.fieldnames}")
-        for row in reader:
-            y = row["y"].strip()
-            out.append((float(y) if y else None, row["t"].strip(), row["z"].strip()))
-    return out
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
+            raise TableError(f"microdata CSV must have header 'y,t,z', got {header}")
+        return Microdata.of(_csv_records(reader))
 
 
 @dataclass
@@ -272,46 +353,43 @@ def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, t) -> Co
         # plain monotone instrument: one row per z level
         return tz[others, j][None, :], np.array([o[j]])
 
-    M_rows: List[np.ndarray] = []
-    c_vals: List[float] = []
+    # the columns of each block, and every column in (j, pos) order
+    cols = [slice(col(j, 0), col(j, 0) + k) for j in range(nz)]
+    order = np.arange(d_vars).reshape(nz, k)[::-1].ravel()
+    M_blocks: List[np.ndarray] = []
+    c_blocks: List[np.ndarray] = []
     if KIND_MIV in spec.kinds:
+        groups = [group_rows(j) for j in range(nz)]
         for j in range(1, nz):
-            Gj, cj = group_rows(j)
-            Gp, cp = group_rows(j - 1)
-            for r in range(Gj.shape[0]):
-                row = np.zeros(d_vars)
-                for pos in range(k):
-                    row[col(j, pos)] += Gj[r, pos]
-                    row[col(j - 1, pos)] -= Gp[r, pos]
-                M_rows.append(row)
-                c_vals.append(cp[r] - cj[r] - spec.relax)
+            (Gj, cj), (Gp, cp) = groups[j], groups[j - 1]
+            # in place on zeros, as -Gp would turn 0.0 into -0.0
+            block = np.zeros((Gj.shape[0], d_vars))
+            block[:, cols[j]] += Gj
+            block[:, cols[j - 1]] -= Gp
+            M_blocks.append(block)
+            c_blocks.append(cp - cj - spec.relax)
     if spec.bounds is not None:
         k0, k1 = spec.bounds
-        for j in range(nz):
-            for pos in range(k):
-                up = np.zeros(d_vars)
-                up[col(j, pos)] = -1.0
-                M_rows.append(up)
-                c_vals.append(-k1)
-                lo = np.zeros(d_vars)
-                lo[col(j, pos)] = 1.0
-                M_rows.append(lo)
-                c_vals.append(k0)
+        # per column in (j, pos) order: -x >= -K1, then x >= K0
+        block = np.zeros((2 * d_vars, d_vars))
+        block[0::2][np.arange(d_vars), order] = -1.0
+        block[1::2][np.arange(d_vars), order] = 1.0
+        M_blocks.append(block)
+        c_blocks.append(np.tile([-k1, k0], d_vars))
         lower_box = np.full(d_vars, k0)
         upper_box = np.full(d_vars, k1)
     else:
         lower_box = np.full(d_vars, -np.inf)
         upper_box = np.full(d_vars, np.inf)
-    if not M_rows:
-        M_rows.append(np.zeros(d_vars))
-        c_vals.append(0.0)
+    if not M_blocks:
+        M_blocks.append(np.zeros((1, d_vars)))
+        c_blocks.append(np.zeros(1))
 
     p = np.zeros(d_vars)
-    for j in range(nz):
-        for pos, di in enumerate(others):
-            p[col(j, pos)] = pz[j] * tz[di, j]
+    p[order] = (pz * tz[others]).T.ravel()  # pz[j] * tz[di, j]
     offset = float(np.sum(pz * o))
-    lp = LpParams(p=p, M=np.array(M_rows), c=np.array(c_vals), box=(lower_box, upper_box))
+    lp = LpParams(p=p, M=np.vstack(M_blocks), c=np.concatenate(c_blocks),
+                  box=(lower_box, upper_box))
     return CompiledProgram(lp=lp, offset=offset, variable_labels=labels, valid_only=False)
 
 
@@ -569,8 +647,9 @@ def bootstrap_theta_covariance(
     cells are redrawn (up to a cap) since the compiled dimensions must match.
     """
     rng = np.random.default_rng(seed)
-    n = len(records)
-    base = ingest_sample(records)
+    data = Microdata.of(records)
+    n = len(data)
+    base = ingest_sample(data)
     draws = []
     attempts = 0
     while len(draws) < B:
@@ -579,7 +658,7 @@ def bootstrap_theta_covariance(
             raise TableError("bootstrap resampling keeps producing empty cells")
         idx = rng.integers(0, n, size=n)
         try:
-            tab = ingest_sample([records[i] for i in idx])
+            tab = ingest_sample(data.take(idx))
         except TableError:
             continue
         if tab.treatments != base.treatments or tab.instruments != base.instruments:

@@ -24,6 +24,7 @@ from .aicm import (
     AssumptionSpec,
     CompileError,
     MeanPotential,
+    Microdata,
     TableError,
     bootstrap_theta_covariance,
     bound_value,
@@ -473,11 +474,12 @@ def _aicm_inference(records, base_spec, direction: str, cfg: InferenceConfig,
     """Split-sample CI for one direction of the compiled program's value."""
     flip = -1.0 if direction == "upper" else 1.0
     offset = 0.0  # the compiled offset, set by the estimator on each fold
+    data = Microdata.of(records)
 
     def estimator(idx: np.ndarray) -> ThetaEstimate:
         nonlocal offset
         try:
-            table = ingest_sample([records[i] for i in idx])
+            table = ingest_sample(data.take(idx))
         except TableError as exc:
             raise InferenceError(f"fold produced an invalid table: {exc}")
         prog = compile_program(table, base_spec)
@@ -486,7 +488,7 @@ def _aicm_inference(records, base_spec, direction: str, cfg: InferenceConfig,
         params = LpParams(p=flip * lp.p, M=lp.M, c=lp.c, box=lp.box)
         return ThetaEstimate(params=params, sigma=sigma)
 
-    res = run_inference(len(records), estimator, cfg, seed)
+    res = run_inference(len(data), estimator, cfg, seed)
     lo, up, two = res.ci_lower_onesided, res.ci_upper_onesided, res.ci_twosided
     if flip < 0:  # the upper bound is minus the minimum of -p'x: the ends swap
         lo, up, two = up, lo, two[::-1]

@@ -203,7 +203,7 @@ def binding_rows(M: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
-             allowed: np.ndarray = None):
+             allowed: np.ndarray = None, Binv: np.ndarray = None):
     """min cost'z s.t. Az = b, z >= 0 from a feasible starting basis.
 
     Revised simplex. The entering column is the eligible one with the most
@@ -226,20 +226,23 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
     the basis is inverted again and tested again, so OPTIMAL and UNBOUNDED
     (with z and the reduced costs) come from a fresh inverse only.
     `allowed` optionally masks columns permitted to enter the basis (used to
-    restrict optimization to an optimal face). Returns (status, z, basis,
-    reduced), with the reduced costs of the final basis when optimal.
+    restrict optimization to an optimal face). `Binv`, when given, is a fresh
+    inverse of A[:, basis], taken by the caller, which the simplex starts
+    from (and overwrites) in place of its own first inversion. Returns
+    (status, z, basis, reduced), with the reduced costs of the final basis
+    when optimal.
     """
     m, nvar = A.shape
     basis = list(basis)
     # relative to the cost scale: with penalties in the hundreds, rounding
     # alone leaves reduced costs of -1e-9 at an optimal basis
     tol = _REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
-    Binv = None  # None: invert the basis afresh
+    updates = 0  # pivots made since the inverse was taken
     stall = 0  # degenerate pivots in a row, frozen once it reaches _STALL_LIMIT
     while True:
         if Binv is None:
             Binv = np.linalg.inv(A[:, basis])
-            updates = 0  # pivots made since this inverse was taken
+            updates = 0
         xB = Binv @ b
         y = Binv.T @ cost[basis]
         reduced = cost - A.T @ y
@@ -283,9 +286,10 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
             Binv[leave] = row
 
 
-def _warm_basis(A: np.ndarray, b: np.ndarray, bases) -> Optional[list]:
-    """The first of `bases` that is a basis of Az = b (m columns of A, well
-    conditioned) with x_B = B^-1 b >= -_WARM_FEAS_TOL, or None."""
+def _warm_basis(A: np.ndarray, b: np.ndarray, bases) -> Optional[tuple]:
+    """(basis, B^-1) for the first of `bases` that is a basis of Az = b (m
+    columns B of A, well conditioned) with x_B = B^-1 b >= -_WARM_FEAS_TOL,
+    or None."""
     m, nvar = A.shape
     for basis in bases:
         if len(basis) != m or max(basis) >= nvar:
@@ -299,7 +303,7 @@ def _warm_basis(A: np.ndarray, b: np.ndarray, bases) -> Optional[list]:
         if not np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max() <= 1.0 / TAU_RANK:
             continue
         if np.all(Binv @ b >= -_WARM_FEAS_TOL):
-            return basis
+            return basis, Binv
     return None
 
 
@@ -347,8 +351,11 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
     sign = np.where(rhs < 0, -1.0, 1.0)
     A = sign[:, None] * np.hstack([A_rows, -A_rows, -np.eye(m)])
     b = sign * rhs
-    basis = None if bases is None else _warm_basis(A, b, bases)
-    if basis is None:  # a cold start from the slack basis
+    warm = None if bases is None else _warm_basis(A, b, bases)
+    if warm is not None:  # _simplex starts from the inverse taken here
+        basis, Binv = warm
+    else:  # a cold start from the slack basis
+        Binv = None
         basis = list(range(2 * d, nvar))
         artificial_rows = np.flatnonzero(rhs > 0)
         if artificial_rows.size:
@@ -375,7 +382,7 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
                     raise SolverError(f"no column can replace the artificial of row {i}")
                 basis[i] = int(np.argmax(entering))
 
-    status, z, basis, reduced = _simplex(cost, A, b, basis)
+    status, z, basis, reduced = _simplex(cost, A, b, basis, Binv=Binv)
     if status == OPTIMAL and stage2 is not None:
         allowed = reduced <= _REDUCED_COST_TOL
         status, z, basis, _ = _simplex(stage2, A, b, basis, allowed=allowed)

@@ -55,9 +55,9 @@ def warm_starts(monkeypatch):
     found, pick = [], linalg._warm_basis
 
     def recording_pick(A, b, bases):
-        basis = pick(A, b, bases)
-        found.append(basis is not None)
-        return basis
+        warm = pick(A, b, bases)
+        found.append(warm is not None)
+        return warm
 
     monkeypatch.setattr(linalg, "_warm_basis", recording_pick)
     return found

@@ -1,3 +1,6 @@
+import csv
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from lpbound.aicm import (
     CompileError,
     ConditionalMomentTable,
     MeanPotential,
+    Microdata,
     TableError,
     bootstrap_theta_covariance,
     bound_value,
@@ -14,6 +18,7 @@ from lpbound.aicm import (
     compile,
     ets_estimate,
     ingest_sample,
+    read_microdata_csv,
 )
 from lpbound.linalg import OPTIMAL
 
@@ -251,3 +256,182 @@ class TestScalars:
         assert sigma.shape == (S, S)
         assert np.allclose(sigma, sigma.T, atol=1e-12)
         assert np.linalg.eigvalsh(sigma).min() > -1e-8
+
+
+def _table_bytes(table):
+    return (table.treatments, table.instruments, table.observed, table.mean.tobytes(),
+            table.prob.tobytes(), table.count.tobytes(), table.count.dtype)
+
+
+def _list_bootstrap(records, spec, B, seed):
+    """The bootstrap as a loop over record lists, each draw ingesting
+    [records[i] for i in idx]: the reference for the columnar one. Returns
+    the covariance and the number of redrawn resamples."""
+    rng = np.random.default_rng(seed)
+    n = len(records)
+    base = ingest_sample(records)
+    draws, redraws = [], 0
+    while len(draws) < B:
+        idx = rng.integers(0, n, size=n)
+        try:
+            tab = ingest_sample([records[i] for i in idx])
+        except TableError:
+            redraws += 1
+            continue
+        if tab.treatments != base.treatments or tab.instruments != base.instruments:
+            redraws += 1
+            continue
+        draws.append(compile(tab, spec).lp.theta())
+    return n * np.cov(np.array(draws).T, bias=False), redraws
+
+
+class TestMicrodata:
+    """Microdata holds the records as columns; a resample ingests bitwise
+    as the list of the same records does."""
+
+    @staticmethod
+    def _records(rng, n=300):
+        # treatment "2" never has an outcome; y = -0.0 and 0.0 both occur
+        t = rng.choice(["0", "1", "2"], n, p=[0.45, 0.45, 0.1])
+        z = rng.choice(["a", "b", "c"], n, p=[0.45, 0.45, 0.1])
+        y = np.round(rng.normal(size=n), 1)
+        return [(None if ti == "2" else float(yi), ti, zi) for yi, ti, zi in zip(y, t, z)]
+
+    def test_take_ingests_as_the_record_list(self, rng):
+        records = self._records(rng)
+        data = Microdata.of(records)
+        ts = np.array([r[1] for r in records])
+        zs = np.array([r[2] for r in records])
+        resamples = [rng.integers(0, len(records), len(records)) for _ in range(20)]
+        resamples += [
+            np.flatnonzero(ts != "2"),  # drops the treatment without outcomes
+            np.flatnonzero(zs != "c"),  # drops an instrument level
+            np.flatnonzero((ts != "0") & (zs != "a"))[::-1],  # drops one of each
+            np.flatnonzero(zs == "b"),  # a single instrument level
+        ]
+        for idx in resamples:
+            table = ingest_sample(data.take(idx))
+            assert _table_bytes(table) == _table_bytes(ingest_sample([records[i] for i in idx]))
+        assert ingest_sample(data.take(resamples[-4])).treatments == ["0", "1"]
+        assert ingest_sample(data.take(resamples[-3])).instruments == ["a", "b"]
+        assert ingest_sample(data).observed == {"0", "1"}
+
+    @pytest.mark.parametrize("records, match", [
+        ([(0.1, "1", "a"), (0.2, "0", "a"), (0.3, "1", "b"), (0.4, "0", "b")], "empty cell"),
+        ([(0.1, "1", "a"), (None, "1", "a"), (0.2, "0", "a"), (0.3, "0", "a")], "consistent"),
+    ])
+    def test_take_raises_as_the_record_list(self, records, match):
+        idx = [0, 1, 2, 0]  # leaves (T=0, Z=b) empty; keeps a mixed treatment
+        with pytest.raises(TableError, match=match) as from_list:
+            ingest_sample([records[i] for i in idx])
+        with pytest.raises(TableError) as from_columns:
+            ingest_sample(Microdata.of(records).take(np.array(idx)))
+        assert str(from_columns.value) == str(from_list.value)
+
+    def test_bootstrap_matches_the_record_list_loop(self, rng):
+        # a cell of 2 of 36 records: about one resample in eight leaves it empty
+        records = [(round(float(rng.uniform(0, 1)), 6), t, z)
+                   for t, z, size in (("0", "a", 12), ("1", "a", 12), ("0", "b", 10), ("1", "b", 2))
+                   for _ in range(size)]
+        spec = AssumptionSpec(kinds=frozenset({"bounds", "cmiv_p"}), bounds=(0.0, 1.0),
+                              target=ATE("1", "0"))
+        sigma = bootstrap_theta_covariance(records, spec, B=40, seed=3)
+        reference, redraws = _list_bootstrap(records, spec, B=40, seed=3)
+        assert redraws > 0
+        assert sigma.tobytes() == reference.tobytes()
+
+    def test_items_are_the_records_the_csv_holds(self, tmp_path):
+        path = tmp_path / "micro.csv"
+        path.write_text("y, t ,z\n0.5,1,a\n,0, a\n-0.0,1,b\n\n 1e-3 ,0,b\n2,x,a\n")
+        reference = []  # the rows, read as csv.DictReader gives them
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                row = [v.strip() for v in row.values()]
+                reference.append((float(row[0]) if row[0] else None, row[1], row[2]))
+        data = read_microdata_csv(path)
+        assert isinstance(data, Microdata) and len(data) == 5
+        # repr tells -0.0 from 0.0 and a float from an int
+        assert repr([data[i] for i in range(len(data))]) == repr(reference)
+        assert repr(list(data)) == repr(reference)
+        assert data.t_labels == ["0", "1", "x"] and data.z_labels == ["a", "b"]
+        assert repr(list(Microdata.of(reference))) == repr(reference)
+
+
+def _block_rows_reference(table, spec, t):
+    """(M, c, p) of the block program filled row by row and entry by entry:
+    the reference its array assembly must match bit for bit."""
+    ti, nt, nz = table.t_index(t), table.n_treatments, table.n_instruments
+    others = [i for i in range(nt) if i != ti]
+    k = len(others)
+    d_vars = k * nz
+    tz, pz = table.t_given_z(), table.z_prob()
+    o = tz[ti] * table.mean[ti]
+
+    def col(j, pos):
+        return (nz - 1 - j) * k + pos
+
+    def group_rows(j):
+        if "cmiv_s" in spec.kinds:
+            subsets = [s for r in range(1, nt + 1)
+                       for s in itertools.combinations(range(nt), r) if set(s) != {ti}]
+            G, cvec = np.zeros((len(subsets), k)), np.zeros(len(subsets))
+            for row, A in enumerate(subsets):
+                pA = tz[list(A), j].sum()
+                for pos, di in enumerate(others):
+                    if di in A:
+                        G[row, pos] = tz[di, j] / pA
+                if ti in A:
+                    cvec[row] = o[j] / pA
+            return G, cvec
+        if "cmiv_p" in spec.kinds:
+            return (np.vstack([tz[others, j][None, :], np.eye(k)]),
+                    np.concatenate([[o[j]], np.zeros(k)]))
+        return tz[others, j][None, :], np.array([o[j]])
+
+    rows, c = [], []
+    if "miv" in spec.kinds:
+        for j in range(1, nz):
+            (Gj, cj), (Gp, cp) = group_rows(j), group_rows(j - 1)
+            for r in range(Gj.shape[0]):
+                row = np.zeros(d_vars)
+                for pos in range(k):
+                    row[col(j, pos)] += Gj[r, pos]
+                    row[col(j - 1, pos)] -= Gp[r, pos]
+                rows.append(row)
+                c.append(cp[r] - cj[r] - spec.relax)
+    if spec.bounds is not None:
+        for j in range(nz):
+            for pos in range(k):
+                for sign, rhs in ((-1.0, -spec.bounds[1]), (1.0, spec.bounds[0])):
+                    row = np.zeros(d_vars)
+                    row[col(j, pos)] = sign
+                    rows.append(row)
+                    c.append(rhs)
+    if not rows:
+        rows, c = [np.zeros(d_vars)], [0.0]
+    p = np.zeros(d_vars)
+    for j in range(nz):
+        for pos, di in enumerate(others):
+            p[col(j, pos)] = pz[j] * tz[di, j]
+    return np.array(rows), np.array(c), p
+
+
+@pytest.mark.parametrize("kinds", [
+    {"bounds"}, {"miv"}, {"bounds", "miv"}, {"bounds", "cmiv_p"}, {"cmiv_p"},
+    {"bounds", "cmiv_s"}, {"cmiv_s"},
+])
+def test_block_program_matches_row_by_row_assembly(kinds):
+    rng = np.random.default_rng(18)
+    for nt, nz in ((2, 1), (2, 4), (3, 3)):
+        prob = rng.uniform(0.1, 1.0, (nt, nz))
+        mean = rng.uniform(-1.0, 1.0, (nt, nz))
+        labels = [str(i) for i in range(nt)]
+        table = ConditionalMomentTable(labels, [f"z{j}" for j in range(nz)], mean,
+                                       prob / prob.sum(), np.ones((nt, nz)), frozenset(labels))
+        for relax in (0.0, 0.05):
+            spec = AssumptionSpec(kinds=frozenset(kinds), relax=relax, target=MeanPotential("1"),
+                                  bounds=(-1.0, 1.0) if "bounds" in kinds else None)
+            lp = compile(table, spec).lp
+            M, c, p = _block_rows_reference(table, spec, "1")
+            assert (lp.M.shape, lp.M.tobytes(), lp.c.tobytes(), lp.p.tobytes()) == \
+                (M.shape, M.tobytes(), c.tobytes(), p.tobytes())

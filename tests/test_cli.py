@@ -533,3 +533,23 @@ class TestAicmCommand:
         assert run_cli(["aicm", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
         err = json.loads(capsys.readouterr().err)
         assert "z2" in err["error"]["message"]
+
+    @pytest.mark.parametrize("row, fault", [
+        ("abc,0,z1", "y must be a finite number or empty, got 'abc'"),
+        ("0.2,0", "expected 3 fields y,t,z, got 2"),
+        ("0.2,0,z1,extra", "expected 3 fields y,t,z, got 4"),
+        ("inf,0,z1", "y must be a finite number or empty, got 'inf'"),
+        ("-Infinity,0,z1", "y must be a finite number or empty, got '-Infinity'"),
+        ("nan,0,z1", "y must be a finite number or empty, got 'nan'"),  # not a missing y
+    ])
+    def test_bad_csv_row_names_its_line(self, tmp_path, capsys, row, fault):
+        data = tmp_path / "micro.csv"
+        data.write_text(f"y,t,z\n0.1,1,z1\n\n{row}\n0.3,0,z1\n")
+        cfg = write_json(tmp_path / "cfg.json", {
+            "data": str(data),
+            "assumptions": {"kinds": ["bounds"], "bounds": [0.0, 1.0]},
+            "target": {"type": "mean", "t": "1"},
+        })
+        assert run_cli(["aicm", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"code": "table_error", "message": f"microdata CSV line 4: {fault}"}

@@ -190,11 +190,12 @@ class TestDriveOut:
             assert abs(sol.value - best) < 1e-9 * (1.0 + abs(best))
 
 
-def _simplex_reinverting(cost, A, b, basis, allowed=None, pivots=None):
+def _simplex_reinverting(cost, A, b, basis, allowed=None, Binv=None, pivots=None):
     """The simplex loop, with its pricing rule and stall fallback, taking a
-    fresh basis inverse at every pivot: the reference the rank-one update
-    must reproduce bit for bit. Appends the pivot count of each call to
-    `pivots`."""
+    fresh basis inverse at every pivot (a warm start's Binv is the same
+    inverse of the same matrix, so it is taken again): the reference the
+    rank-one update must reproduce bit for bit. Appends the pivot count of
+    each call to `pivots`."""
     m, nvar = A.shape
     basis = list(basis)
     tol = linalg._REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
@@ -316,8 +317,8 @@ class TestRankOneUpdate:
             inverted.append(np.array(a))
             return real_inv(a)
 
-        def checked_simplex(cost, A, b, basis, allowed=None):
-            status, z, final, reduced = simplex(cost, A, b, basis, allowed)
+        def checked_simplex(cost, A, b, basis, allowed=None, Binv=None):
+            status, z, final, reduced = simplex(cost, A, b, basis, allowed, Binv)
             assert np.array_equal(inverted[-1], A[:, final])
             return status, z, final, reduced
 
