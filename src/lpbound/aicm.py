@@ -22,7 +22,7 @@ from typing import FrozenSet, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import LpParams, check_fields, solve_lp, OPTIMAL
+from .linalg import LpParams, check_fields, solve_lp, OPTIMAL, TAU_FEAS
 
 _PROB_TOL = 1e-10
 
@@ -294,22 +294,16 @@ class CompiledProgram:
     valid_only: bool = False
 
 
-def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, t) -> CompiledProgram:
-    """Single-treatment program in counterfactual-mean blocks.
+def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int):
+    """Single-treatment program in counterfactual-mean blocks, for fully
+    observed outcomes: (p, M, c, offset, labels, valid_only).
 
     Variables x = (x^N, ..., x^1): one block per instrument level, descending,
     each block holding E[Y(t) | T=d, Z=z_j] for d != t ascending. Monotonicity
     rows couple adjacent blocks; per-block identity rows carry the outcome
     bounds.
     """
-    ti = table.t_index(t)
-    if t not in table.observed:
-        raise CompileError(f"target treatment {t!r} has no outcome data")
-    if len(table.observed) != table.n_treatments:
-        raise CompileError(
-            "monotone-instrument compilation requires fully observed outcomes; "
-            "only bounds-type restrictions support missing data"
-        )
+    t = table.treatments[ti]
     nt, nz = table.n_treatments, table.n_instruments
     others = [i for i in range(nt) if i != ti]
     k = len(others)  # block width
@@ -376,11 +370,6 @@ def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, t) -> Co
         block[1::2][np.arange(d_vars), order] = 1.0
         M_blocks.append(block)
         c_blocks.append(np.tile([-k1, k0], d_vars))
-        lower_box = np.full(d_vars, k0)
-        upper_box = np.full(d_vars, k1)
-    else:
-        lower_box = np.full(d_vars, -np.inf)
-        upper_box = np.full(d_vars, np.inf)
     if not M_blocks:
         M_blocks.append(np.zeros((1, d_vars)))
         c_blocks.append(np.zeros(1))
@@ -388,109 +377,77 @@ def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, t) -> Co
     p = np.zeros(d_vars)
     p[order] = (pz * tz[others]).T.ravel()  # pz[j] * tz[di, j]
     offset = float(np.sum(pz * o))
-    lp = LpParams(p=p, M=np.vstack(M_blocks), c=np.concatenate(c_blocks),
-                  box=(lower_box, upper_box))
-    return CompiledProgram(lp=lp, offset=offset, variable_labels=labels, valid_only=False)
+    return p, np.vstack(M_blocks), np.concatenate(c_blocks), offset, labels, False
 
 
-def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, t) -> CompiledProgram:
-    """Full conditional-moment-vector program (supports MTR and missing data).
+def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int,
+                     keep_refuted: bool):
+    """Full conditional-moment-vector program (supports MTR and missing
+    data): (p, M, c, offset, labels, valid_only).
 
     The moment vector m has one coordinate per (treatment cell, instrument
-    cell, potential-outcome leg): m[(a, z), d] = E[Y(d) | T=a, Z=z]. Almost
-    sure restrictions are replicated across cells; instrument-monotonicity
-    rows mix cells within adjacent z levels. Observed coordinates (d = a with
-    outcome data) are substituted out.
+    cell, potential-outcome leg): m[(a, z), d] = E[Y(d) | T=a, Z=z], at flat
+    index (a*nz + z)*nt + d. Almost sure restrictions are replicated across
+    cells; instrument-monotonicity rows mix cells within adjacent z levels.
+    Observed coordinates (d = a with outcome data) are substituted out. A
+    row left with no free entry is dropped when the data satisfy it (c <=
+    TAU_FEAS) and, with keep_refuted, kept when they refute it, which makes
+    the LP infeasible.
     """
-    ti = table.t_index(t)
-    if t not in table.observed:
-        raise CompileError(f"target treatment {t!r} has no outcome data")
     nt, nz = table.n_treatments, table.n_instruments
     tz = table.t_given_z()
-    pz = table.z_prob()
-    n_m = nt * nz * nt
+    cells = nt * nz
 
-    def midx(a: int, z: int, d: int) -> int:
-        return (a * nz + z) * nt + d
-
-    # almost-sure restrictions on the potential-outcome vector
-    mt_rows = []
-    mt_rhs = []
+    # almost-sure restrictions R y + r >= 0 on y = (Y(0), ..., Y(nt-1)):
+    # Y(d) - K0 >= 0 and K1 - Y(d) >= 0 per d (the rows e_d and -e_d, the
+    # latter with -0.0 off its diagonal), then Y(d+1) - Y(d) + relax >= 0
+    R_blocks, r_blocks = [np.zeros((0, nt))], [np.zeros(0)]
     if spec.bounds is not None:
         k0, k1 = spec.bounds
-        for d in range(nt):
-            e = np.zeros(nt)
-            e[d] = 1.0
-            mt_rows.append(e)
-            mt_rhs.append(-k0)  # Y(d) - K0 >= 0
-            mt_rows.append(-e)
-            mt_rhs.append(k1)  # K1 - Y(d) >= 0
+        eye = np.eye(nt)
+        R_blocks.append(np.stack([eye, -eye], axis=1).reshape(2 * nt, nt))
+        r_blocks.append(np.tile([-k0, k1], nt))
     if KIND_MTR in spec.kinds:
-        for d in range(nt - 1):
-            e = np.zeros(nt)
-            e[d] = -1.0
-            e[d + 1] = 1.0
-            mt_rows.append(e)
-            mt_rhs.append(spec.relax)  # Y(d+1) - Y(d) + relax >= 0
-
-    rows = []
-    rhs = []
-    for a in range(nt):
-        for z in range(nz):
-            for r, row in enumerate(mt_rows):
-                full = np.zeros(n_m)
-                for d in range(nt):
-                    full[midx(a, z, d)] = row[d]
-                rows.append(full)
-                rhs.append(mt_rhs[r])
+        steps = np.zeros((nt - 1, nt))
+        steps[np.arange(nt - 1), np.arange(nt - 1)] = -1.0
+        steps[np.arange(nt - 1), np.arange(1, nt)] = 1.0
+        R_blocks.append(steps)
+        r_blocks.append(np.full(nt - 1, spec.relax))
+    R = np.vstack(R_blocks)
+    # A m + b >= 0: R in the diagonal (cell, cell) block of every cell
+    A = np.zeros((cells, len(R), cells, nt))
+    A[np.arange(cells), :, np.arange(cells)] = R
+    A = A.reshape(cells * len(R), cells * nt)
+    b = np.tile(np.concatenate(r_blocks), cells)
     if KIND_MIV in spec.kinds:
-        for d in range(nt):
-            for z in range(nz - 1):
-                full = np.zeros(n_m)
-                for a in range(nt):
-                    full[midx(a, z + 1, d)] += tz[a, z + 1]
-                    full[midx(a, z, d)] -= tz[a, z]
-                rows.append(full)
-                rhs.append(spec.relax)  # E[Y(d)|z+1] - E[Y(d)|z] + relax >= 0
+        # row (d, z): sum_a tz[a, z+1] m[(a, z+1), d] - tz[a, z] m[(a, z), d] + relax >= 0
+        miv = np.zeros((nt, nz - 1, nt, nz, nt))
+        d, z = np.ix_(range(nt), range(nz - 1))
+        miv[d, z, :, z + 1, d] += tz[:, 1:].T
+        miv[d, z, :, z, d] -= tz[:, :-1].T
+        A = np.vstack([A, miv.reshape(nt * (nz - 1), cells * nt)])
+        b = np.concatenate([b, np.full(nt * (nz - 1), spec.relax)])
 
-    observed_coords = {}
-    for a, lab in enumerate(table.treatments):
-        if lab in table.observed:
-            for z in range(nz):
-                observed_coords[midx(a, z, a)] = table.mean[a, z]
-    free = [i for i in range(n_m) if i not in observed_coords]
-    labels = []
-    for i in free:
-        a, rem = divmod(i, nz * nt)
-        z, d = divmod(rem, nt)
-        labels.append((table.treatments[d], table.treatments[a], table.instruments[z]))
+    seen = [a for a, label in enumerate(table.treatments) if label in table.observed]
+    known = np.zeros((nt, nz, nt), dtype=bool)
+    known[seen, :, seen] = True
+    values = np.zeros((nt, nz, nt))
+    values[seen, :, seen] = table.mean[seen]
+    mu = np.zeros((nt, nz, nt))
+    mu[:, :, ti] = table.prob
+    known, values, mu = known.ravel(), values.ravel(), mu.ravel()
+    free = np.flatnonzero(~known)
+    labels = [(table.treatments[d], table.treatments[a], table.instruments[z])
+              for a, z, d in zip(*np.unravel_index(free, (nt, nz, nt)))]
 
-    mu = np.zeros(n_m)
-    for a in range(nt):
-        for z in range(nz):
-            mu[midx(a, z, ti)] = table.prob[a, z]
-
-    A = np.array(rows) if rows else np.zeros((0, n_m))
-    b = np.array(rhs) if rhs else np.zeros(0)
-    # A m + b >= 0 with m = (free part) + (observed values)
-    obs_contrib = np.zeros(n_m)
-    for i, val in observed_coords.items():
-        obs_contrib[i] = val
     M = A[:, free]
-    c = -b - A @ obs_contrib
-    p = mu[free]
-    offset = float(mu @ obs_contrib)
-    if spec.bounds is not None:
-        box = (np.full(len(free), spec.bounds[0]), np.full(len(free), spec.bounds[1]))
-    else:
-        box = (np.full(len(free), -np.inf), np.full(len(free), np.inf))
-    as_restrictions = bool(mt_rows)
-    valid_only = as_restrictions and KIND_MIV in spec.kinds
-    lp = LpParams(p=p, M=M, c=c, box=box)
-    return CompiledProgram(lp=lp, offset=offset, variable_labels=labels, valid_only=valid_only)
+    c = -b - A @ values
+    keep = M.any(axis=1) | (keep_refuted & (c > TAU_FEAS))
+    valid_only = len(R) > 0 and KIND_MIV in spec.kinds
+    return mu[free], M[keep], c[keep], float(mu @ values), labels, valid_only
 
 
-def _single_target_program(table, spec, t) -> CompiledProgram:
+def _single_target_program(table, spec, t, keep_refuted: bool) -> CompiledProgram:
     conditional = bool(spec.kinds & {KIND_CMIV_S, KIND_CMIV_P})
     missing = len(table.observed) != table.n_treatments
     if conditional and KIND_MTR in spec.kinds:
@@ -500,19 +457,31 @@ def _single_target_program(table, spec, t) -> CompiledProgram:
         )
     if conditional and missing:
         raise CompileError("conditional monotonicity requires fully observed outcomes")
+    ti = table.t_index(t)
+    if t not in table.observed:
+        raise CompileError(f"target treatment {t!r} has no outcome data")
     if KIND_MTR in spec.kinds or missing:
-        return _general_program(table, spec, t)
-    return _block_program(table, spec, t)
+        p, M, c, offset, labels, valid_only = _general_program(table, spec, ti, keep_refuted)
+    else:
+        p, M, c, offset, labels, valid_only = _block_program(table, spec, ti)
+    box = None if spec.bounds is None else tuple(np.full(p.size, k) for k in spec.bounds)
+    return CompiledProgram(LpParams(p=p, M=M, c=c, box=box), offset, labels, valid_only)
 
 
-def compile(table: ConditionalMomentTable, spec: AssumptionSpec) -> CompiledProgram:
-    """LP whose direction-appropriate optimum plus offset is the target bound."""
+def compile(table: ConditionalMomentTable, spec: AssumptionSpec,
+            keep_refuted: bool = True) -> CompiledProgram:
+    """LP whose direction-appropriate optimum plus offset is the target bound.
+
+    A row the observed cell means refute stays in M as a zero row, so the LP
+    is infeasible. keep_refuted=False drops it too: the rows of M then depend
+    only on the supports, observed treatments and kinds, alike for every
+    resample of one sample, as the bootstrap and the CI folds need."""
     target = spec.target
     if isinstance(target, MeanPotential):
-        return _single_target_program(table, spec, target.t)
+        return _single_target_program(table, spec, target.t, keep_refuted)
     if isinstance(target, ATE):
-        prog_t = _single_target_program(table, spec, target.t)
-        prog_d = _single_target_program(table, spec, target.d)
+        prog_t = _single_target_program(table, spec, target.t, keep_refuted)
+        prog_d = _single_target_program(table, spec, target.d, keep_refuted)
         dt, dd = prog_t.lp.d, prog_d.lp.d
         p = np.concatenate([prog_t.lp.p, -prog_d.lp.p])
         M = np.block([
@@ -644,7 +613,8 @@ def bootstrap_theta_covariance(
 
     Returns n * cov(theta-hat draws), the scale expected by the inference
     machinery (theta-hat ~ (theta, sigma / n)). Resamples that produce empty
-    cells are redrawn (up to a cap) since the compiled dimensions must match.
+    cells are redrawn (up to a cap) and each compiles with keep_refuted=False,
+    since the compiled dimensions must match.
     """
     rng = np.random.default_rng(seed)
     data = Microdata.of(records)
@@ -663,6 +633,6 @@ def bootstrap_theta_covariance(
             continue
         if tab.treatments != base.treatments or tab.instruments != base.instruments:
             continue
-        draws.append(compile(tab, spec).lp.theta())
+        draws.append(compile(tab, spec, keep_refuted=False).lp.theta())
     theta = np.array(draws)
     return n * np.cov(theta.T, bias=False)

@@ -482,7 +482,7 @@ def _aicm_inference(records, base_spec, direction: str, cfg: InferenceConfig,
             table = ingest_sample(data.take(idx))
         except TableError as exc:
             raise InferenceError(f"fold produced an invalid table: {exc}")
-        prog = compile_program(table, base_spec)
+        prog = compile_program(table, base_spec, keep_refuted=False)
         lp = prog.lp
         offset = prog.offset
         params = LpParams(p=flip * lp.p, M=lp.M, c=lp.c, box=lp.box)
@@ -539,6 +539,10 @@ def cmd_aicm(config: dict, args) -> int:
         reps = _at_least_2(ci_doc.get("bootstrap_reps", 200), "bootstrap_reps")
         doc = {k: v for k, v in ci_doc.items() if k != "bootstrap_reps"}
         cfg = _config(InferenceConfig, doc, "ci")
+        if compile_program(table, spec, keep_refuted=False).lp.q < program.lp.q:
+            raise CliError("inference_failed", "an observed cell mean lies outside the "
+                           "outcome bounds, so the data refute the assumptions and there "
+                           "is no interval to estimate", exit_code=EXIT_COMPUTE)
         try:
             sigma = bootstrap_theta_covariance(records, spec, B=reps, seed=seed)
             res_lo = _aicm_inference(records, spec, "lower", cfg, sigma, seed)
@@ -552,6 +556,9 @@ def cmd_aicm(config: dict, args) -> int:
             "crossed": interval.crossed,
             "alpha": cfg.alpha,
             "estimates": {"lower": res_lo.estimate, "upper": res_up.estimate},
+            "se": {"lower": res_lo.se, "upper": res_up.se},
+            "degenerate_variance": {"lower": res_lo.degenerate_variance,
+                                    "upper": res_up.degenerate_variance},
         }
     _write_output(canonical_dumps(result), args.out)
     return EXIT_OK

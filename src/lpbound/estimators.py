@@ -188,24 +188,25 @@ def _wn(n: int) -> float:
     return max(1.0, math.log(math.log(n)) / math.log(math.log(100.0)))
 
 
-def select_penalty(params: LpParams, n: int, cfg: PenaltyConfig) -> np.ndarray:
-    """Data-driven penalty vector w_j = w_n * d * ||p|| / (delta_alpha * ||M_j||)."""
-    M, p = params.M, params.p
+def _row_norms(M: np.ndarray) -> np.ndarray:
+    """||M_j|| per row; a zero row raises PenaltyError naming the first."""
     row_norms = np.linalg.norm(M, axis=1)
     if np.any(row_norms <= 0.0):
         bad = int(np.flatnonzero(row_norms <= 0.0)[0])
-        raise PenaltyError(
-            f"row {bad} of M has zero norm; drop or renormalize it before selecting a penalty"
-        )
+        raise PenaltyError(f"row {bad} of M has zero norm; drop or renormalize it")
+    return row_norms
+
+
+def select_penalty(params: LpParams, n: int, cfg: PenaltyConfig) -> np.ndarray:
+    """Data-driven penalty vector w_j = w_n * d * ||p|| / (delta_alpha * ||M_j||)."""
+    row_norms = _row_norms(params.M)
     wn = _wn(n)
     delta = tao_vu_quantile(cfg.alpha)
-    return wn * params.d * float(np.linalg.norm(p)) / (delta * row_norms)
+    return wn * params.d * float(np.linalg.norm(params.p)) / (delta * row_norms)
 
 
 def select_v_bar(params: LpParams, alpha: float = 0.1) -> float:
     """Radius bound v_bar = d * ||p|| / (min_j ||M_j|| * delta_alpha)."""
-    row_norms = np.linalg.norm(params.M, axis=1)
-    if np.any(row_norms <= 0.0):
-        raise PenaltyError("all rows of M must have positive norm")
+    row_norms = _row_norms(params.M)
     delta = tao_vu_quantile(alpha)
     return params.d * float(np.linalg.norm(params.p)) / (float(row_norms.min()) * delta)

@@ -71,7 +71,7 @@ def _matches(value, tp) -> bool:
     """value fits the annotation tp. float is a real number and int an
     integral one, neither a bool; Literal is one of its strings; Union takes
     any member; Sequence[X] and List[X] are a list or tuple of X, and
-    FrozenSet[X] also a frozenset of X; any other class is isinstance."""
+    FrozenSet[X] also a set or frozenset of X; any other class is isinstance."""
     origin, args = get_origin(tp), get_args(tp)
     if tp is float:
         return is_real(value)
@@ -82,7 +82,7 @@ def _matches(value, tp) -> bool:
     if origin is Union:
         return any(_matches(value, member) for member in args)
     if origin in (collections.abc.Sequence, list, frozenset):
-        kinds = (list, tuple, frozenset) if origin is frozenset else (list, tuple)
+        kinds = (list, tuple, frozenset, set) if origin is frozenset else (list, tuple)
         return isinstance(value, kinds) and all(_matches(v, args[0]) for v in value)
     return isinstance(value, tp)
 
@@ -227,10 +227,11 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
     (with z and the reduced costs) come from a fresh inverse only.
     `allowed` optionally masks columns permitted to enter the basis (used to
     restrict optimization to an optimal face). `Binv`, when given, is a fresh
-    inverse of A[:, basis], taken by the caller, which the simplex starts
-    from (and overwrites) in place of its own first inversion. Returns
-    (status, z, basis, reduced), with the reduced costs of the final basis
-    when optimal.
+    inverse of A[:, basis], taken by the caller or returned by the stage
+    before, which the simplex starts from (and overwrites) in place of its
+    own first inversion. Returns (status, z, basis, reduced, Binv): the
+    reduced costs of the final basis when optimal, and the fresh inverse of
+    A[:, basis] the verdict came from.
     """
     m, nvar = A.shape
     basis = list(basis)
@@ -257,7 +258,7 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
                 continue
             z = np.zeros(nvar)
             z[basis] = np.maximum(xB, 0.0)
-            return OPTIMAL, z, basis, reduced
+            return OPTIMAL, z, basis, reduced, Binv
         if stall >= _STALL_LIMIT:  # Bland: smallest eligible index
             enter = int(candidates[0])
         else:  # most negative reduced cost; argmin keeps the first of ties
@@ -268,7 +269,7 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
             if updates:
                 Binv = None
                 continue
-            return UNBOUNDED, None, basis, None
+            return UNBOUNDED, None, basis, None, Binv
         ratios = np.full(m, np.inf)
         ratios[positive] = np.maximum(xB[positive], 0.0) / direction[positive]
         rmin = ratios.min()
@@ -363,7 +364,7 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
                 basis[i] = nvar + k
             A1 = np.hstack([A, np.eye(m)[:, artificial_rows]])
             c1 = np.concatenate([np.zeros(nvar), np.ones(artificial_rows.size)])
-            status, z, basis, _ = _simplex(c1, A1, b, basis)
+            status, z, basis, _, Binv = _simplex(c1, A1, b, basis)
             if status != OPTIMAL:
                 raise SolverError("phase 1, bounded below by zero, reported unbounded")
             if float(z[nvar:].sum()) > 1e-7:
@@ -371,10 +372,12 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
             # Drive residual artificials (basic at zero) out of the basis. One
             # always can: if the artificial e_r sits at position i, then
             # u = B^-T e_i has u_r = 1, so row r's surplus is nonbasic with
-            # entry +-1 in u'A.
+            # entry +-1 in u'A. With none left, B is a basis of A as well, and
+            # phase 2 starts from phase 1's inverse of it.
             for i in range(m):
                 if basis[i] < nvar:
                     continue
+                Binv = None
                 u = np.linalg.solve(A1[:, basis].T, np.eye(m)[i])
                 entering = np.abs(u @ A) > 1e-9
                 entering[[j for j in basis if j < nvar]] = False
@@ -382,10 +385,10 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
                     raise SolverError(f"no column can replace the artificial of row {i}")
                 basis[i] = int(np.argmax(entering))
 
-    status, z, basis, reduced = _simplex(cost, A, b, basis, Binv=Binv)
+    status, z, basis, reduced, Binv = _simplex(cost, A, b, basis, Binv=Binv)
     if status == OPTIMAL and stage2 is not None:
         allowed = reduced <= _REDUCED_COST_TOL
-        status, z, basis, _ = _simplex(stage2, A, b, basis, allowed=allowed)
+        status, z, basis, _, _ = _simplex(stage2, A, b, basis, allowed=allowed, Binv=Binv)
     if status != OPTIMAL:
         return LpSolution(status=status)
     if bases is not None:  # front of the list; drop the same columns in another order

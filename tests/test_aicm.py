@@ -20,7 +20,7 @@ from lpbound.aicm import (
     ingest_sample,
     read_microdata_csv,
 )
-from lpbound.linalg import OPTIMAL
+from lpbound.linalg import INFEASIBLE, OPTIMAL, TAU_FEAS
 
 
 def proof_example_table() -> ConditionalMomentTable:
@@ -175,6 +175,26 @@ class TestGeneralPath:
         v_mtr, status = lower_bound(table, {"bounds", "mtr"}, MeanPotential("1"))
         assert status == OPTIMAL
         assert v_plain <= v_mtr + 1e-9
+
+    @pytest.mark.parametrize("kinds, observed", [
+        ({"bounds"}, {"1"}), ({"bounds", "mtr"}, {"0", "1"}), ({"bounds", "miv"}, {"1"}),
+    ])
+    def test_cell_mean_below_k0_is_infeasible(self, kinds, observed):
+        # E[Y | T=1, Z=b] = -0.5 < K0 = 0: the data refute the outcome bounds,
+        # so the row the observed cell decides stays and the LP is infeasible
+        mean = np.array([[0.2, 0.4], [0.3, -0.5]])
+        mean[[t not in observed for t in ("0", "1")]] = np.nan
+        table = ConditionalMomentTable(["0", "1"], ["a", "b"], mean, np.full((2, 2), 0.25),
+                                       np.ones((2, 2)), frozenset(observed))
+        spec = AssumptionSpec(kinds=frozenset(kinds), bounds=(0.0, 1.0), target=MeanPotential("1"))
+        program = compile(table, spec)
+        refuting = ~program.lp.M.any(axis=1)
+        assert program.lp.c[refuting].tolist() == [0.5]
+        assert [bound_value(program, side)[1] for side in ("lower", "upper")] == [INFEASIBLE] * 2
+        # without it, the rows are those of a table whose data hold
+        table.mean[1, 1] = 0.5
+        assert compile(table, spec, keep_refuted=False).lp.M.tobytes() == \
+            program.lp.M[~refuting].tobytes() == compile(table, spec).lp.M.tobytes()
 
     def test_cmiv_with_missing_data_rejected(self, rng):
         table = ingest_sample(self._records(rng))
@@ -424,7 +444,7 @@ def test_block_program_matches_row_by_row_assembly(kinds):
     rng = np.random.default_rng(18)
     for nt, nz in ((2, 1), (2, 4), (3, 3)):
         prob = rng.uniform(0.1, 1.0, (nt, nz))
-        mean = rng.uniform(-1.0, 1.0, (nt, nz))
+        mean = rng.uniform(-1.2, 1.2, (nt, nz))  # some cells outside the bounds
         labels = [str(i) for i in range(nt)]
         table = ConditionalMomentTable(labels, [f"z{j}" for j in range(nz)], mean,
                                        prob / prob.sum(), np.ones((nt, nz)), frozenset(labels))
@@ -435,3 +455,105 @@ def test_block_program_matches_row_by_row_assembly(kinds):
             M, c, p = _block_rows_reference(table, spec, "1")
             assert (lp.M.shape, lp.M.tobytes(), lp.c.tobytes(), lp.p.tobytes()) == \
                 (M.shape, M.tobytes(), c.tobytes(), p.tobytes())
+
+
+def _general_rows_reference(table, spec, t):
+    """(M, c, p, offset, labels) of the general program filled row by row and
+    entry by entry, keeping every row: the reference its array assembly must
+    match bit for bit once the rows the observed cells decide are dropped."""
+    ti, nt, nz = table.t_index(t), table.n_treatments, table.n_instruments
+    tz = table.t_given_z()
+    n_m = nt * nz * nt
+
+    def midx(a, z, d):
+        return (a * nz + z) * nt + d
+
+    mt_rows, mt_rhs = [], []
+    if spec.bounds is not None:
+        k0, k1 = spec.bounds
+        for d in range(nt):
+            e = np.zeros(nt)
+            e[d] = 1.0
+            mt_rows += [e, -e]
+            mt_rhs += [-k0, k1]
+    if "mtr" in spec.kinds:
+        for d in range(nt - 1):
+            e = np.zeros(nt)
+            e[d], e[d + 1] = -1.0, 1.0
+            mt_rows.append(e)
+            mt_rhs.append(spec.relax)
+    rows, rhs = [], []
+    for a in range(nt):
+        for z in range(nz):
+            for row, r in zip(mt_rows, mt_rhs):
+                full = np.zeros(n_m)
+                for d in range(nt):
+                    full[midx(a, z, d)] = row[d]
+                rows.append(full)
+                rhs.append(r)
+    if "miv" in spec.kinds:
+        for d in range(nt):
+            for z in range(nz - 1):
+                full = np.zeros(n_m)
+                for a in range(nt):
+                    full[midx(a, z + 1, d)] += tz[a, z + 1]
+                    full[midx(a, z, d)] -= tz[a, z]
+                rows.append(full)
+                rhs.append(spec.relax)
+    obs = np.zeros(n_m)
+    known = set()
+    for a, label in enumerate(table.treatments):
+        if label in table.observed:
+            for z in range(nz):
+                obs[midx(a, z, a)] = table.mean[a, z]
+                known.add(midx(a, z, a))
+    free = [i for i in range(n_m) if i not in known]
+    labels = []
+    for i in free:
+        a, rem = divmod(i, nz * nt)
+        z, d = divmod(rem, nt)
+        labels.append((table.treatments[d], table.treatments[a], table.instruments[z]))
+    mu = np.zeros(n_m)
+    for a in range(nt):
+        for z in range(nz):
+            mu[midx(a, z, ti)] = table.prob[a, z]
+    A, b = np.array(rows), np.array(rhs)
+    return A[:, free], -b - A @ obs, mu[free], float(mu @ obs), labels
+
+
+@pytest.mark.parametrize("kinds", [
+    {"bounds"}, {"mtr"}, {"bounds", "mtr"}, {"bounds", "miv"}, {"mtr", "miv"},
+    {"bounds", "mtr", "miv"},
+])
+def test_general_program_matches_row_by_row_assembly(kinds):
+    rng = np.random.default_rng(19)
+    dropped = refuted = 0
+    for nt, nz, unobserved in ((2, 1, ()), (2, 3, ()), (3, 2, ()), (2, 3, ("0",)),
+                               (3, 3, ("0",)), (3, 2, ("0", "1"))):
+        prob = rng.uniform(0.1, 1.0, (nt, nz))
+        mean = rng.uniform(-1.2, 1.2, (nt, nz))  # some cells outside the bounds
+        labels = [str(i) for i in range(nt)]
+        mean[[labels.index(u) for u in unobserved]] = np.nan
+        observed = frozenset(labels) - set(unobserved)
+        if "mtr" not in kinds and not unobserved:
+            continue  # fully observed without mtr compiles to the block program
+        table = ConditionalMomentTable(labels, [f"z{j}" for j in range(nz)], mean,
+                                       prob / prob.sum(), np.ones((nt, nz)), observed)
+        for relax in (0.0, 0.05):
+            spec = AssumptionSpec(kinds=frozenset(kinds), relax=relax, target=MeanPotential(labels[-1]),
+                                  bounds=(-1.0, 1.0) if "bounds" in kinds else None)
+            M, c, p, offset, names = _general_rows_reference(table, spec, spec.target.t)
+            decided = ~M.any(axis=1)
+            dropped += (decided & (c <= TAU_FEAS)).sum()
+            refuted += (decided & (c > TAU_FEAS)).sum()
+            for keep_refuted, kept in ((True, ~decided | (c > TAU_FEAS)), (False, ~decided)):
+                prog = compile(table, spec, keep_refuted)
+                lp = prog.lp
+                assert (lp.M.shape, lp.M.tobytes(), lp.c.tobytes()) == \
+                    (M[kept].shape, M[kept].tobytes(), c[kept].tobytes())
+                assert (lp.p.tobytes(), prog.offset, prog.variable_labels) == \
+                    (p.tobytes(), offset, names)
+                bound = spec.bounds or (-np.inf, np.inf)
+                assert all(np.array_equal(side, np.full(p.size, k)) for side, k in zip(lp.box, bound))
+                assert prog.valid_only == ("miv" in kinds)
+    assert (dropped > 0 and refuted > 0) if "bounds" in kinds else dropped == refuted == 0

@@ -513,9 +513,82 @@ class TestAicmCommand:
         doc = json.loads(out.read_text())
         assert doc["bounds"]["lower"] <= doc["bounds"]["upper"]
         assert doc["ci"]["lower"] <= doc["ci"]["upper"]
+        for key in ("estimates", "se", "degenerate_variance"):  # one entry per direction
+            assert set(doc["ci"][key]) == {"lower", "upper"}
         assert "ets_estimate" in doc
         assert doc["target"] == {"type": "ate"}
         assert "M" in doc["lp"] and "p" in doc["lp"]
+
+    @pytest.mark.parametrize("kinds, target, missing", [
+        (["bounds", "mtr"], {"type": "ate", "t": "1", "d": "0"}, False),
+        (["bounds"], {"type": "mean", "t": "1"}, True),  # no outcomes for t = 0
+    ], ids=["mtr-ate", "missing-mean"])
+    def test_ci_on_the_general_program(self, tmp_path, rng, kinds, target, missing):
+        # the observed cells decide some bounds rows; the compiled M keeps none
+        # of them, so no row of M is zero and the penalty can be selected
+        cfg = self._general_config(tmp_path, self._general_rows(rng, missing), kinds, target)
+        out = tmp_path / "out.json"
+        assert run_cli(["aicm", "--config", cfg, "--seed", "3", "--diagnostics"], out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["statuses"] == {"lower": "optimal", "upper": "optimal"}
+        assert all(any(row) for row in doc["lp"]["M"])
+        ci = doc["ci"]
+        assert ci["lower"] <= ci["upper"]
+        for side in ("lower", "upper"):  # sigma_min is 0, so a degenerate se is 0
+            assert ci["degenerate_variance"][side] == (ci["se"][side] == 0.0)
+            if ci["se"][side] == 0.0:
+                # a known defect, not what the interval should be: that end
+                # is its point estimate, as the noise in p and the offset is
+                # left out of the variance (ROADMAP.md item 2)
+                assert ci[side] == ci["estimates"][side]
+
+    @pytest.mark.parametrize("cell_mean, code", [(0.01, EXIT_OK), (-0.01, EXIT_COMPUTE)])
+    def test_ci_with_an_outcome_below_k0(self, tmp_path, rng, capsys, cell_mean, code):
+        # one outcome far below K0 = 0 sets the mean of cell (T=0, Z=z1) to
+        # cell_mean. At 0.01 the full sample holds but the fold and the
+        # bootstrap draws that hold that record twice refute the bound: the
+        # folds and draws compile the full sample's rows all the same. At
+        # -0.01 the full sample refutes the bounds, and there is no interval.
+        rows = self._general_rows(rng, missing=False)
+        cell = [i for i, (y, t, z) in enumerate(rows) if (t, z) == ("0", "z1")]
+        others = sum(rows[i][0] for i in cell[1:])
+        rows[cell[0]] = (round(cell_mean * len(cell) - others, 6), "0", "z1")
+        cfg = self._general_config(tmp_path, rows, ["bounds", "mtr"],
+                                   {"type": "ate", "t": "1", "d": "0"})
+        out = tmp_path / "out.json"
+        assert run_cli(["aicm", "--config", cfg, "--seed", "3"], out) == code
+        if code == EXIT_OK:
+            doc = json.loads(out.read_text())
+            assert doc["statuses"] == {"lower": "optimal", "upper": "optimal"}
+            assert doc["ci"]["lower"] <= doc["ci"]["upper"]
+        else:
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["code"] == "inference_failed"
+            assert "refute" in err["message"]
+
+    @staticmethod
+    def _general_rows(rng, missing):
+        """240 (y, t, z) records with y in [0, 1]; y is empty for t = 0 when
+        missing."""
+        rows = []
+        for z, pt in (("z1", 0.35), ("z2", 0.65)):
+            for _ in range(120):
+                t = "1" if rng.random() < pt else "0"
+                y = round(float(np.clip(rng.normal(0.6 if t == "1" else 0.4, 0.2), 0, 1)), 6)
+                rows.append(("" if missing and t == "0" else y, t, z))
+        return rows
+
+    @staticmethod
+    def _general_config(tmp_path, rows, kinds, target):
+        data = tmp_path / "micro.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([("y", "t", "z")] + rows)
+        return write_json(tmp_path / "cfg.json", {
+            "data": str(data),
+            "assumptions": {"kinds": kinds, "bounds": [0.0, 1.0]},
+            "target": target,
+            "ci": {"bootstrap_reps": 50},
+        })
 
     def test_empty_cell_surfaces_cell(self, tmp_path, capsys):
         rows = [("y", "t", "z"), (0.1, "1", "z1"), (0.2, "0", "z1"), (0.3, "1", "z2")]

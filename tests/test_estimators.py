@@ -158,9 +158,11 @@ class TestSelectionRules:
         assert np.all(big > ref)
 
     def test_zero_row_rejected(self):
-        params = LpParams(np.array([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2))
-        with pytest.raises(PenaltyError):
+        params = LpParams(np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2))
+        with pytest.raises(PenaltyError, match="^row 1 of M has zero norm"):
             select_penalty(params, 100, PenaltyConfig())
+        with pytest.raises(PenaltyError, match="^row 1 of M has zero norm"):
+            select_v_bar(params)
 
     def test_v_bar_uses_smallest_row_norm(self):
         params = example1_params(0.0)

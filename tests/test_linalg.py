@@ -192,8 +192,9 @@ class TestDriveOut:
 
 def _simplex_reinverting(cost, A, b, basis, allowed=None, Binv=None, pivots=None):
     """The simplex loop, with its pricing rule and stall fallback, taking a
-    fresh basis inverse at every pivot (a warm start's Binv is the same
-    inverse of the same matrix, so it is taken again): the reference the
+    fresh basis inverse at every pivot (a Binv passed in, by a warm start or
+    from the stage before, is the same inverse of the same matrix, so it is
+    taken again): the reference the
     rank-one update must reproduce bit for bit. Appends the pivot count of
     each call to `pivots`."""
     m, nvar = A.shape
@@ -214,7 +215,7 @@ def _simplex_reinverting(cost, A, b, basis, allowed=None, Binv=None, pivots=None
             pivots.append(count)
             z = np.zeros(nvar)
             z[basis] = np.maximum(xB, 0.0)
-            return OPTIMAL, z, basis, reduced
+            return OPTIMAL, z, basis, reduced, Binv
         if stall >= linalg._STALL_LIMIT:
             enter = int(candidates[0])
         else:
@@ -223,7 +224,7 @@ def _simplex_reinverting(cost, A, b, basis, allowed=None, Binv=None, pivots=None
         positive = direction > linalg._PIVOT_TOL
         if not positive.any():
             pivots.append(count)
-            return UNBOUNDED, None, basis, None
+            return UNBOUNDED, None, basis, None, Binv
         ratios = np.full(m, np.inf)
         ratios[positive] = np.maximum(xB[positive], 0.0) / direction[positive]
         rmin = ratios.min()
@@ -318,9 +319,9 @@ class TestRankOneUpdate:
             return real_inv(a)
 
         def checked_simplex(cost, A, b, basis, allowed=None, Binv=None):
-            status, z, final, reduced = simplex(cost, A, b, basis, allowed, Binv)
+            status, z, final, reduced, Binv = simplex(cost, A, b, basis, allowed, Binv)
             assert np.array_equal(inverted[-1], A[:, final])
-            return status, z, final, reduced
+            return status, z, final, reduced, Binv
 
         monkeypatch.setattr(np.linalg, "inv", recording_inv)
         monkeypatch.setattr(linalg, "_simplex", checked_simplex)
@@ -564,6 +565,7 @@ class _Typed:
     ({"limit": None}, True),  # Optional accepts None
     ({"limit": "x"}, False),
     ({"tags": ["x", "y"]}, True),  # a FrozenSet accepts a list
+    ({"tags": {"x"}}, True),  # and a set
     ({"tags": ["z"]}, False),
     ({"rate": float("inf")}, False),  # a float must be finite
     ({"limit": float("nan")}, False),
