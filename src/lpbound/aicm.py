@@ -7,7 +7,8 @@ into (p, M, c) plus an identified offset so that
 
     bound on E[Y(t)] (or an ATE) = optimum of p'x over {Mx >= c} + offset,
 
-where x collects the unobserved counterfactual conditional means. A closed
+where x collects the unobserved counterfactual conditional means and the
+outcome bounds K0 <= x <= K1 are the box, not rows of M. A closed
 form recursion evaluates the weak conditional-monotonicity bounds for binary
 treatment, which doubles as an independent oracle for the compiled LPs.
 """
@@ -22,7 +23,7 @@ from typing import FrozenSet, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import LpParams, check_fields, solve_lp, OPTIMAL, TAU_FEAS
+from .linalg import LpParams, check_fields, solve_lp, INFEASIBLE, OPTIMAL, TAU_FEAS
 
 _PROB_TOL = 1e-10
 
@@ -292,6 +293,7 @@ class CompiledProgram:
     offset: float
     variable_labels: List[Tuple]
     valid_only: bool = False
+    refuted: bool = False  # an observed cell mean lies outside the outcome bounds
 
 
 def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int):
@@ -300,8 +302,8 @@ def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int)
 
     Variables x = (x^N, ..., x^1): one block per instrument level, descending,
     each block holding E[Y(t) | T=d, Z=z_j] for d != t ascending. Monotonicity
-    rows couple adjacent blocks; per-block identity rows carry the outcome
-    bounds.
+    rows couple adjacent blocks, and they are the only rows: without them M
+    has none (the outcome bounds are the box).
     """
     t = table.treatments[ti]
     nt, nz = table.n_treatments, table.n_instruments
@@ -350,8 +352,8 @@ def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int)
     # the columns of each block, and every column in (j, pos) order
     cols = [slice(col(j, 0), col(j, 0) + k) for j in range(nz)]
     order = np.arange(d_vars).reshape(nz, k)[::-1].ravel()
-    M_blocks: List[np.ndarray] = []
-    c_blocks: List[np.ndarray] = []
+    M_blocks: List[np.ndarray] = [np.zeros((0, d_vars))]
+    c_blocks: List[np.ndarray] = [np.zeros(0)]
     if KIND_MIV in spec.kinds:
         groups = [group_rows(j) for j in range(nz)]
         for j in range(1, nz):
@@ -362,17 +364,6 @@ def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int)
             block[:, cols[j - 1]] -= Gp
             M_blocks.append(block)
             c_blocks.append(cp - cj - spec.relax)
-    if spec.bounds is not None:
-        k0, k1 = spec.bounds
-        # per column in (j, pos) order: -x >= -K1, then x >= K0
-        block = np.zeros((2 * d_vars, d_vars))
-        block[0::2][np.arange(d_vars), order] = -1.0
-        block[1::2][np.arange(d_vars), order] = 1.0
-        M_blocks.append(block)
-        c_blocks.append(np.tile([-k1, k0], d_vars))
-    if not M_blocks:
-        M_blocks.append(np.zeros((1, d_vars)))
-        c_blocks.append(np.zeros(1))
 
     p = np.zeros(d_vars)
     p[order] = (pz * tz[others]).T.ravel()  # pz[j] * tz[di, j]
@@ -380,45 +371,31 @@ def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int)
     return p, np.vstack(M_blocks), np.concatenate(c_blocks), offset, labels, False
 
 
-def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int,
-                     keep_refuted: bool):
+def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int):
     """Full conditional-moment-vector program (supports MTR and missing
     data): (p, M, c, offset, labels, valid_only).
 
     The moment vector m has one coordinate per (treatment cell, instrument
     cell, potential-outcome leg): m[(a, z), d] = E[Y(d) | T=a, Z=z], at flat
-    index (a*nz + z)*nt + d. Almost sure restrictions are replicated across
+    index (a*nz + z)*nt + d. The MTR restrictions are replicated across
     cells; instrument-monotonicity rows mix cells within adjacent z levels.
-    Observed coordinates (d = a with outcome data) are substituted out. A
-    row left with no free entry is dropped when the data satisfy it (c <=
-    TAU_FEAS) and, with keep_refuted, kept when they refute it, which makes
-    the LP infeasible.
+    Observed coordinates (d = a with outcome data) are substituted out. Each
+    row couples two coordinates of which at most one is observed, so every
+    row of M keeps a free entry; the outcome bounds are the box.
     """
     nt, nz = table.n_treatments, table.n_instruments
     tz = table.t_given_z()
     cells = nt * nz
 
     # almost-sure restrictions R y + r >= 0 on y = (Y(0), ..., Y(nt-1)):
-    # Y(d) - K0 >= 0 and K1 - Y(d) >= 0 per d (the rows e_d and -e_d, the
-    # latter with -0.0 off its diagonal), then Y(d+1) - Y(d) + relax >= 0
-    R_blocks, r_blocks = [np.zeros((0, nt))], [np.zeros(0)]
-    if spec.bounds is not None:
-        k0, k1 = spec.bounds
-        eye = np.eye(nt)
-        R_blocks.append(np.stack([eye, -eye], axis=1).reshape(2 * nt, nt))
-        r_blocks.append(np.tile([-k0, k1], nt))
-    if KIND_MTR in spec.kinds:
-        steps = np.zeros((nt - 1, nt))
-        steps[np.arange(nt - 1), np.arange(nt - 1)] = -1.0
-        steps[np.arange(nt - 1), np.arange(1, nt)] = 1.0
-        R_blocks.append(steps)
-        r_blocks.append(np.full(nt - 1, spec.relax))
-    R = np.vstack(R_blocks)
+    # Y(d+1) - Y(d) + relax >= 0 under MTR
+    mtr = nt - 1 if KIND_MTR in spec.kinds else 0
+    R = (np.eye(nt, k=1) - np.eye(nt))[:mtr]
     # A m + b >= 0: R in the diagonal (cell, cell) block of every cell
-    A = np.zeros((cells, len(R), cells, nt))
+    A = np.zeros((cells, mtr, cells, nt))
     A[np.arange(cells), :, np.arange(cells)] = R
-    A = A.reshape(cells * len(R), cells * nt)
-    b = np.tile(np.concatenate(r_blocks), cells)
+    A = A.reshape(cells * mtr, cells * nt)
+    b = np.full(cells * mtr, spec.relax)
     if KIND_MIV in spec.kinds:
         # row (d, z): sum_a tz[a, z+1] m[(a, z+1), d] - tz[a, z] m[(a, z), d] + relax >= 0
         miv = np.zeros((nt, nz - 1, nt, nz, nt))
@@ -440,14 +417,11 @@ def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: in
     labels = [(table.treatments[d], table.treatments[a], table.instruments[z])
               for a, z, d in zip(*np.unravel_index(free, (nt, nz, nt)))]
 
-    M = A[:, free]
-    c = -b - A @ values
-    keep = M.any(axis=1) | (keep_refuted & (c > TAU_FEAS))
-    valid_only = len(R) > 0 and KIND_MIV in spec.kinds
-    return mu[free], M[keep], c[keep], float(mu @ values), labels, valid_only
+    valid_only = (spec.bounds is not None or mtr > 0) and KIND_MIV in spec.kinds
+    return mu[free], A[:, free], -b - A @ values, float(mu @ values), labels, valid_only
 
 
-def _single_target_program(table, spec, t, keep_refuted: bool) -> CompiledProgram:
+def _single_target_program(table, spec, t) -> CompiledProgram:
     conditional = bool(spec.kinds & {KIND_CMIV_S, KIND_CMIV_P})
     missing = len(table.observed) != table.n_treatments
     if conditional and KIND_MTR in spec.kinds:
@@ -461,27 +435,31 @@ def _single_target_program(table, spec, t, keep_refuted: bool) -> CompiledProgra
     if t not in table.observed:
         raise CompileError(f"target treatment {t!r} has no outcome data")
     if KIND_MTR in spec.kinds or missing:
-        p, M, c, offset, labels, valid_only = _general_program(table, spec, ti, keep_refuted)
+        p, M, c, offset, labels, valid_only = _general_program(table, spec, ti)
     else:
         p, M, c, offset, labels, valid_only = _block_program(table, spec, ti)
-    box = None if spec.bounds is None else tuple(np.full(p.size, k) for k in spec.bounds)
-    return CompiledProgram(LpParams(p=p, M=M, c=c, box=box), offset, labels, valid_only)
+    k0, k1 = spec.bounds or (-np.inf, np.inf)
+    box = (np.full(p.size, k0), np.full(p.size, k1))
+    # an observed cell mean outside the bounds refutes them (NaN compares False)
+    refuted = bool(np.any((k0 - table.mean > TAU_FEAS) | (table.mean - k1 > TAU_FEAS)))
+    return CompiledProgram(LpParams(p=p, M=M, c=c, box=box), offset, labels, valid_only, refuted)
 
 
-def compile(table: ConditionalMomentTable, spec: AssumptionSpec,
-            keep_refuted: bool = True) -> CompiledProgram:
+def compile(table: ConditionalMomentTable, spec: AssumptionSpec) -> CompiledProgram:
     """LP whose direction-appropriate optimum plus offset is the target bound.
 
-    A row the observed cell means refute stays in M as a zero row, so the LP
-    is infeasible. keep_refuted=False drops it too: the rows of M then depend
-    only on the supports, observed treatments and kinds, alike for every
-    resample of one sample, as the bootstrap and the CI folds need."""
+    The outcome bounds are the box. The rows of M depend only on the
+    supports, observed treatments and kinds, alike for every resample of one
+    sample, as the bootstrap and the CI folds need. An observed cell mean
+    outside the bounds by more than TAU_FEAS refutes them: the program is
+    compiled all the same, with `refuted` set, and bound_value reports it
+    infeasible."""
     target = spec.target
     if isinstance(target, MeanPotential):
-        return _single_target_program(table, spec, target.t, keep_refuted)
+        return _single_target_program(table, spec, target.t)
     if isinstance(target, ATE):
-        prog_t = _single_target_program(table, spec, target.t, keep_refuted)
-        prog_d = _single_target_program(table, spec, target.d, keep_refuted)
+        prog_t = _single_target_program(table, spec, target.t)
+        prog_d = _single_target_program(table, spec, target.d)
         dt, dd = prog_t.lp.d, prog_d.lp.d
         p = np.concatenate([prog_t.lp.p, -prog_d.lp.p])
         M = np.block([
@@ -498,24 +476,23 @@ def compile(table: ConditionalMomentTable, spec: AssumptionSpec,
             offset=prog_t.offset - prog_d.offset,
             variable_labels=prog_t.variable_labels + prog_d.variable_labels,
             valid_only=prog_t.valid_only or prog_d.valid_only,
+            refuted=prog_t.refuted or prog_d.refuted,
         )
     raise CompileError(f"unsupported target {target!r}")
 
 
 def bound_value(program: CompiledProgram, direction: str):
-    """(bound, status): the direction-appropriate optimum plus the offset."""
-    if direction == "lower":
-        sol = solve_lp(program.lp)
-        value = sol.value
-    elif direction == "upper":
-        flipped = LpParams(-program.lp.p, program.lp.M, program.lp.c, program.lp.box)
-        sol = solve_lp(flipped)
-        value = -sol.value if sol.value is not None else None
-    else:
+    """(bound, status): the direction-appropriate optimum plus the offset;
+    (None, "infeasible") without a solve when the data refute the bounds."""
+    if direction not in ("lower", "upper"):
         raise CompileError(f"direction must be lower/upper, got {direction!r}")
+    if program.refuted:
+        return None, INFEASIBLE
+    flip = -1.0 if direction == "upper" else 1.0  # the upper bound is -min(-p'x)
+    sol = solve_lp(LpParams(flip * program.lp.p, program.lp.M, program.lp.c, program.lp.box))
     if sol.status != OPTIMAL:
         return None, sol.status
-    return value + program.offset, OPTIMAL
+    return flip * sol.value + program.offset, OPTIMAL
 
 
 @dataclass
@@ -613,8 +590,9 @@ def bootstrap_theta_covariance(
 
     Returns n * cov(theta-hat draws), the scale expected by the inference
     machinery (theta-hat ~ (theta, sigma / n)). Resamples that produce empty
-    cells are redrawn (up to a cap) and each compiles with keep_refuted=False,
-    since the compiled dimensions must match.
+    cells are redrawn (up to a cap), since the compiled dimensions must
+    match; every other resample compiles to the rows of the full sample, and
+    a resample that refutes the outcome bounds counts like any other.
     """
     rng = np.random.default_rng(seed)
     data = Microdata.of(records)
@@ -633,6 +611,6 @@ def bootstrap_theta_covariance(
             continue
         if tab.treatments != base.treatments or tab.instruments != base.instruments:
             continue
-        draws.append(compile(tab, spec, keep_refuted=False).lp.theta())
+        draws.append(compile(tab, spec).lp.theta())
     theta = np.array(draws)
     return n * np.cov(theta.T, bias=False)

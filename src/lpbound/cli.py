@@ -367,7 +367,7 @@ def _infer_rows(config: dict, n: Optional[int], seed: int) -> Tuple[np.ndarray, 
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise CliError("io_error", f"cannot read data CSV {path}: {exc}")
-    S = params.d + params.q * params.d + params.q
+    S = params.theta().size
     if rows.shape[1] != S:
         raise CliError(
             "dimension_mismatch", f"data rows have {rows.shape[1]} columns, need {S}"
@@ -482,7 +482,7 @@ def _aicm_inference(records, base_spec, direction: str, cfg: InferenceConfig,
             table = ingest_sample(data.take(idx))
         except TableError as exc:
             raise InferenceError(f"fold produced an invalid table: {exc}")
-        prog = compile_program(table, base_spec, keep_refuted=False)
+        prog = compile_program(table, base_spec)
         lp = prog.lp
         offset = prog.offset
         params = LpParams(p=flip * lp.p, M=lp.M, c=lp.c, box=lp.box)
@@ -539,7 +539,7 @@ def cmd_aicm(config: dict, args) -> int:
         reps = _at_least_2(ci_doc.get("bootstrap_reps", 200), "bootstrap_reps")
         doc = {k: v for k, v in ci_doc.items() if k != "bootstrap_reps"}
         cfg = _config(InferenceConfig, doc, "ci")
-        if compile_program(table, spec, keep_refuted=False).lp.q < program.lp.q:
+        if program.refuted:
             raise CliError("inference_failed", "an observed cell mean lies outside the "
                            "outcome bounds, so the data refute the assumptions and there "
                            "is no interval to estimate", exit_code=EXIT_COMPUTE)

@@ -145,12 +145,13 @@ def debiased_estimate(params: LpParams, w, pick: str = "max",
     )
 
 
-def full_rank_binding(M: np.ndarray, binding: np.ndarray) -> bool:
-    """Whether the binding rows of M span R^d within the rank tolerance."""
-    d = M.shape[1]
+def full_rank_binding(rows: np.ndarray, binding: np.ndarray) -> bool:
+    """Whether the binding rows of `rows` (M, or the effective system of M
+    and the box rows) span R^d within the rank tolerance."""
+    d = rows.shape[1]
     if binding.size < d:
         return False
-    sub = M[binding]
+    sub = rows[binding]
     scale = max(1.0, float(np.abs(sub).max()))
     return smallest_singular_value(sub) > TAU_RANK * scale * 10.0
 
@@ -206,7 +207,11 @@ def select_penalty(params: LpParams, n: int, cfg: PenaltyConfig) -> np.ndarray:
 
 
 def select_v_bar(params: LpParams, alpha: float = 0.1) -> float:
-    """Radius bound v_bar = d * ||p|| / (min_j ||M_j|| * delta_alpha)."""
-    row_norms = _row_norms(params.M)
+    """Radius bound v_bar = d * ||p|| / (min_j ||E_j|| * delta_alpha) over
+    the rows E_j of the effective system: M, then the finite box rows, each
+    of norm 1."""
+    row_norms = _row_norms(params.effective_system()[0])
+    if not row_norms.size:
+        raise PenaltyError("v_bar needs a constraint row: M has none and the box is unbounded")
     delta = tao_vu_quantile(alpha)
     return params.d * float(np.linalg.norm(params.p)) / (float(row_norms.min()) * delta)

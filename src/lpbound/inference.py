@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .linalg import LpParams, DimensionError, check_fields
+from .linalg import LpParams, DimensionError, binding_rows, check_fields
 from .estimators import (
     PenaltyConfig,
     debiased_estimate,
@@ -47,7 +47,7 @@ class ThetaEstimate:
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
-        S = self.params.d + self.params.q * self.params.d + self.params.q
+        S = self.params.theta().size
         if self.sigma.shape != (S, S):
             raise DimensionError(
                 f"sigma must be {S}x{S} for (q,d)=({self.params.q},{self.params.d})"
@@ -61,7 +61,7 @@ ThetaEstimator = Callable[[np.ndarray], ThetaEstimate]
 
 @dataclass
 class OptimalTriplet:
-    A: np.ndarray  # binding M-row indices, |A| >= d
+    A: np.ndarray  # binding M-row indices; with binding box rows |A| may be below d
     x: np.ndarray  # point in R^d
     v: np.ndarray  # vector in R^q, support within A
 
@@ -159,19 +159,27 @@ def ball_constrained_lstsq(
 def find_triplet(
     theta1: LpParams, w: np.ndarray, v_bar: float
 ) -> OptimalTriplet:
-    """Fold-1 triplet: debiased vertex, its binding set, and dual weights."""
+    """Fold-1 triplet: debiased vertex, its binding set, and dual weights.
+
+    The binding rows of the effective system (M, then the finite box rows)
+    must span R^d, and v is fitted to p over all of them. The box rows are
+    known, not estimated, so the triplet keeps only the rows of M among them
+    (A) and their weights (v, in R^q); the box rows' weights are dropped.
+    """
     result = debiased_estimate(theta1, w)
-    A = result.binding
-    if not full_rank_binding(theta1.M, A):
+    rows, rhs = theta1.effective_system()
+    binding = binding_rows(rows, rhs, result.vertex)
+    if not full_rank_binding(rows, binding):
         raise InferenceError(
             "no full-rank vertex-solution found on fold 1: binding rows "
-            f"{A.tolist()} do not span R^{theta1.d}; include box rows in M "
-            "or increase the penalty"
+            f"{binding.tolist()} of M and the box do not span R^{theta1.d}; "
+            "increase the penalty"
         )
-    v_A = ball_constrained_lstsq(theta1.M[A], theta1.p, v_bar)
+    v_binding = ball_constrained_lstsq(rows[binding], theta1.p, v_bar)
+    on_M = binding < theta1.q
     v = np.zeros(theta1.q)
-    v[A] = v_A
-    return OptimalTriplet(A=A, x=result.vertex, v=v)
+    v[binding[on_M]] = v_binding[on_M]
+    return OptimalTriplet(A=binding[on_M], x=result.vertex, v=v)
 
 
 def check_covariance(sigma: np.ndarray, name: str = "Sigma") -> None:

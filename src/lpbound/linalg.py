@@ -129,9 +129,9 @@ def _as_matrix(m, name: str) -> np.ndarray:
 class LpParams:
     """The LP triplet theta = (p, M, c) plus the known compact box X.
 
-    The program is  min p'x  s.t.  Mx >= c  and x in the box.  Box bounds may
-    be +-inf for unconstrained coordinates; box=None leaves every coordinate
-    unconstrained.
+    The program is  min p'x  s.t.  Mx >= c  and x in the box.  M may have no
+    rows (shape (0, d)), leaving the box alone. Box bounds may be +-inf for
+    unconstrained coordinates; box=None leaves every coordinate unconstrained.
     """
 
     p: np.ndarray
@@ -144,8 +144,8 @@ class LpParams:
         self.M = _as_matrix(self.M, "M")
         self.c = _as_vector(self.c, "c")
         q, d = self.M.shape
-        if q < 1 or d < 1:
-            raise DimensionError("M must have at least one row and one column")
+        if d < 1:  # q = 0 rows is a program of its box alone
+            raise DimensionError("M must have at least one column")
         if self.p.shape[0] != d:
             raise DimensionError(f"p has length {self.p.shape[0]}, expected {d}")
         if self.c.shape[0] != q:

@@ -181,20 +181,35 @@ class TestGeneralPath:
     ])
     def test_cell_mean_below_k0_is_infeasible(self, kinds, observed):
         # E[Y | T=1, Z=b] = -0.5 < K0 = 0: the data refute the outcome bounds,
-        # so the row the observed cell decides stays and the LP is infeasible
+        # so the program is refuted and both directions are infeasible
         mean = np.array([[0.2, 0.4], [0.3, -0.5]])
         mean[[t not in observed for t in ("0", "1")]] = np.nan
         table = ConditionalMomentTable(["0", "1"], ["a", "b"], mean, np.full((2, 2), 0.25),
                                        np.ones((2, 2)), frozenset(observed))
         spec = AssumptionSpec(kinds=frozenset(kinds), bounds=(0.0, 1.0), target=MeanPotential("1"))
         program = compile(table, spec)
-        refuting = ~program.lp.M.any(axis=1)
-        assert program.lp.c[refuting].tolist() == [0.5]
+        assert program.refuted
         assert [bound_value(program, side)[1] for side in ("lower", "upper")] == [INFEASIBLE] * 2
-        # without it, the rows are those of a table whose data hold
+        # the rows are those of a table whose data hold
         table.mean[1, 1] = 0.5
-        assert compile(table, spec, keep_refuted=False).lp.M.tobytes() == \
-            program.lp.M[~refuting].tobytes() == compile(table, spec).lp.M.tobytes()
+        held = compile(table, spec)
+        assert not held.refuted
+        assert (held.lp.M.shape, held.lp.M.tobytes()) == (program.lp.M.shape, program.lp.M.tobytes())
+
+    @pytest.mark.parametrize("observed", [{"0", "1"}, {"1"}], ids=["block", "general"])
+    def test_one_refutation_rule_on_both_paths(self, observed):
+        # E[Y | T=1, Z=a] = 1.5 > K1 = 1 refutes the bounds whichever path
+        # compiles the table
+        mean = np.array([[0.5, 0.6], [1.5, 0.7]])
+        mean[[t not in observed for t in ("0", "1")]] = np.nan
+        table = ConditionalMomentTable(["0", "1"], ["a", "b"], mean, np.full((2, 2), 0.25),
+                                       np.ones((2, 2)), frozenset(observed))
+        spec = AssumptionSpec(kinds=frozenset({"bounds", "miv"}), bounds=(0.0, 1.0),
+                              target=MeanPotential("1"))
+        program = compile(table, spec)
+        assert program.refuted
+        assert [bound_value(program, side) for side in ("lower", "upper")] == \
+            [(None, INFEASIBLE)] * 2
 
     def test_cmiv_with_missing_data_rejected(self, rng):
         table = ingest_sample(self._records(rng))
@@ -379,7 +394,8 @@ class TestMicrodata:
 
 def _block_rows_reference(table, spec, t):
     """(M, c, p) of the block program filled row by row and entry by entry:
-    the reference its array assembly must match bit for bit."""
+    the reference its array assembly must match bit for bit. Only the
+    monotonicity rows are rows; the outcome bounds are the box."""
     ti, nt, nz = table.t_index(t), table.n_treatments, table.n_instruments
     others = [i for i in range(nt) if i != ti]
     k = len(others)
@@ -419,21 +435,11 @@ def _block_rows_reference(table, spec, t):
                     row[col(j - 1, pos)] -= Gp[r, pos]
                 rows.append(row)
                 c.append(cp[r] - cj[r] - spec.relax)
-    if spec.bounds is not None:
-        for j in range(nz):
-            for pos in range(k):
-                for sign, rhs in ((-1.0, -spec.bounds[1]), (1.0, spec.bounds[0])):
-                    row = np.zeros(d_vars)
-                    row[col(j, pos)] = sign
-                    rows.append(row)
-                    c.append(rhs)
-    if not rows:
-        rows, c = [np.zeros(d_vars)], [0.0]
     p = np.zeros(d_vars)
     for j in range(nz):
         for pos, di in enumerate(others):
             p[col(j, pos)] = pz[j] * tz[di, j]
-    return np.array(rows), np.array(c), p
+    return np.array(rows).reshape(len(rows), d_vars), np.array(c, dtype=float), p
 
 
 @pytest.mark.parametrize("kinds", [
@@ -455,12 +461,15 @@ def test_block_program_matches_row_by_row_assembly(kinds):
             M, c, p = _block_rows_reference(table, spec, "1")
             assert (lp.M.shape, lp.M.tobytes(), lp.c.tobytes(), lp.p.tobytes()) == \
                 (M.shape, M.tobytes(), c.tobytes(), p.tobytes())
+            bound = spec.bounds or (-np.inf, np.inf)
+            assert all(np.array_equal(side, np.full(p.size, k)) for side, k in zip(lp.box, bound))
 
 
 def _general_rows_reference(table, spec, t):
-    """(M, c, p, offset, labels) of the general program filled row by row and
-    entry by entry, keeping every row: the reference its array assembly must
-    match bit for bit once the rows the observed cells decide are dropped."""
+    """(M, c, p, offset, labels, refuted) of the general program filled row
+    by row and entry by entry: the reference its array assembly must match
+    bit for bit. The outcome bounds are the box, not rows; refuted is
+    whether an observed cell mean lies outside them by more than TAU_FEAS."""
     ti, nt, nz = table.t_index(t), table.n_treatments, table.n_instruments
     tz = table.t_given_z()
     n_m = nt * nz * nt
@@ -469,13 +478,6 @@ def _general_rows_reference(table, spec, t):
         return (a * nz + z) * nt + d
 
     mt_rows, mt_rhs = [], []
-    if spec.bounds is not None:
-        k0, k1 = spec.bounds
-        for d in range(nt):
-            e = np.zeros(nt)
-            e[d] = 1.0
-            mt_rows += [e, -e]
-            mt_rhs += [-k0, k1]
     if "mtr" in spec.kinds:
         for d in range(nt - 1):
             e = np.zeros(nt)
@@ -502,11 +504,15 @@ def _general_rows_reference(table, spec, t):
                 rhs.append(spec.relax)
     obs = np.zeros(n_m)
     known = set()
+    refuted = False
     for a, label in enumerate(table.treatments):
         if label in table.observed:
             for z in range(nz):
                 obs[midx(a, z, a)] = table.mean[a, z]
                 known.add(midx(a, z, a))
+                if spec.bounds is not None:
+                    k0, k1 = spec.bounds
+                    refuted |= k0 - table.mean[a, z] > TAU_FEAS or table.mean[a, z] - k1 > TAU_FEAS
     free = [i for i in range(n_m) if i not in known]
     labels = []
     for i in free:
@@ -517,8 +523,8 @@ def _general_rows_reference(table, spec, t):
     for a in range(nt):
         for z in range(nz):
             mu[midx(a, z, ti)] = table.prob[a, z]
-    A, b = np.array(rows), np.array(rhs)
-    return A[:, free], -b - A @ obs, mu[free], float(mu @ obs), labels
+    A, b = np.array(rows).reshape(len(rows), n_m), np.array(rhs, dtype=float)
+    return A[:, free], -b - A @ obs, mu[free], float(mu @ obs), labels, refuted
 
 
 @pytest.mark.parametrize("kinds", [
@@ -527,7 +533,7 @@ def _general_rows_reference(table, spec, t):
 ])
 def test_general_program_matches_row_by_row_assembly(kinds):
     rng = np.random.default_rng(19)
-    dropped = refuted = 0
+    refutations = cases = 0
     for nt, nz, unobserved in ((2, 1, ()), (2, 3, ()), (3, 2, ()), (2, 3, ("0",)),
                                (3, 3, ("0",)), (3, 2, ("0", "1"))):
         prob = rng.uniform(0.1, 1.0, (nt, nz))
@@ -542,18 +548,47 @@ def test_general_program_matches_row_by_row_assembly(kinds):
         for relax in (0.0, 0.05):
             spec = AssumptionSpec(kinds=frozenset(kinds), relax=relax, target=MeanPotential(labels[-1]),
                                   bounds=(-1.0, 1.0) if "bounds" in kinds else None)
-            M, c, p, offset, names = _general_rows_reference(table, spec, spec.target.t)
-            decided = ~M.any(axis=1)
-            dropped += (decided & (c <= TAU_FEAS)).sum()
-            refuted += (decided & (c > TAU_FEAS)).sum()
-            for keep_refuted, kept in ((True, ~decided | (c > TAU_FEAS)), (False, ~decided)):
-                prog = compile(table, spec, keep_refuted)
-                lp = prog.lp
-                assert (lp.M.shape, lp.M.tobytes(), lp.c.tobytes()) == \
-                    (M[kept].shape, M[kept].tobytes(), c[kept].tobytes())
-                assert (lp.p.tobytes(), prog.offset, prog.variable_labels) == \
-                    (p.tobytes(), offset, names)
-                bound = spec.bounds or (-np.inf, np.inf)
-                assert all(np.array_equal(side, np.full(p.size, k)) for side, k in zip(lp.box, bound))
-                assert prog.valid_only == ("miv" in kinds)
-    assert (dropped > 0 and refuted > 0) if "bounds" in kinds else dropped == refuted == 0
+            M, c, p, offset, names, refuted = _general_rows_reference(table, spec, spec.target.t)
+            refutations += refuted
+            cases += 1
+            prog = compile(table, spec)
+            lp = prog.lp
+            assert (lp.M.shape, lp.M.tobytes(), lp.c.tobytes()) == (M.shape, M.tobytes(), c.tobytes())
+            assert (lp.p.tobytes(), prog.offset, prog.variable_labels) == \
+                (p.tobytes(), offset, names)
+            bound = spec.bounds or (-np.inf, np.inf)
+            assert all(np.array_equal(side, np.full(p.size, k)) for side, k in zip(lp.box, bound))
+            assert prog.valid_only == ("miv" in kinds)
+            assert prog.refuted == refuted
+    assert 0 < refutations < cases if "bounds" in kinds else refutations == 0
+
+
+@pytest.mark.parametrize("target", [MeanPotential("1"), ATE("1", "0")], ids=["mean", "ate"])
+def test_no_row_of_m_is_zero_or_a_box_row(target):
+    rng = np.random.default_rng(20)
+    kind_sets = [{"bounds"}, {"bounds", "miv"}, {"bounds", "cmiv_p"}, {"bounds", "cmiv_s"},
+                 {"bounds", "mtr"}, {"bounds", "mtr", "miv"}]
+    paths = set()
+    for _ in range(12):
+        nt, nz = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        labels = [str(i) for i in range(nt)]
+        prob = rng.uniform(0.1, 1.0, (nt, nz))
+        mean = rng.uniform(-1.2, 1.2, (nt, nz))
+        missing = nt == 3 and rng.random() < 0.5  # no outcomes for t = 2
+        if missing:
+            mean[2] = np.nan
+        observed = frozenset(labels[:2] if missing else labels)
+        table = ConditionalMomentTable(labels, [f"z{j}" for j in range(nz)], mean,
+                                       prob / prob.sum(), np.ones((nt, nz)), observed)
+        for kinds in kind_sets:
+            spec = AssumptionSpec(kinds=frozenset(kinds), bounds=(-1.0, 1.0), target=target)
+            try:
+                lp = compile(table, spec).lp
+            except CompileError:  # conditional monotonicity with missing outcomes
+                continue
+            paths.add("mtr" in kinds or missing)
+            rows, rhs = lp.effective_system()
+            M, box = np.column_stack([rows, rhs])[:lp.q], np.column_stack([rows, rhs])[lp.q:]
+            assert lp.M.any(axis=1).all()
+            assert not (M[:, None, :] == box[None, :, :]).all(axis=2).any()
+    assert paths == {False, True}  # the block and the general path

@@ -524,8 +524,8 @@ class TestAicmCommand:
         (["bounds"], {"type": "mean", "t": "1"}, True),  # no outcomes for t = 0
     ], ids=["mtr-ate", "missing-mean"])
     def test_ci_on_the_general_program(self, tmp_path, rng, kinds, target, missing):
-        # the observed cells decide some bounds rows; the compiled M keeps none
-        # of them, so no row of M is zero and the penalty can be selected
+        # the outcome bounds are the box, so no row of M is zero and the
+        # penalty can be selected
         cfg = self._general_config(tmp_path, self._general_rows(rng, missing), kinds, target)
         out = tmp_path / "out.json"
         assert run_cli(["aicm", "--config", cfg, "--seed", "3", "--diagnostics"], out) == EXIT_OK
@@ -565,6 +565,22 @@ class TestAicmCommand:
             err = json.loads(capsys.readouterr().err)["error"]
             assert err["code"] == "inference_failed"
             assert "refute" in err["message"]
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["full", "missing"])
+    def test_no_kinds_leave_the_target_unbounded(self, tmp_path, rng, missing):
+        # no assumptions and no outcome bounds: M has no rows and the box no
+        # sides, on the block path (full outcomes) and the general path alike
+        data = tmp_path / "micro.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([("y", "t", "z")] + self._general_rows(rng, missing))
+        cfg = write_json(tmp_path / "cfg.json", {
+            "data": str(data), "assumptions": {"kinds": []}, "target": {"type": "mean", "t": "1"},
+        })
+        out = tmp_path / "out.json"
+        assert run_cli(["aicm", "--config", cfg, "--diagnostics"], out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["statuses"] == {"lower": "unbounded", "upper": "unbounded"}
+        assert doc["lp"]["M"] == []
 
     @staticmethod
     def _general_rows(rng, missing):

@@ -170,6 +170,14 @@ class TestSelectionRules:
         delta = tao_vu_quantile(0.1)
         assert abs(v_bar - 2.0 / (1.0 * delta)) < 1e-12
 
+    def test_v_bar_counts_the_box_rows(self):
+        # M has no rows: the finite box rows, of norm 1, set the minimum
+        no_rows = (np.array([3.0, 4.0]), np.zeros((0, 2)), np.zeros(0))
+        v_bar = select_v_bar(LpParams(*no_rows, box=([0.0, 0.0], [1.0, 1.0])), alpha=0.1)
+        assert abs(v_bar - 2.0 * 5.0 / tao_vu_quantile(0.1)) < 1e-12
+        with pytest.raises(PenaltyError, match="M has none and the box is unbounded"):
+            select_v_bar(LpParams(*no_rows))
+
     def test_explicit_penalty_validation(self):
         with pytest.raises(PenaltyError):
             penalty_value(example1_params(0.0), -1.0)

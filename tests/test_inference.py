@@ -98,6 +98,21 @@ class TestFindTriplet:
         # v reproduces the objective through the binding rows
         assert np.allclose(params.M[triplet.A].T @ triplet.v[triplet.A], params.p, atol=1e-6)
 
+    def test_optimum_on_box_rows(self):
+        # min x1 + x2 s.t. x1 - x2 >= 0 on [0, 1]^2: the one row of M binds at
+        # the optimum (0, 0) but does not span R^2; the box rows x >= 0 do
+        params = LpParams(p=[1.0, 1.0], M=[[1.0, -1.0]], c=[0.0], box=([0.0, 0.0], [1.0, 1.0]))
+        triplet = find_triplet(params, 2.0, 50.0)
+        assert triplet.A.tolist() == [0] and triplet.v.shape == (1,)
+        assert np.allclose(triplet.x, [0.0, 0.0], atol=1e-9)
+        # the rest of p lies in the span of the binding box rows
+        rows, rhs = params.effective_system()
+        box = [j for j in range(params.q, len(rows)) if abs(rows[j] @ triplet.x - rhs[j]) < 1e-9]
+        assert box == [1, 3]  # x1 >= 0 and x2 >= 0
+        rest = params.p - params.M[triplet.A].T @ triplet.v[triplet.A]
+        v_box, *_ = np.linalg.lstsq(rows[box].T, rest, rcond=None)
+        assert np.allclose(rows[box].T @ v_box, rest, atol=1e-9)
+
 
 class TestAsymptoticVariance:
     def test_matches_direct_quadratic_form(self, rng):
