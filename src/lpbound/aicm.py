@@ -289,11 +289,11 @@ class AssumptionSpec:
 
 @dataclass
 class CompiledProgram:
-    lp: LpParams
+    lp: Optional[LpParams]  # None when no free variable is left: the data identify the target
     offset: float
     variable_labels: List[Tuple]
     valid_only: bool = False
-    refuted: bool = False  # an observed cell mean lies outside the outcome bounds
+    refuted: bool = False  # the data violate the bounds or an identified target's rows
 
 
 def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int):
@@ -440,9 +440,12 @@ def _single_target_program(table, spec, t) -> CompiledProgram:
         p, M, c, offset, labels, valid_only = _block_program(table, spec, ti)
     k0, k1 = spec.bounds or (-np.inf, np.inf)
     box = (np.full(p.size, k0), np.full(p.size, k1))
-    # an observed cell mean outside the bounds refutes them (NaN compares False)
-    refuted = bool(np.any((k0 - table.mean > TAU_FEAS) | (table.mean - k1 > TAU_FEAS)))
-    return CompiledProgram(LpParams(p=p, M=M, c=c, box=box), offset, labels, valid_only, refuted)
+    # an observed cell mean outside the bounds refutes them (NaN compares False),
+    # and so does a row of an identified target's program that 0 >= c fails
+    refuted = bool(np.any((k0 - table.mean > TAU_FEAS) | (table.mean - k1 > TAU_FEAS))
+                   or (not p.size and np.any(c > TAU_FEAS)))
+    lp = LpParams(p=p, M=M, c=c, box=box) if p.size else None
+    return CompiledProgram(lp, offset, labels, valid_only, refuted)
 
 
 def compile(table: ConditionalMomentTable, spec: AssumptionSpec) -> CompiledProgram:
@@ -483,11 +486,14 @@ def compile(table: ConditionalMomentTable, spec: AssumptionSpec) -> CompiledProg
 
 def bound_value(program: CompiledProgram, direction: str):
     """(bound, status): the direction-appropriate optimum plus the offset;
-    (None, "infeasible") without a solve when the data refute the bounds."""
+    without a solve, (None, "infeasible") when the data refute the bounds
+    and (offset, "optimal") when they identify the target."""
     if direction not in ("lower", "upper"):
         raise CompileError(f"direction must be lower/upper, got {direction!r}")
     if program.refuted:
         return None, INFEASIBLE
+    if program.lp is None:
+        return program.offset, OPTIMAL
     flip = -1.0 if direction == "upper" else 1.0  # the upper bound is -min(-p'x)
     sol = solve_lp(LpParams(flip * program.lp.p, program.lp.M, program.lp.c, program.lp.box))
     if sol.status != OPTIMAL:

@@ -527,7 +527,7 @@ def cmd_aicm(config: dict, args) -> int:
     if isinstance(target, ATE):
         result["ets_estimate"] = ets_estimate(table, target.t, target.d)
     if args.diagnostics:
-        result["lp"] = lp_to_document(
+        result["lp"] = None if program.lp is None else lp_to_document(
             program.lp, labels=["/".join(map(str, lab)) for lab in program.variable_labels]
         )
         result["offset"] = program.offset
@@ -540,9 +540,14 @@ def cmd_aicm(config: dict, args) -> int:
         doc = {k: v for k, v in ci_doc.items() if k != "bootstrap_reps"}
         cfg = _config(InferenceConfig, doc, "ci")
         if program.refuted:
-            raise CliError("inference_failed", "an observed cell mean lies outside the "
-                           "outcome bounds, so the data refute the assumptions and there "
-                           "is no interval to estimate", exit_code=EXIT_COMPUTE)
+            raise CliError("inference_failed", "the data refute the assumptions (an "
+                           "observed cell mean lies outside the outcome bounds, or an "
+                           "identified target breaks a restriction), so there is no "
+                           "interval to estimate", exit_code=EXIT_COMPUTE)
+        if program.lp is None:
+            raise CliError("inference_failed", f"the data identify the target E[Y({target.t})] "
+                           f"as {program.offset!r}, so its bounds are one point and there is "
+                           "no interval to estimate", exit_code=EXIT_COMPUTE)
         try:
             sigma = bootstrap_theta_covariance(records, spec, B=reps, seed=seed)
             res_lo = _aicm_inference(records, spec, "lower", cfg, sigma, seed)

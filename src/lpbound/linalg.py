@@ -1,19 +1,17 @@
 """Dense linear-algebra utilities and a small exact-tolerance LP solver.
 
-Solves min p'x subject to Mx >= c and the box rows with a two-phase
-revised simplex (the standard form is set out in solve_lp). It prices by the
-most negative reduced cost (Dantzig's rule) and falls back to Bland's
-smallest-index rule, which cannot cycle, after _STALL_LIMIT degenerate pivots
-in a row, so every solve terminates. The simplex keeps a dense basis
-inverse, updated by one rank-one step per pivot and taken afresh every
-_REFACTOR_EVERY pivots and before every verdict (see _simplex). A caller
-that solves many LPs of one shape can pass solve_lp a list of bases from
-earlier solves: the first one still primal feasible replaces phase 1 (a
-warm start), and each optimal solve moves its final basis to the front of
-the list. The module also provides the vertex-enumeration oracle, the
-smallest singular value, the inverse of the column-major vectorization
-behind LpParams.theta, and check_fields, which checks each field of a
-config dataclass against its type annotation.
+Solves min p'x subject to Mx >= c and x in the box with a two-phase,
+bounded-variable revised simplex: the rows are M x - s = c, the box stays
+bounds, a nonbasic variable sits at one of its bounds and may flip to the
+other with no basis change (see solve_lp and _simplex). It prices by
+Dantzig's rule and falls back to Bland's rule, which cannot cycle, after
+_STALL_LIMIT degenerate pivots in a row. The dense basis inverse is updated
+by one rank-one step per pivot and taken afresh every _REFACTOR_EVERY pivots
+and before every verdict. solve_lp can start from a list of (basis, upper
+bound) entries of earlier solves of one shape (a warm start). The module
+also provides the vertex-enumeration oracle, the smallest singular value,
+the inverse of the vectorization behind LpParams.theta, and check_fields,
+which checks each field of a config dataclass against its type annotation.
 """
 from __future__ import annotations
 
@@ -150,7 +148,7 @@ class LpParams:
             raise DimensionError(f"p has length {self.p.shape[0]}, expected {d}")
         if self.c.shape[0] != q:
             raise DimensionError(f"c has length {self.c.shape[0]}, expected {q}")
-        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.M)) and np.all(np.isfinite(self.c))):
+        if not (np.isfinite(self.p).all() and np.isfinite(self.M).all() and np.isfinite(self.c).all()):
             raise DimensionError("p, M, c entries must be finite")
         if self.box is None:
             self.box = (np.full(d, -np.inf), np.full(d, np.inf))
@@ -158,8 +156,8 @@ class LpParams:
         upper = _as_vector(self.box[1], "box upper")
         if lower.shape[0] != d or upper.shape[0] != d:
             raise DimensionError("box bounds must have length d")
-        if np.any(lower > upper):
-            raise DimensionError("box lower bound exceeds upper bound")
+        if not ((lower <= upper) & (lower < np.inf) & (upper > -np.inf)).all():
+            raise DimensionError("box bounds need lower <= upper, lower < inf and upper > -inf")
         self.box = (lower, upper)
 
     def theta(self) -> np.ndarray:
@@ -175,8 +173,9 @@ class LpParams:
         return self.M.shape[0]
 
     def effective_system(self):
-        """Constraint rows actually used by the solver: M, then the finite
-        box rows x_i >= lower_i and -x_i >= -upper_i, in coordinate order."""
+        """The constraints as rows, for geometry, enumeration and inference:
+        M, then the finite box rows x_i >= lower_i and -x_i >= -upper_i, in
+        coordinate order. solve_lp keeps the box as bounds instead."""
         lower, upper = self.box
         eye = np.eye(self.d)
         rows = np.hstack([eye, -eye]).reshape(2 * self.d, self.d)
@@ -202,81 +201,86 @@ def binding_rows(M: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(resid <= TAU_BIND * (1.0 + np.abs(c)))
 
 
-def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
-             allowed: np.ndarray = None, Binv: np.ndarray = None):
-    """min cost'z s.t. Az = b, z >= 0 from a feasible starting basis.
+def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             basis: list, z: np.ndarray, allowed: np.ndarray = None, Binv: np.ndarray = None):
+    """min cost'z s.t. Az = b, lo <= z <= hi from a feasible starting basis.
 
-    Revised simplex. The entering column is the eligible one with the most
-    negative reduced cost (Dantzig's rule, ties to the smallest index). The
-    leaving row is the minimum ratio, ties to the smallest basic column
-    (Bland's leaving rule). A pivot is degenerate when that minimum ratio is
-    0; after _STALL_LIMIT degenerate pivots in a row the entering column is
-    the smallest eligible index (Bland's rule) for the rest of the call.
-    Dantzig's rule takes far fewer pivots than Bland's but can cycle at a
-    degenerate vertex (Beale's LP does). A cycle revisits a basis, so the
-    objective cannot fall along it: every pivot in it is degenerate, and the
-    run triggers the switch. With Bland's rule for both columns the simplex
-    cannot cycle (Bland 1977), so every call terminates.
+    Bounded-variable revised simplex (Dantzig's upper-bounding technique):
+    each nonbasic z_j stays where z holds it, at lo_j or hi_j (or 0 when both
+    are infinite), and x_B = B^-1 (b - A_N z_N). A column is eligible when
+    r_j < -tol and z_j can rise, or r_j > tol and z_j can fall; the largest
+    |r_j| enters (Dantzig's rule, ties to the smallest index). The two-sided
+    ratio test stops each basic variable at the bound it moves towards, ties
+    to the smallest basic column (Bland's leaving rule); an entering variable
+    that meets its own other bound first flips to it, and the basis stays.
+    Dantzig's rule can cycle at a degenerate vertex (Beale's LP does), with
+    every step 0, so after _STALL_LIMIT zero steps in a row the smallest
+    eligible index enters (Bland's rule, acyclic by Bland 1977) for good.
 
-    The basis is inverted once; each pivot then updates the inverse by one
-    rank-one (product-form) step: row `leave` is divided by the pivot entry
-    and `outer(direction, row)` is subtracted from the others. The inverse is
-    taken afresh every _REFACTOR_EVERY pivots, and before any verdict: when
-    the updated inverse finds no entering column or no positive pivot entry,
-    the basis is inverted again and tested again, so OPTIMAL and UNBOUNDED
-    (with z and the reduced costs) come from a fresh inverse only.
-    `allowed` optionally masks columns permitted to enter the basis (used to
-    restrict optimization to an optimal face). `Binv`, when given, is a fresh
-    inverse of A[:, basis], taken by the caller or returned by the stage
-    before, which the simplex starts from (and overwrites) in place of its
-    own first inversion. Returns (status, z, basis, reduced, Binv): the
-    reduced costs of the final basis when optimal, and the fresh inverse of
-    A[:, basis] the verdict came from.
+    Each pivot updates the inverse by one rank-one step (row `leave` divided
+    by the pivot entry, `outer(direction, row)` subtracted from the others)
+    and x_B by its step. Both are taken afresh every _REFACTOR_EVERY pivots
+    and before any verdict, so OPTIMAL and UNBOUNDED come from a fresh
+    inverse only. `allowed` masks the columns permitted to move (an optimal
+    face); `Binv` is a fresh inverse of A[:, basis] to start from (it is
+    overwritten). Returns (status, z, basis, reduced, Binv): z with the basic
+    values and the reduced costs when optimal, and the verdict's inverse.
     """
-    m, nvar = A.shape
-    basis = list(basis)
+    basis, z = np.array(basis, dtype=np.intp), z.copy()
     # relative to the cost scale: with penalties in the hundreds, rounding
     # alone leaves reduced costs of -1e-9 at an optimal basis
     tol = _REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
-    updates = 0  # pivots made since the inverse was taken
-    stall = 0  # degenerate pivots in a row, frozen once it reaches _STALL_LIMIT
+    may = True if allowed is None else allowed
+    up, down = (z < hi) & may, (z > lo) & may  # where nonbasic z_j may rise, and fall
+    updates = stall = 0  # pivots since the inverse; zero steps in a row (up to _STALL_LIMIT)
     while True:
         if Binv is None:
-            Binv = np.linalg.inv(A[:, basis])
-            updates = 0
-        xB = Binv @ b
-        y = Binv.T @ cost[basis]
-        reduced = cost - A.T @ y
+            Binv, updates = np.linalg.inv(A.take(basis, axis=1)), 0
+        if not updates:
+            z[basis] = 0.0
+            xB, lo_B, hi_B = Binv @ (b - A @ z), lo[basis], hi[basis]
+        reduced = cost - A.T @ (Binv.T @ cost[basis])
         reduced[basis] = 0.0
-        eligible = reduced < -tol
-        if allowed is not None:
-            eligible &= allowed
-        candidates = np.flatnonzero(eligible)
-        if candidates.size == 0:
+        gain = np.maximum(up * -reduced, down * reduced)  # |r_j| where moving z_j improves
+        enter = int(gain.argmax())  # Dantzig's rule; argmax keeps the first of ties
+        if gain[enter] <= tol:
             if updates:
                 Binv = None
                 continue
-            z = np.zeros(nvar)
-            z[basis] = np.maximum(xB, 0.0)
-            return OPTIMAL, z, basis, reduced, Binv
+            z[basis] = np.minimum(np.maximum(xB, lo_B), hi_B)
+            return OPTIMAL, z, basis.tolist(), reduced, Binv
         if stall >= _STALL_LIMIT:  # Bland: smallest eligible index
-            enter = int(candidates[0])
-        else:  # most negative reduced cost; argmin keeps the first of ties
-            enter = int(candidates[np.argmin(reduced[candidates])])
+            enter = int((gain > tol).argmax())
         direction = Binv @ A[:, enter]
-        positive = direction > _PIVOT_TOL
-        if not positive.any():
-            if updates:
-                Binv = None
-                continue
-            return UNBOUNDED, None, basis, None, Binv
-        ratios = np.full(m, np.inf)
-        ratios[positive] = np.maximum(xB[positive], 0.0) / direction[positive]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + 1e-12)
-        leave = min(ties, key=lambda i: basis[i])  # Bland tie-break
+        sense = 1.0 if reduced[enter] < 0.0 else -1.0  # z_enter rises or falls
+        move = sense * direction  # x_B falls by t * move as z_enter moves by t
+        ratios = np.full(len(basis), np.inf)  # distance to the bound met / |move|
+        np.divide(xB - np.where(move > 0.0, lo_B, hi_B), move, out=ratios,
+                  where=np.abs(move) > _PIVOT_TOL)
+        rmin = max(ratios.min(initial=np.inf), 0.0)
+        span = hi[enter] - lo[enter]
+        if span <= rmin:  # z_enter meets its own bound first
+            if span == np.inf:
+                if updates:
+                    Binv = None
+                    continue
+                return UNBOUNDED, None, basis.tolist(), None, Binv
+            xB -= span * move  # a bound flip: the basis stays
+            z[enter] = hi[enter] if sense > 0.0 else lo[enter]
+            up[enter], down[enter] = sense < 0.0, sense > 0.0
+            if stall < _STALL_LIMIT:
+                stall = 0
+            continue
+        ties = (ratios <= rmin + 1e-12).nonzero()[0]
+        leave = ties[basis[ties].argmin()]  # Bland tie-break: the smallest column
         if stall < _STALL_LIMIT:
             stall = stall + 1 if rmin == 0.0 else 0
+        out, to_upper = basis[leave], move[leave] < 0.0
+        z[out] = hi_B[leave] if to_upper else lo_B[leave]
+        movable = lo_B[leave] < hi_B[leave]
+        up[out], down[out] = movable and not to_upper, movable and to_upper
+        xB -= rmin * move
+        xB[leave], lo_B[leave], hi_B[leave] = z[enter] + sense * rmin, lo[enter], hi[enter]
         basis[leave] = enter
         updates += 1
         if updates == _REFACTOR_EVERY:
@@ -287,24 +291,34 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
             Binv[leave] = row
 
 
-def _warm_basis(A: np.ndarray, b: np.ndarray, bases) -> Optional[tuple]:
-    """(basis, B^-1) for the first of `bases` that is a basis of Az = b (m
-    columns B of A, well conditioned) with x_B = B^-1 b >= -_WARM_FEAS_TOL,
-    or None."""
+def _warm_basis(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                start: np.ndarray, bases) -> Optional[tuple]:
+    """(basis, z, B^-1) for the first entry of `bases` whose columns B are a
+    well-conditioned basis of A with x_B within _WARM_FEAS_TOL of its bounds,
+    the nonbasics at `start` or at their upper bound where listed; or None.
+    An entry that holds B and B^-1 lends that inverse if A[:, basis] is B."""
     m, nvar = A.shape
-    for basis in bases:
-        if len(basis) != m or max(basis) >= nvar:
+    for basis, at_upper, *factor in bases:
+        if len(basis) != m or max(basis, default=-1) >= nvar or not np.isfinite(hi[at_upper]).all():
             continue
-        B = A[:, basis]
-        try:
-            Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            continue
+        idx = np.array(basis, dtype=np.intp)
+        B = A.take(idx, axis=1)
+        if factor and (B == factor[0]).all():
+            Binv = factor[1].copy()
+        else:
+            try:
+                Binv = np.linalg.inv(B)
+            except np.linalg.LinAlgError:
+                continue
         # the infinity-norm condition number; NaN and inf fail the test too
-        if not np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max() <= 1.0 / TAU_RANK:
+        if not np.abs(B).sum(1).max(initial=0.0) * np.abs(Binv).sum(1).max(initial=0.0) <= 1.0 / TAU_RANK:
             continue
-        if np.all(Binv @ b >= -_WARM_FEAS_TOL):
-            return basis, Binv
+        z = start.copy()
+        z[at_upper] = hi[at_upper]
+        z[idx] = 0.0
+        xB = Binv @ (b - A @ z)
+        if (xB >= lo[idx] - _WARM_FEAS_TOL).all() and (xB <= hi[idx] + _WARM_FEAS_TOL).all():
+            return basis, z, Binv
     return None
 
 
@@ -313,89 +327,75 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
     """Solve min p'x s.t. Mx >= c and x in the box; a basic optimal solution
     (a vertex of the feasible polyhedron whenever it has vertices).
 
-    Standard form over z = (x+, x-, s) >= 0: x = x+ - x-, and row i of the
-    effective system (M, then the finite box rows) reads A_i x - s_i = rhs_i
-    with its surplus s_i in column 2d + i. Each row is multiplied by the sign
-    of rhs_i, so a row with rhs_i <= 0 starts with s_i basic and a row with
-    rhs_i > 0 gets a phase-1 artificial. Phase 1 minimizes the sum of the
-    artificials and drives any left basic at zero out of the basis; phase 2
-    minimizes p'x.
+    Bounded standard form over z = (x, s): the rows are M x - s = c, with the
+    box bounds on x and s >= 0 (see _simplex). A cold start puts each x_j at
+    its finite lower bound, else its finite upper bound, else 0, with each
+    surplus basic, except that a row this point violates gets a phase-1
+    artificial. Phase 1 minimizes their sum, phase 2 minimizes p'x.
 
     When `secondary` (length d) is given, secondary'x is minimized exactly
-    over the set of optima of the primary objective: with reduced costs
-    r >= 0 at an optimal basis, the face is {z feasible : z_j = 0 whenever
-    r_j > 0}, so those columns are barred from entering. value and vertex
-    then describe the returned point of that face.
+    over the optima of p'x: a nonbasic z_j at its lower bound with reduced
+    cost r_j > 0, or at its upper bound with r_j < 0, is barred from moving.
+    value and vertex then describe the returned point of that face.
 
-    `bases`, when given, is a list of standard-form bases (lists of column
-    indices) from earlier solves of LPs of the same shape; the caller owns it
-    and solve_lp updates it in place. The first that is nonsingular and
-    primal feasible here (x_B >= -_WARM_FEAS_TOL) replaces phase 1, and phase
-    2 (and the secondary stage) starts from it; when none is, the solve starts
-    cold as without the list. An OPTIMAL solve moves its final basis to the
-    front of the list, so the list holds each set of columns once. Any
-    optimal basis gives the same value, and the secondary stage's optimum is
-    unique in value, but at a degenerate optimum the vertex may depend on
-    the start.
+    `bases`, when given, is a list of entries (basic columns, the columns at
+    their upper bound) from earlier solves of LPs of the same shape, updated
+    in place. The first feasible entry replaces phase 1 (see _warm_basis);
+    with none, the solve starts cold. An OPTIMAL solve moves its entry to the
+    front, with its basis matrix B and the inverse of B its verdict came
+    from; the list holds each set of basic columns once. The value (and the
+    secondary stage's value) does not depend on the start, but at a
+    degenerate optimum the vertex may.
     """
-    A_rows, rhs = params.effective_system()
-    d = params.d
-    m = A_rows.shape[0]
-    nvar = 2 * d + m
-    cost = np.concatenate([params.p, -params.p, np.zeros(m)])
-    stage2 = None
-    if secondary is not None:
-        secondary = np.asarray(secondary, dtype=float)
-        if secondary.shape != (d,):
-            raise DimensionError(f"secondary objective must have length {d}")
-        stage2 = np.concatenate([secondary, -secondary, np.zeros(m)])
-    sign = np.where(rhs < 0, -1.0, 1.0)
-    A = sign[:, None] * np.hstack([A_rows, -A_rows, -np.eye(m)])
-    b = sign * rhs
-    warm = None if bases is None else _warm_basis(A, b, bases)
+    (q, d), (lower, upper) = params.M.shape, params.box
+    nvar = d + q
+    A, b = np.concatenate((params.M, -np.eye(q)), axis=1), params.c
+    lo, hi = np.concatenate([lower, np.zeros(q)]), np.concatenate([upper, np.full(q, np.inf)])
+    cost = np.concatenate([params.p, np.zeros(q)])
+    if secondary is not None and np.shape(secondary) != (d,):
+        raise DimensionError(f"secondary objective must have length {d}")
+    start = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    warm = None if bases is None else _warm_basis(A, b, lo, hi, start, bases)
     if warm is not None:  # _simplex starts from the inverse taken here
-        basis, Binv = warm
-    else:  # a cold start from the slack basis
-        Binv = None
-        basis = list(range(2 * d, nvar))
-        artificial_rows = np.flatnonzero(rhs > 0)
-        if artificial_rows.size:
-            for k, i in enumerate(artificial_rows):
+        basis, z, Binv = warm
+    else:  # a cold start from the surplus basis
+        basis, z, Binv = list(range(d, nvar)), start, None
+        violated = np.flatnonzero(params.M @ start[:d] < b)
+        if violated.size:  # row i: M_i x - s_i + a_i = c_i, with a_i basic and s_i = 0
+            for k, i in enumerate(violated):
                 basis[i] = nvar + k
-            A1 = np.hstack([A, np.eye(m)[:, artificial_rows]])
-            c1 = np.concatenate([np.zeros(nvar), np.ones(artificial_rows.size)])
-            status, z, basis, _, Binv = _simplex(c1, A1, b, basis)
+            A1, zeros = np.hstack([A, np.eye(q)[:, violated]]), np.zeros(violated.size)
+            status, z, basis, _, Binv = _simplex(
+                np.concatenate((np.zeros(nvar), zeros + 1.0)), A1, b, np.concatenate((lo, zeros)),
+                np.concatenate((hi, zeros + np.inf)), basis, np.concatenate((start, zeros)))
             if status != OPTIMAL:
                 raise SolverError("phase 1, bounded below by zero, reported unbounded")
             if float(z[nvar:].sum()) > 1e-7:
                 return LpSolution(status=INFEASIBLE)
-            # Drive residual artificials (basic at zero) out of the basis. One
-            # always can: if the artificial e_r sits at position i, then
-            # u = B^-T e_i has u_r = 1, so row r's surplus is nonbasic with
-            # entry +-1 in u'A. With none left, B is a basis of A as well, and
-            # phase 2 starts from phase 1's inverse of it.
-            for i in range(m):
-                if basis[i] < nvar:
-                    continue
+            z = z[:nvar]
+            # Drive artificials left basic at zero out: if e_r sits at position
+            # i, u = B^-T e_i has u_r = 1, so row r's nonbasic surplus has -1 in
+            # u'A. With none left, phase 2 starts from phase 1's inverse of B.
+            for i in [i for i, j in enumerate(basis) if j >= nvar]:
                 Binv = None
-                u = np.linalg.solve(A1[:, basis].T, np.eye(m)[i])
+                u = np.linalg.solve(A1[:, basis].T, np.eye(q)[i])
                 entering = np.abs(u @ A) > 1e-9
                 entering[[j for j in basis if j < nvar]] = False
                 if not entering.any():
                     raise SolverError(f"no column can replace the artificial of row {i}")
                 basis[i] = int(np.argmax(entering))
 
-    status, z, basis, reduced, Binv = _simplex(cost, A, b, basis, Binv=Binv)
-    if status == OPTIMAL and stage2 is not None:
-        allowed = reduced <= _REDUCED_COST_TOL
-        status, z, basis, _, _ = _simplex(stage2, A, b, basis, allowed=allowed, Binv=Binv)
+    status, z, basis, reduced, Binv = _simplex(cost, A, b, lo, hi, basis, z, Binv=Binv)
+    if status == OPTIMAL and secondary is not None:
+        allowed = np.where(z == hi, -reduced, reduced) <= _REDUCED_COST_TOL
+        status, z, basis, _, Binv = _simplex(np.concatenate([secondary, np.zeros(q)]), A, b, lo, hi,
+                                             basis, z, allowed=allowed, Binv=Binv)
     if status != OPTIMAL:
         return LpSolution(status=status)
     if bases is not None:  # front of the list; drop the same columns in another order
-        members = set(basis)
-        bases[:] = [basis] + [other for other in bases if set(other) != members]
-    x = z[:d] - z[d:2 * d]
-    return LpSolution(status=OPTIMAL, value=float(params.p @ x), vertex=x)
+        members, front = set(basis), (basis, (z == hi).nonzero()[0], A.take(basis, axis=1), Binv)
+        bases[:] = [front] + [entry[:2] for entry in bases if set(entry[0]) != members]
+    return LpSolution(status=OPTIMAL, value=float(params.p @ z[:d]), vertex=z[:d])
 
 
 def enumerate_vertices(params: LpParams):

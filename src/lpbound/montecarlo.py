@@ -179,15 +179,18 @@ def _with_moments(row: ReportRow, vals: np.ndarray, truth: float) -> ReportRow:
 def run_consistency(scenario: SimulationScenario) -> SimulationReport:
     """Replicated point estimation; failed draws are counted, never imputed.
 
-    Each estimator keeps one list of simplex bases for the whole study, and
-    every solve warm-starts from the first of them still feasible (see
-    linalg.solve_lp). The values equal those of cold solves up to rounding.
+    The plug-in and set-expansion solves share one list of simplex bases for
+    the whole study, and the penalty and debiased solves another, since each
+    pair solves LPs with one constraint matrix; every solve warm-starts from
+    the first of them still feasible (see linalg.solve_lp). The values equal
+    those of cold solves up to rounding.
     """
     truth_sol = solve_lp(_true_params(scenario))
     if truth_sol.status != OPTIMAL:
         raise ScenarioError(f"true LP is {truth_sol.status}")
     truth = float(truth_sol.value)
-    bases: Dict[str, list] = {e: [] for e in scenario.estimators}
+    original, relaxed = [], []
+    bases = {"plugin": original, "setexp": original, "penalty": relaxed, "debiased": relaxed}
     rows: List[ReportRow] = []
     for n_idx, n in enumerate(scenario.sample_sizes):
         values: Dict[str, List[float]] = {e: [] for e in scenario.estimators}
@@ -331,22 +334,26 @@ class UniformGridResult:
     adaptive_scaled: np.ndarray    # sup_std * sqrt(n) / w_n
     sqrt_n_normalized: np.ndarray  # sqrt_n series matched to adaptive at n[0]
     delta: float
+    failures: List[int]  # replications left out of each size's sup_std
 
-    CSV_COLUMNS = ("n", "sup_std", "sqrt_n_scaled", "adaptive_scaled", "sqrt_n_normalized")
+    CSV_COLUMNS = ("n", "sup_std", "sqrt_n_scaled", "adaptive_scaled", "sqrt_n_normalized",
+                   "failures")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.CSV_COLUMNS)
         for i, n in enumerate(self.sample_sizes):
-            series = (getattr(self, col)[i] for col in self.CSV_COLUMNS[1:])
-            writer.writerow([n, *(repr(float(v)) for v in series)])
+            series = (getattr(self, col)[i] for col in self.CSV_COLUMNS[1:-1])
+            writer.writerow([n, *(repr(float(v)) for v in series), self.failures[i]])
         return buf.getvalue()
 
 
 def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
     """Std of per-replication sup-deviations of the penalty estimator, scaled
-    by sqrt(n) and by sqrt(n)/w_n.
+    by sqrt(n) and by sqrt(n)/w_n. A replication with a failed penalty solve
+    is counted in `failures` and left out of its size's std (NaN if none is
+    left).
 
     Each grid point of each sample size keeps one list of simplex bases, and
     every penalty solve warm-starts from the first of them still feasible
@@ -358,6 +365,7 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
     delta = _grid_delta()
     sizes = list(scenario.sample_sizes)
     sup_std = np.zeros(len(sizes))
+    failures = [0] * len(sizes)
     for n_idx, n in enumerate(sizes):
         wn = grid_wn(n, delta)
         w = np.full(4, wn)
@@ -368,7 +376,7 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
             true_d = 0.5 if scenario.slater else 0.0
             sol = solve_lp(_grid_params(a, 0.0, 0.0, true_d))
             truths.append(float(sol.value))
-        sups = np.zeros(scenario.replications)
+        sups = []
         for rep in range(scenario.replications):
             rng = rng_for(scenario.seed, n_idx, rep)
             noise = rng.uniform(-0.5, 0.5, size=(n, 3)).mean(axis=0)
@@ -377,12 +385,16 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
             else:
                 dshift = float(noise[2])
             worst = 0.0
-            for a, truth, point_bases in zip(pts, truths, bases):
-                params = _grid_params(a, float(noise[0]), float(noise[1]), dshift)
-                value = penalty_value(params, w, bases=point_bases)
-                worst = max(worst, abs(value - truth))
-            sups[rep] = worst
-        sup_std[n_idx] = sups.std(ddof=0)
+            try:
+                for a, truth, point_bases in zip(pts, truths, bases):
+                    params = _grid_params(a, float(noise[0]), float(noise[1]), dshift)
+                    value = penalty_value(params, w, bases=point_bases)
+                    worst = max(worst, abs(value - truth))
+            except (SolverError, PenaltyError):
+                failures[n_idx] += 1
+                continue
+            sups.append(worst)
+        sup_std[n_idx] = np.std(sups) if sups else np.nan
     ns = np.array(sizes, dtype=float)
     wns = np.array([grid_wn(n, delta) for n in sizes])
     sqrt_series = sup_std * np.sqrt(ns)
@@ -395,6 +407,7 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
         adaptive_scaled=adaptive,
         sqrt_n_normalized=sqrt_series * factor,
         delta=delta,
+        failures=failures,
     )
 
 

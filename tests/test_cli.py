@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lpbound
-from lpbound import cli
+from lpbound import aicm, cli
 from lpbound.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -317,7 +317,7 @@ class TestSimulateCommand:
         out = tmp_path / "grid.csv"
         assert run_cli(["simulate", "--config", cfg, "--seed", "2"], out) == EXIT_OK
         header = out.read_text().splitlines()[0]
-        assert header == "n,sup_std,sqrt_n_scaled,adaptive_scaled,sqrt_n_normalized"
+        assert header == "n,sup_std,sqrt_n_scaled,adaptive_scaled,sqrt_n_normalized,failures"
 
 
 @pytest.mark.parametrize("command, override", [
@@ -581,6 +581,42 @@ class TestAicmCommand:
         doc = json.loads(out.read_text())
         assert doc["statuses"] == {"lower": "unbounded", "upper": "unbounded"}
         assert doc["lp"]["M"] == []
+
+    @pytest.mark.parametrize("ci", [False, True], ids=["bounds", "ci"])
+    def test_a_single_treatment_level_identifies_the_mean(self, tmp_path, monkeypatch, capsys, ci):
+        # every record has t = 1, so E[Y(1)] = E[Y] is the offset and no
+        # variable is left: both bounds are that point, found with no solve
+        data = tmp_path / "micro.csv"
+        data.write_text("y,t,z\n0.25,1,z1\n0.5,1,z1\n0.75,1,z2\n")
+        config = {"data": str(data), "assumptions": {"kinds": ["bounds"], "bounds": [0.0, 1.0]},
+                  "target": {"type": "mean", "t": "1"}}
+        if ci:
+            config["ci"] = {"bootstrap_reps": 20}
+        monkeypatch.setattr(aicm, "solve_lp", None)
+        out = tmp_path / "out.json"
+        code = run_cli(["aicm", "--config", write_json(tmp_path / "cfg.json", config)], out)
+        if not ci:
+            assert code == EXIT_OK
+            doc = json.loads(out.read_text())
+            assert doc["bounds"] == {"lower": 0.5, "upper": 0.5}
+            assert doc["statuses"] == {"lower": "optimal", "upper": "optimal"}
+            return
+        assert code == EXIT_COMPUTE
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "inference_failed"
+        assert "identify the target E[Y(1)]" in err["message"]
+
+    def test_a_single_treatment_level_can_refute_miv(self, tmp_path):
+        # E[Y | z] falls from z1 to z2, which the monotone instrument forbids
+        data = tmp_path / "micro.csv"
+        data.write_text("y,t,z\n0.75,1,z1\n0.5,1,z1\n0.25,1,z2\n")
+        cfg = write_json(tmp_path / "cfg.json", {
+            "data": str(data), "assumptions": {"kinds": ["bounds", "miv"], "bounds": [0.0, 1.0]},
+            "target": {"type": "mean", "t": "1"}})
+        out = tmp_path / "out.json"
+        assert run_cli(["aicm", "--config", cfg], out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["statuses"] == {"lower": "infeasible", "upper": "infeasible"}
 
     @staticmethod
     def _general_rows(rng, missing):

@@ -190,48 +190,58 @@ class TestDriveOut:
             assert abs(sol.value - best) < 1e-9 * (1.0 + abs(best))
 
 
-def _simplex_reinverting(cost, A, b, basis, allowed=None, Binv=None, pivots=None):
-    """The simplex loop, with its pricing rule and stall fallback, taking a
-    fresh basis inverse at every pivot (a Binv passed in, by a warm start or
-    from the stage before, is the same inverse of the same matrix, so it is
-    taken again): the reference the
+def _simplex_reinverting(cost, A, b, lo, hi, basis, z, allowed=None, Binv=None, pivots=None):
+    """The bounded simplex loop, with its pricing rule, bound flips and stall
+    fallback, taking a fresh basis inverse and a fresh x_B at every pivot (a
+    Binv passed in, by a warm start or from the stage before, is the same
+    inverse of the same matrix, so it is taken again): the reference the
     rank-one update must reproduce bit for bit. Appends the pivot count of
     each call to `pivots`."""
-    m, nvar = A.shape
-    basis = list(basis)
+    m = A.shape[0]
+    basis, z = list(basis), z.copy()
     tol = linalg._REDUCED_COST_TOL * max(1.0, float(np.abs(cost).max()))
     count = stall = 0
     while True:
         Binv = np.linalg.inv(A[:, basis])
-        xB = Binv @ b
+        z[basis] = 0.0
+        xB = Binv @ (b - A @ z)
         y = Binv.T @ cost[basis]
         reduced = cost - A.T @ y
         reduced[basis] = 0.0
-        eligible = reduced < -tol
+        eligible = ((z < hi) & (reduced < -tol)) | ((z > lo) & (reduced > tol))
         if allowed is not None:
             eligible &= allowed
         candidates = np.flatnonzero(eligible)
         if candidates.size == 0:
             pivots.append(count)
-            z = np.zeros(nvar)
-            z[basis] = np.maximum(xB, 0.0)
+            z[basis] = np.clip(xB, lo[basis], hi[basis])
             return OPTIMAL, z, basis, reduced, Binv
         if stall >= linalg._STALL_LIMIT:
             enter = int(candidates[0])
         else:
-            enter = int(candidates[np.argmin(reduced[candidates])])
+            enter = int(candidates[np.argmax(np.abs(reduced[candidates]))])
         direction = Binv @ A[:, enter]
-        positive = direction > linalg._PIVOT_TOL
-        if not positive.any():
-            pivots.append(count)
-            return UNBOUNDED, None, basis, None, Binv
+        sense = 1.0 if reduced[enter] < 0.0 else -1.0
+        move = sense * direction
         ratios = np.full(m, np.inf)
-        ratios[positive] = np.maximum(xB[positive], 0.0) / direction[positive]
-        rmin = ratios.min()
+        np.divide(xB - np.where(move > 0.0, lo[basis], hi[basis]), move, out=ratios,
+                  where=np.abs(move) > linalg._PIVOT_TOL)
+        rmin = max(ratios.min(initial=np.inf), 0.0)
+        span = hi[enter] - lo[enter]
+        if span <= rmin:
+            if span == np.inf:
+                pivots.append(count)
+                return UNBOUNDED, None, basis, None, Binv
+            z[enter] = hi[enter] if sense > 0.0 else lo[enter]
+            if stall < linalg._STALL_LIMIT:
+                stall = 0
+            continue
         ties = np.flatnonzero(ratios <= rmin + 1e-12)
-        leave = min(ties, key=lambda i: basis[i])
+        leave = min(ties, key=basis.__getitem__)
         if stall < linalg._STALL_LIMIT:
             stall = stall + 1 if rmin == 0.0 else 0
+        out = basis[leave]
+        z[out] = hi[out] if move[leave] < 0.0 else lo[out]
         basis[leave] = enter
         count += 1
 
@@ -268,8 +278,8 @@ def _rank_one_cases():
         relaxed, secondary = _relaxed_penalty_lp(seed)
         yield f"relaxed-10x30-seed{seed}", relaxed, None
         yield f"relaxed-10x30-seed{seed}-secondary", relaxed, secondary
-    relaxed, secondary = _relaxed_penalty_lp(0, d=20, q=60)
-    yield "relaxed-20x60-seed0-secondary", relaxed, secondary
+    relaxed, secondary = _relaxed_penalty_lp(5, d=20, q=60)  # phase 2 takes 54 pivots
+    yield "relaxed-20x60-seed5-secondary", relaxed, secondary
     yield "beale", _beale_lp(), None
     yield "example_a-b0", example1_params(0.0), None
     yield "infeasible", LpParams(p=np.array([1.0]), M=np.array([[1.0], [-1.0]]),
@@ -318,8 +328,8 @@ class TestRankOneUpdate:
             inverted.append(np.array(a))
             return real_inv(a)
 
-        def checked_simplex(cost, A, b, basis, allowed=None, Binv=None):
-            status, z, final, reduced, Binv = simplex(cost, A, b, basis, allowed, Binv)
+        def checked_simplex(cost, A, b, lo, hi, basis, z, allowed=None, Binv=None):
+            status, z, final, reduced, Binv = simplex(cost, A, b, lo, hi, basis, z, allowed, Binv)
             assert np.array_equal(inverted[-1], A[:, final])
             return status, z, final, reduced, Binv
 
@@ -341,11 +351,13 @@ class TestRankOneUpdate:
 
 
 def _standard_form(params):
-    """A and b of solve_lp's standard form, each row multiplied by the sign
-    of its right-hand side."""
-    A_rows, rhs = params.effective_system()
-    sign = np.where(rhs < 0, -1.0, 1.0)
-    return sign[:, None] * np.hstack([A_rows, -A_rows, -np.eye(rhs.size)]), sign * rhs
+    """A, b, lo and hi of solve_lp's bounded standard form, and the cold
+    start's point z."""
+    q, d = params.M.shape
+    lo = np.concatenate([params.box[0], np.zeros(q)])
+    hi = np.concatenate([params.box[1], np.full(q, np.inf)])
+    start = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    return np.hstack([params.M, -np.eye(q)]), params.c, lo, hi, start
 
 
 # each estimator's value on example_a at b_hat, solved with a warm-start list
@@ -391,29 +403,39 @@ class TestWarmStart:
 
     def test_bad_candidates_leave_the_solve_cold(self, warm_starts):
         params = example1_params(1e-13)  # rows 0 and 1 parallel up to 1e-13
-        A, b = _standard_form(params)
+        A, b, lo, hi, z = _standard_form(params)
         m, nvar = A.shape
-        slack = list(range(2 * params.d, nvar))
-        singular = [0, params.d] + slack[2:]  # x1+ and x1- are opposite columns
+        slack = list(range(params.d, nvar))
+        none_up = np.array([], dtype=int)
+        singular = [0, 1] + slack[:2]  # rows 2 and 3 hold only x1's entries
         assert np.linalg.matrix_rank(A[:, singular]) < m
-        # x1+ and x2+ basic with the surpluses of rows 0 and 1 out: an
-        # inverse exists and gives a feasible x_B, but cond(B) is about 1e14
+        # x1 and x2 basic with the surpluses of rows 0 and 1 out: an inverse
+        # exists and gives a feasible x_B, but cond(B) is about 1e14
         near_singular = [0, 1] + slack[2:]
         assert np.linalg.cond(A[:, near_singular]) > 1e13
+
+        def x_basic(J):
+            z_N = z.copy()
+            z_N[J] = 0.0
+            return np.linalg.solve(A[:, J], b - A @ z_N)
+
         infeasible = next(
             list(J) for J in itertools.combinations(range(nvar), m)
             if abs(np.linalg.det(A[:, list(J)])) > 0.1
-            and np.linalg.solve(A[:, list(J)], b).min() < -0.1)
+            and (x_basic(list(J)) - lo[list(J)]).min() < -0.1)
         cold = solve_lp(params)
         wrong_shape = ([0, 1, 2], slack[:-1] + [nvar])  # too short; a column A lacks
-        for candidate in (*wrong_shape, singular, near_singular, infeasible):
+        candidates = [(J, none_up) for J in (*wrong_shape, singular, near_singular, infeasible)]
+        candidates.append((slack, np.array([params.d])))  # a surplus has no upper bound
+        for candidate in candidates:
             bases = [candidate]
             sol = solve_lp(params, bases=bases)
             assert sol.status == cold.status
             assert sol.value == cold.value
             assert sol.vertex.tobytes() == cold.vertex.tobytes()
-            assert len(bases) == 2 and bases[1] is candidate  # the final basis goes first
-        assert warm_starts == [False] * 5
+            assert len(bases) == 2  # the final entry goes first
+            assert bases[1][0] is candidate[0] and bases[1][1] is candidate[1]
+        assert warm_starts == [False] * 6
 
     def test_infeasible_lp_with_a_list(self):
         def lp(c):  # x >= c[0] and x <= -c[1] in the box [-5, 5]
@@ -422,10 +444,10 @@ class TestWarmStart:
 
         bases = []
         assert solve_lp(lp([-1.0, -1.0]), bases=bases).status == OPTIMAL
-        kept = [list(basis) for basis in bases]
+        kept = [tuple(map(id, entry)) for entry in bases]
         sol = solve_lp(lp([1.0, 1.0]), bases=bases)  # x >= 1 and x <= -1
         assert sol.status == INFEASIBLE and sol.value is None
-        assert bases == kept
+        assert [tuple(map(id, entry)) for entry in bases] == kept
 
 
 def _matches_vertex_oracle(params) -> bool:
@@ -492,6 +514,92 @@ class TestAntiCycling:
                 c=rng.integers(-2, 3, size=q).astype(float),
                 box=(np.full(d, -3.0), np.full(d, 3.0))))
         assert feasible > 100
+
+
+class TestBoundedForm:
+    """Paths of the bounded-variable simplex that the box rows of a row-only
+    form never took: bound flips, free and fixed coordinates, programs of
+    the box alone, and warm starts from nonbasics at their upper bound."""
+
+    @staticmethod
+    def flip_lp():
+        # min -x1 - x2 on [0, 1]^2 with one slack row x1 + x2 >= -10
+        return LpParams(p=[-1.0, -1.0], M=[[1.0, 1.0]], c=[-10.0], box=([0.0, 0.0], [1.0, 1.0]))
+
+    def test_bound_flips_keep_the_basis(self, monkeypatch):
+        inverted, real_inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or real_inv(a))
+        bases = []
+        sol = solve_lp(self.flip_lp(), bases=bases)
+        assert sol.status == OPTIMAL and sol.value == -2.0
+        assert sol.vertex.tolist() == [1.0, 1.0]
+        # both coordinates flipped to their upper bound; the surplus stayed
+        # basic, and the start's inverse was the only one taken
+        [(basis, at_upper, *_)] = bases
+        assert basis == [2] and at_upper.tolist() == [0, 1]
+        assert len(inverted) == 1
+        assert _matches_vertex_oracle(self.flip_lp())
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["falls", "rises"])
+    def test_free_coordinate_enters_both_ways(self, sign):
+        # x1 free (starts at 0), x2 in [-1, 1]; -3 <= x1 + x2 <= 4
+        params = LpParams(p=[sign, 0.5], M=[[1.0, 1.0], [-1.0, -1.0]], c=[-3.0, -4.0],
+                          box=([-np.inf, -1.0], [np.inf, 1.0]))
+        sol = solve_lp(params)
+        assert sol.status == OPTIMAL
+        assert sol.vertex.tolist() == ([-4.0, 1.0] if sign > 0 else [5.0, -1.0])
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        ref = linprog(params.p, A_ub=-params.M, b_ub=-params.c,
+                      bounds=[(None, None), (-1.0, 1.0)], method="highs")
+        assert abs(sol.value - ref.fun) <= TAU_VAL * (1.0 + abs(ref.fun))
+
+    def test_fixed_coordinate(self):
+        # x2 fixed at 0.5 by its box; min x1 + x2 s.t. x1 + x2 >= 1
+        params = LpParams(p=[1.0, 1.0], M=[[1.0, 1.0]], c=[1.0], box=([-2.0, 0.5], [2.0, 0.5]))
+        sol = solve_lp(params)
+        assert sol.status == OPTIMAL and sol.vertex[1] == 0.5
+        assert abs(sol.value - 1.0) < 1e-12
+        assert _matches_vertex_oracle(params)
+
+    def test_program_of_the_box_alone(self):
+        box = ([-1.0, -1.0], [2.0, 2.0])
+        params = LpParams(p=[1.0, -1.0], M=np.zeros((0, 2)), c=[], box=box)
+        sol = solve_lp(params)
+        assert sol.status == OPTIMAL and sol.vertex.tolist() == [-1.0, 2.0]
+        assert _matches_vertex_oracle(params)
+        # x2 is free on the optimal face of min x1; the secondary stage moves it
+        flat = LpParams(p=[1.0, 0.0], M=np.zeros((0, 2)), c=[], box=box)
+        for secondary, x2 in (([0.0, -1.0], 2.0), ([0.0, 1.0], -1.0)):
+            sol = solve_lp(flat, secondary=np.array(secondary))
+            assert sol.status == OPTIMAL and sol.value == -1.0
+            assert sol.vertex.tolist() == [-1.0, x2]
+        unbounded = LpParams(p=[1.0, -1.0], M=np.zeros((0, 2)), c=[], box=([-1.0, -1.0], [2.0, np.inf]))
+        assert solve_lp(unbounded).status == UNBOUNDED
+
+    def test_warm_start_from_nonbasics_at_their_upper_bound(self, monkeypatch, warm_starts):
+        bases = []
+        solve_lp(self.flip_lp(), bases=bases)
+        assert bases[0][1].tolist() == [0, 1]
+        # the same columns serve an LP with another right-hand side; its
+        # inverse is the one the last solve ended on, so none is taken
+        inverted, real_inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or real_inv(a))
+        shifted = LpParams(p=[-1.0, -1.0], M=[[1.0, 1.0]], c=[1.5], box=([0.0, 0.0], [1.0, 1.0]))
+        warm = solve_lp(shifted, bases=bases)
+        assert warm_starts == [False, True] and inverted == []
+        cold = solve_lp(shifted)
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.value == cold.value == -2.0
+        assert warm.vertex.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("lower, upper", [(1.0, 0.0), (np.inf, np.inf), (-np.inf, -np.inf)],
+                         ids=["crossed", "lower-inf", "upper-minus-inf"])
+def test_a_box_no_real_number_meets_is_rejected(lower, upper):
+    # the bounded simplex starts a coordinate at a finite bound or 0, so a
+    # side at the wrong infinity would put it outside its own box
+    with pytest.raises(DimensionError, match="box bounds need"):
+        LpParams(p=[1.0], M=[[1.0]], c=[0.0], box=([lower], [upper]))
 
 
 class TestLinalgUtilities:

@@ -232,3 +232,26 @@ class TestUniformGrid:
         scenario = SimulationScenario(dgp="example_a", sample_sizes=(100,), replications=2)
         with pytest.raises(ScenarioError):
             run_uniform_grid(scenario)
+
+    def test_counts_failures(self, monkeypatch):
+        import lpbound.montecarlo as mc
+        from lpbound.linalg import SolverError
+
+        scenario = SimulationScenario(dgp="uniform_grid", sample_sizes=(100, 400),
+                                      replications=5, seed=2, grid="single")
+        clean = run_uniform_grid(scenario)
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # the second replication of n = 100
+                raise SolverError("forced")
+            return real(*args, **kwargs)
+
+        real = mc.penalty_value
+        monkeypatch.setattr(mc, "penalty_value", fail_once)
+        res = run_uniform_grid(scenario)
+        assert len(calls) == 10 and res.failures == [1, 0]
+        assert res.sup_std[1] == clean.sup_std[1]
+        assert res.sup_std[0] != clean.sup_std[0]  # one sup fewer
+        assert res.to_csv().splitlines()[1].endswith(",1")
