@@ -7,10 +7,12 @@ into (p, M, c) plus an identified offset so that
 
     bound on E[Y(t)] (or an ATE) = optimum of p'x over {Mx >= c} + offset,
 
-where x collects the unobserved counterfactual conditional means and the
-outcome bounds K0 <= x <= K1 are the box, not rows of M. A closed
-form recursion evaluates the weak conditional-monotonicity bounds for binary
-treatment, which doubles as an independent oracle for the compiled LPs.
+where x collects the unobserved conditional means E[Y(d) | T=a, Z=z] that
+the restrictions reach, the observed ones substituted out, and the outcome
+bounds K0 <= x <= K1 are the box, not rows of M. Every assumption set
+compiles through one layout (_general_program). A closed form recursion
+evaluates the weak conditional-monotonicity bounds for binary treatment,
+which doubles as an independent oracle for the compiled LPs.
 """
 from __future__ import annotations
 
@@ -296,92 +298,24 @@ class CompiledProgram:
     refuted: bool = False  # the data violate the bounds or an identified target's rows
 
 
-def _block_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int):
-    """Single-treatment program in counterfactual-mean blocks, for fully
-    observed outcomes: (p, M, c, offset, labels, valid_only).
-
-    Variables x = (x^N, ..., x^1): one block per instrument level, descending,
-    each block holding E[Y(t) | T=d, Z=z_j] for d != t ascending. Monotonicity
-    rows couple adjacent blocks, and they are the only rows: without them M
-    has none (the outcome bounds are the box).
-    """
-    t = table.treatments[ti]
-    nt, nz = table.n_treatments, table.n_instruments
-    others = [i for i in range(nt) if i != ti]
-    k = len(others)  # block width
-    d_vars = k * nz
-    tz = table.t_given_z()
-    pz = table.z_prob()
-    o = tz[ti] * table.mean[ti]  # o_j = P[T=t|z_j] E[Y|T=t,z_j]
-
-    def col(j: int, pos: int) -> int:
-        # block for z_j occupies positions (nz-1-j)*k ... in the descending layout
-        return (nz - 1 - j) * k + pos
-
-    labels = [None] * d_vars
-    for j in range(nz):
-        for pos, di in enumerate(others):
-            labels[col(j, pos)] = (t, table.treatments[di], table.instruments[j])
-
-    def group_rows(j: int):
-        """(G_j, c_j) of the z_j block for the active assumption set."""
-        if KIND_CMIV_S in spec.kinds:
-            subsets = [
-                s
-                for r in range(1, nt + 1)
-                for s in itertools.combinations(range(nt), r)
-                if set(s) != {ti}
-            ]
-            G = np.zeros((len(subsets), k))
-            cvec = np.zeros(len(subsets))
-            for row, A in enumerate(subsets):
-                pA = tz[list(A), j].sum()
-                for pos, di in enumerate(others):
-                    if di in A:
-                        G[row, pos] = tz[di, j] / pA
-                if ti in A:
-                    cvec[row] = o[j] / pA
-            return G, cvec
-        if KIND_CMIV_P in spec.kinds:
-            G = np.vstack([tz[others, j][None, :], np.eye(k)])
-            cvec = np.concatenate([[o[j]], np.zeros(k)])
-            return G, cvec
-        # plain monotone instrument: one row per z level
-        return tz[others, j][None, :], np.array([o[j]])
-
-    # the columns of each block, and every column in (j, pos) order
-    cols = [slice(col(j, 0), col(j, 0) + k) for j in range(nz)]
-    order = np.arange(d_vars).reshape(nz, k)[::-1].ravel()
-    M_blocks: List[np.ndarray] = [np.zeros((0, d_vars))]
-    c_blocks: List[np.ndarray] = [np.zeros(0)]
-    if KIND_MIV in spec.kinds:
-        groups = [group_rows(j) for j in range(nz)]
-        for j in range(1, nz):
-            (Gj, cj), (Gp, cp) = groups[j], groups[j - 1]
-            # in place on zeros, as -Gp would turn 0.0 into -0.0
-            block = np.zeros((Gj.shape[0], d_vars))
-            block[:, cols[j]] += Gj
-            block[:, cols[j - 1]] -= Gp
-            M_blocks.append(block)
-            c_blocks.append(cp - cj - spec.relax)
-
-    p = np.zeros(d_vars)
-    p[order] = (pz * tz[others]).T.ravel()  # pz[j] * tz[di, j]
-    offset = float(np.sum(pz * o))
-    return p, np.vstack(M_blocks), np.concatenate(c_blocks), offset, labels, False
-
-
 def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int):
-    """Full conditional-moment-vector program (supports MTR and missing
-    data): (p, M, c, offset, labels, valid_only).
+    """The conditional-moment-vector program of E[Y(t)] for t the ti-th
+    treatment: (p, M, c, offset, labels, valid_only).
 
     The moment vector m has one coordinate per (treatment cell, instrument
     cell, potential-outcome leg): m[(a, z), d] = E[Y(d) | T=a, Z=z], at flat
-    index (a*nz + z)*nt + d. The MTR restrictions are replicated across
-    cells; instrument-monotonicity rows mix cells within adjacent z levels.
-    Observed coordinates (d = a with outcome data) are substituted out. Each
-    row couples two coordinates of which at most one is observed, so every
-    row of M keeps a free entry; the outcome bounds are the box.
+    index (a*nz + z)*nt + d. Under MTR every leg is a variable, and the MTR
+    rows Y(d+1) - Y(d) + relax >= 0 hold in every cell. Otherwise only the
+    target's leg ti is: no row couples another leg to it, and its objective
+    is zero. Under MIV, E[Y(d) | T in A, Z=z] rises with z on every leg d and
+    monotone group A, one row per adjacent pair of instrument levels, ordered
+    (leg, group, z). The groups are the full set, weighted by P[T=a | Z=z]
+    itself, then under cmiv_s every proper subset A but {ti}, under cmiv_p
+    each {a} but {ti}, weighted by P[T=a | T in A, Z=z]. Observed coordinates
+    (d = a with outcome data) are substituted out; every row keeps a free
+    entry. The outcome bounds are the box. valid_only marks the bounds as
+    valid but not claimed sharp: MIV with MTR, or with missing outcomes and
+    bounds.
     """
     nt, nz = table.n_treatments, table.n_instruments
     tz = table.t_given_z()
@@ -396,28 +330,42 @@ def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: in
     A[np.arange(cells), :, np.arange(cells)] = R
     A = A.reshape(cells * mtr, cells * nt)
     b = np.full(cells * mtr, spec.relax)
+    legs = np.arange(nt) if KIND_MTR in spec.kinds else np.array([ti])
     if KIND_MIV in spec.kinds:
-        # row (d, z): sum_a tz[a, z+1] m[(a, z+1), d] - tz[a, z] m[(a, z), d] + relax >= 0
-        miv = np.zeros((nt, nz - 1, nt, nz, nt))
-        d, z = np.ix_(range(nt), range(nz - 1))
-        miv[d, z, :, z + 1, d] += tz[:, 1:].T
-        miv[d, z, :, z, d] -= tz[:, :-1].T
-        A = np.vstack([A, miv.reshape(nt * (nz - 1), cells * nt)])
-        b = np.concatenate([b, np.full(nt * (nz - 1), spec.relax)])
+        if KIND_CMIV_S in spec.kinds:
+            subsets = [s for r in range(1, nt) for s in itertools.combinations(range(nt), r)
+                       if s != (ti,)]
+        else:
+            subsets = [(a,) for a in range(nt) if a != ti and KIND_CMIV_P in spec.kinds]
+        w = np.zeros((1 + len(subsets), nt, nz))  # w[g, a, z], 0 off the group
+        w[0] = tz
+        for wg, s in zip(w[1:], subsets):
+            wg[list(s)] = tz[list(s)] / tz[list(s)].sum(axis=0)
+        # row (leg d, group g, z): sum_a w[g, a, z+1] m[(a, z+1), d] - w[g, a, z] m[(a, z), d] + relax >= 0,
+        # filled in place on zeros, as a negated zero weight would write -0.0
+        miv = np.zeros((legs.size, len(w), nz - 1, nt, nz, nt))
+        leg = np.arange(legs.size)[:, None, None, None]
+        g = np.arange(len(w))[:, None, None]
+        z = np.arange(nz - 1)[:, None]
+        a = np.arange(nt)
+        miv[leg, g, z, a, z + 1, legs[leg]] += w[g, a, z + 1]
+        miv[leg, g, z, a, z, legs[leg]] -= w[g, a, z]
+        A = np.vstack([A, miv.reshape(-1, cells * nt)])
+        b = np.concatenate([b, np.full(len(A) - len(b), spec.relax)])
 
     seen = [a for a, label in enumerate(table.treatments) if label in table.observed]
-    known = np.zeros((nt, nz, nt), dtype=bool)
-    known[seen, :, seen] = True
+    is_free = np.zeros((nt, nz, nt), dtype=bool)
+    is_free[:, :, legs] = True
+    is_free[seen, :, seen] = False
+    free = np.flatnonzero(is_free)
     values = np.zeros((nt, nz, nt))
     values[seen, :, seen] = table.mean[seen]
     mu = np.zeros((nt, nz, nt))
     mu[:, :, ti] = table.prob
-    known, values, mu = known.ravel(), values.ravel(), mu.ravel()
-    free = np.flatnonzero(~known)
+    values, mu = values.ravel(), mu.ravel()
     labels = [(table.treatments[d], table.treatments[a], table.instruments[z])
               for a, z, d in zip(*np.unravel_index(free, (nt, nz, nt)))]
-
-    valid_only = (spec.bounds is not None or mtr > 0) and KIND_MIV in spec.kinds
+    valid_only = KIND_MIV in spec.kinds and (mtr > 0 or (len(seen) < nt and spec.bounds is not None))
     return mu[free], A[:, free], -b - A @ values, float(mu @ values), labels, valid_only
 
 
@@ -425,19 +373,14 @@ def _single_target_program(table, spec, t) -> CompiledProgram:
     conditional = bool(spec.kinds & {KIND_CMIV_S, KIND_CMIV_P})
     missing = len(table.observed) != table.n_treatments
     if conditional and KIND_MTR in spec.kinds:
-        raise CompileError(
-            "conditional monotonicity combined with monotone treatment "
-            "response is not supported"
-        )
+        raise CompileError("conditional monotonicity combined with monotone treatment "
+                           "response is not supported")
     if conditional and missing:
         raise CompileError("conditional monotonicity requires fully observed outcomes")
     ti = table.t_index(t)
     if t not in table.observed:
         raise CompileError(f"target treatment {t!r} has no outcome data")
-    if KIND_MTR in spec.kinds or missing:
-        p, M, c, offset, labels, valid_only = _general_program(table, spec, ti)
-    else:
-        p, M, c, offset, labels, valid_only = _block_program(table, spec, ti)
+    p, M, c, offset, labels, valid_only = _general_program(table, spec, ti)
     k0, k1 = spec.bounds or (-np.inf, np.inf)
     box = (np.full(p.size, k0), np.full(p.size, k1))
     # an observed cell mean outside the bounds refutes them (NaN compares False),
@@ -451,7 +394,8 @@ def _single_target_program(table, spec, t) -> CompiledProgram:
 def compile(table: ConditionalMomentTable, spec: AssumptionSpec) -> CompiledProgram:
     """LP whose direction-appropriate optimum plus offset is the target bound.
 
-    The outcome bounds are the box. The rows of M depend only on the
+    Each target treatment's program is _general_program's; an ATE stacks
+    the two. The outcome bounds are the box. The rows of M depend only on the
     supports, observed treatments and kinds, alike for every resample of one
     sample, as the bootstrap and the CI folds need. An observed cell mean
     outside the bounds by more than TAU_FEAS refutes them: the program is

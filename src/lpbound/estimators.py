@@ -115,21 +115,17 @@ def penalty_value(params: LpParams, w, bases: Optional[list] = None) -> float:
     return float(sol.value)
 
 
-def debiased_estimate(params: LpParams, w, pick: str = "max",
-                      bases: Optional[list] = None) -> DebiasedResult:
+def debiased_estimate(params: LpParams, w, bases: Optional[list] = None) -> DebiasedResult:
     """Vertex-solution of the penalized problem with the penalty term dropped.
 
-    Solves the relaxed LP while optimizing p'x in the `pick` direction over
-    the optimal face (exact lexicographic second stage), and returns the
-    resulting vertex with its binding rows. `bases` is passed to solve_lp as
-    its warm-start list: the value does not depend on the start, but at a
-    degenerate optimum the vertex and binding rows may.
+    Solves the relaxed LP while maximizing p'x over the optimal face (exact
+    lexicographic second stage), and returns the resulting vertex with its
+    binding rows. `bases` is passed to solve_lp as its warm-start list: the
+    value does not depend on the start, but at a degenerate optimum the
+    vertex and binding rows may.
     """
-    if pick not in ("max", "min"):
-        raise PenaltyError(f"pick must be 'max' or 'min', got {pick!r}")
     relaxed = _relaxed_params(params, w)
-    sense = -1.0 if pick == "max" else 1.0
-    secondary = np.concatenate([sense * params.p, np.zeros(params.q)])
+    secondary = np.concatenate([-params.p, np.zeros(params.q)])
     sol = solve_lp(relaxed, secondary=secondary, bases=bases)
     if not sol.optimal:  # feasible (a = (c - Mx)^+) and box-bounded
         raise SolverError(f"relaxed penalty LP reported {sol.status}")

@@ -208,31 +208,24 @@ def check_a1(params: LpParams, w: np.ndarray) -> str:
         return "undetermined"
     # max s  s.t.  M'lambda = p, lambda >= 0, |c'lambda - B| <= TAU_KKT,
     #              lambda_j + s <= w_j.
-    # Variables (lambda, s) with s free; rows as >= constraints.
+    # Variables (lambda, s) with s free; rows as >= constraints: each
+    # equation as a pair (row, -row), then -lambda_j - s >= -w_j, filled in
+    # place on zeros, as -np.eye would write -0.0.
     d, q = params.d, params.q
-    B = float(primal.value)
-    rows = []
-    rhs = []
-    for i in range(d):
-        rows.append(np.concatenate([params.M[:, i], [0.0]]))
-        rhs.append(params.p[i])
-        rows.append(np.concatenate([-params.M[:, i], [0.0]]))
-        rhs.append(-params.p[i])
-    rows.append(np.concatenate([params.c, [0.0]]))
-    rhs.append(B - TAU_KKT)
-    rows.append(np.concatenate([-params.c, [0.0]]))
-    rhs.append(-B - TAU_KKT)
-    for j in range(q):
-        e = np.zeros(q + 1)
-        e[j] = -1.0
-        e[q] = -1.0
-        rows.append(e)
-        rhs.append(-w[j])
+    eq = np.vstack([params.M.T, params.c])
+    value = np.append(params.p, float(primal.value))
+    tol = np.append(np.zeros(d), TAU_KKT)
+    rows = np.zeros((2 * d + 2 + q, q + 1))
+    rows[:2 * d + 2:2, :q] = eq
+    rows[1:2 * d + 2:2, :q] = -eq
+    rows[2 * d + 2 + np.arange(q), np.arange(q)] = -1.0
+    rows[2 * d + 2:, q] = -1.0
+    rhs = np.concatenate([np.column_stack([value - tol, -value - tol]).ravel(), -w])
     lower = np.concatenate([np.zeros(q), [-np.inf]])
     upper = np.full(q + 1, np.inf)
     obj = np.zeros(q + 1)
     obj[q] = -1.0  # maximize s
-    search = LpParams(obj, np.array(rows), np.array(rhs), (lower, upper))
+    search = LpParams(obj, rows, rhs, (lower, upper))
     sol = solve_lp(search)
     if sol.status != OPTIMAL:
         return "fails"

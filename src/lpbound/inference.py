@@ -208,16 +208,13 @@ def asymptotic_variance(
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
-    d = x.shape[0]
-    q = v.shape[0]
-    S = d + q * d + q
-    if Sigma.shape != (S, S):
-        raise DimensionError(f"Sigma must be {S}x{S}, got {Sigma.shape}")
+    v_A = np.zeros(v.shape[0])
+    v_A[A] = v[A]
+    g = np.concatenate([np.zeros(x.shape[0]), -np.kron(x, v_A), v_A])
+    if Sigma.shape != (g.size, g.size):
+        raise DimensionError(f"Sigma must be {g.size}x{g.size}, got {Sigma.shape}")
     check_covariance(Sigma)
     scale = max(1.0, float(np.abs(Sigma).max()))
-    v_A = np.zeros(q)
-    v_A[A] = v[A]
-    g = np.concatenate([np.zeros(d), -np.kron(x, v_A), v_A])
     var = float(g @ Sigma @ g)
     if var < _VAR_CLIP * scale:
         raise InferenceError(f"variance formula returned {var:.3e} < clip threshold")

@@ -198,8 +198,8 @@ class TestGeneralPath:
 
     @pytest.mark.parametrize("observed", [{"0", "1"}, {"1"}], ids=["block", "general"])
     def test_one_refutation_rule_on_both_paths(self, observed):
-        # E[Y | T=1, Z=a] = 1.5 > K1 = 1 refutes the bounds whichever path
-        # compiles the table
+        # E[Y | T=1, Z=a] = 1.5 > K1 = 1 refutes the bounds with full
+        # outcomes and with t = 0 missing alike
         mean = np.array([[0.5, 0.6], [1.5, 0.7]])
         mean[[t not in observed for t in ("0", "1")]] = np.nan
         table = ConditionalMomentTable(["0", "1"], ["a", "b"], mean, np.full((2, 2), 0.25),
@@ -392,87 +392,17 @@ class TestMicrodata:
         assert repr(list(Microdata.of(reference))) == repr(reference)
 
 
-def _block_rows_reference(table, spec, t):
-    """(M, c, p) of the block program filled row by row and entry by entry:
-    the reference its array assembly must match bit for bit. Only the
-    monotonicity rows are rows; the outcome bounds are the box."""
-    ti, nt, nz = table.t_index(t), table.n_treatments, table.n_instruments
-    others = [i for i in range(nt) if i != ti]
-    k = len(others)
-    d_vars = k * nz
-    tz, pz = table.t_given_z(), table.z_prob()
-    o = tz[ti] * table.mean[ti]
-
-    def col(j, pos):
-        return (nz - 1 - j) * k + pos
-
-    def group_rows(j):
-        if "cmiv_s" in spec.kinds:
-            subsets = [s for r in range(1, nt + 1)
-                       for s in itertools.combinations(range(nt), r) if set(s) != {ti}]
-            G, cvec = np.zeros((len(subsets), k)), np.zeros(len(subsets))
-            for row, A in enumerate(subsets):
-                pA = tz[list(A), j].sum()
-                for pos, di in enumerate(others):
-                    if di in A:
-                        G[row, pos] = tz[di, j] / pA
-                if ti in A:
-                    cvec[row] = o[j] / pA
-            return G, cvec
-        if "cmiv_p" in spec.kinds:
-            return (np.vstack([tz[others, j][None, :], np.eye(k)]),
-                    np.concatenate([[o[j]], np.zeros(k)]))
-        return tz[others, j][None, :], np.array([o[j]])
-
-    rows, c = [], []
-    if "miv" in spec.kinds:
-        for j in range(1, nz):
-            (Gj, cj), (Gp, cp) = group_rows(j), group_rows(j - 1)
-            for r in range(Gj.shape[0]):
-                row = np.zeros(d_vars)
-                for pos in range(k):
-                    row[col(j, pos)] += Gj[r, pos]
-                    row[col(j - 1, pos)] -= Gp[r, pos]
-                rows.append(row)
-                c.append(cp[r] - cj[r] - spec.relax)
-    p = np.zeros(d_vars)
-    for j in range(nz):
-        for pos, di in enumerate(others):
-            p[col(j, pos)] = pz[j] * tz[di, j]
-    return np.array(rows).reshape(len(rows), d_vars), np.array(c, dtype=float), p
-
-
-@pytest.mark.parametrize("kinds", [
-    {"bounds"}, {"miv"}, {"bounds", "miv"}, {"bounds", "cmiv_p"}, {"cmiv_p"},
-    {"bounds", "cmiv_s"}, {"cmiv_s"},
-])
-def test_block_program_matches_row_by_row_assembly(kinds):
-    rng = np.random.default_rng(18)
-    for nt, nz in ((2, 1), (2, 4), (3, 3)):
-        prob = rng.uniform(0.1, 1.0, (nt, nz))
-        mean = rng.uniform(-1.2, 1.2, (nt, nz))  # some cells outside the bounds
-        labels = [str(i) for i in range(nt)]
-        table = ConditionalMomentTable(labels, [f"z{j}" for j in range(nz)], mean,
-                                       prob / prob.sum(), np.ones((nt, nz)), frozenset(labels))
-        for relax in (0.0, 0.05):
-            spec = AssumptionSpec(kinds=frozenset(kinds), relax=relax, target=MeanPotential("1"),
-                                  bounds=(-1.0, 1.0) if "bounds" in kinds else None)
-            lp = compile(table, spec).lp
-            M, c, p = _block_rows_reference(table, spec, "1")
-            assert (lp.M.shape, lp.M.tobytes(), lp.c.tobytes(), lp.p.tobytes()) == \
-                (M.shape, M.tobytes(), c.tobytes(), p.tobytes())
-            bound = spec.bounds or (-np.inf, np.inf)
-            assert all(np.array_equal(side, np.full(p.size, k)) for side, k in zip(lp.box, bound))
-
-
 def _general_rows_reference(table, spec, t):
-    """(M, c, p, offset, labels, refuted) of the general program filled row
-    by row and entry by entry: the reference its array assembly must match
-    bit for bit. The outcome bounds are the box, not rows; refuted is
-    whether an observed cell mean lies outside them by more than TAU_FEAS."""
+    """(M, c, p, offset, labels, refuted) of the conditional-moment program
+    filled row by row and entry by entry: the reference its array assembly
+    must match bit for bit. Every leg is a variable under mtr, else only the
+    target's; the MIV rows run over (leg, group, z). The outcome bounds are
+    the box, not rows; refuted is whether an observed cell mean lies outside
+    them by more than TAU_FEAS."""
     ti, nt, nz = table.t_index(t), table.n_treatments, table.n_instruments
     tz = table.t_given_z()
     n_m = nt * nz * nt
+    legs = range(nt) if "mtr" in spec.kinds else [ti]
 
     def midx(a, z, d):
         return (a * nz + z) * nt + d
@@ -494,14 +424,26 @@ def _general_rows_reference(table, spec, t):
                 rows.append(full)
                 rhs.append(r)
     if "miv" in spec.kinds:
-        for d in range(nt):
-            for z in range(nz - 1):
-                full = np.zeros(n_m)
-                for a in range(nt):
-                    full[midx(a, z + 1, d)] += tz[a, z + 1]
-                    full[midx(a, z, d)] -= tz[a, z]
-                rows.append(full)
-                rhs.append(spec.relax)
+        groups = [tuple(range(nt))]  # the full set, weighted by tz itself
+        if "cmiv_s" in spec.kinds:
+            groups += [A for r in range(1, nt) for A in itertools.combinations(range(nt), r)
+                       if A != (ti,)]
+        elif "cmiv_p" in spec.kinds:
+            groups += [(a,) for a in range(nt) if a != ti]
+        for d in legs:
+            for A in groups:
+                for z in range(nz - 1):
+                    full = np.zeros(n_m)
+                    for a in A:
+                        if len(A) == nt:
+                            hi, lo = tz[a, z + 1], tz[a, z]
+                        else:
+                            hi = tz[a, z + 1] / sum(tz[b, z + 1] for b in A)
+                            lo = tz[a, z] / sum(tz[b, z] for b in A)
+                        full[midx(a, z + 1, d)] += hi
+                        full[midx(a, z, d)] -= lo
+                    rows.append(full)
+                    rhs.append(spec.relax)
     obs = np.zeros(n_m)
     known = set()
     refuted = False
@@ -513,7 +455,7 @@ def _general_rows_reference(table, spec, t):
                 if spec.bounds is not None:
                     k0, k1 = spec.bounds
                     refuted |= k0 - table.mean[a, z] > TAU_FEAS or table.mean[a, z] - k1 > TAU_FEAS
-    free = [i for i in range(n_m) if i not in known]
+    free = [i for i in range(n_m) if i not in known and i % nt in legs]
     labels = []
     for i in free:
         a, rem = divmod(i, nz * nt)
@@ -527,27 +469,35 @@ def _general_rows_reference(table, spec, t):
     return A[:, free], -b - A @ obs, mu[free], float(mu @ obs), labels, refuted
 
 
-@pytest.mark.parametrize("kinds", [
-    {"bounds"}, {"mtr"}, {"bounds", "mtr"}, {"bounds", "miv"}, {"mtr", "miv"},
-    {"bounds", "mtr", "miv"},
-])
+_KIND_SETS = [{"bounds"}, {"mtr"}, {"bounds", "mtr"}, {"bounds", "miv"}, {"mtr", "miv"},
+              {"bounds", "mtr", "miv"}]
+# then every other nonempty set of kinds
+_KIND_SETS += [set(s) for r in range(1, 6)
+               for s in itertools.combinations(["bounds", "mtr", "miv", "cmiv_p", "cmiv_s"], r)
+               if set(s) not in _KIND_SETS]
+
+
+@pytest.mark.parametrize("kinds", _KIND_SETS)
 def test_general_program_matches_row_by_row_assembly(kinds):
     rng = np.random.default_rng(19)
+    conditional = bool(kinds & {"cmiv_p", "cmiv_s"})
     refutations = cases = 0
     for nt, nz, unobserved in ((2, 1, ()), (2, 3, ()), (3, 2, ()), (2, 3, ("0",)),
-                               (3, 3, ("0",)), (3, 2, ("0", "1"))):
+                               (3, 3, ("0",)), (3, 2, ("0", "1")), (2, 4, ()), (3, 3, ())):
         prob = rng.uniform(0.1, 1.0, (nt, nz))
         mean = rng.uniform(-1.2, 1.2, (nt, nz))  # some cells outside the bounds
         labels = [str(i) for i in range(nt)]
         mean[[labels.index(u) for u in unobserved]] = np.nan
         observed = frozenset(labels) - set(unobserved)
-        if "mtr" not in kinds and not unobserved:
-            continue  # fully observed without mtr compiles to the block program
         table = ConditionalMomentTable(labels, [f"z{j}" for j in range(nz)], mean,
                                        prob / prob.sum(), np.ones((nt, nz)), observed)
         for relax in (0.0, 0.05):
             spec = AssumptionSpec(kinds=frozenset(kinds), relax=relax, target=MeanPotential(labels[-1]),
                                   bounds=(-1.0, 1.0) if "bounds" in kinds else None)
+            if conditional and ("mtr" in kinds or unobserved):
+                with pytest.raises(CompileError, match="conditional monotonicity"):
+                    compile(table, spec)
+                continue
             M, c, p, offset, names, refuted = _general_rows_reference(table, spec, spec.target.t)
             refutations += refuted
             cases += 1
@@ -558,9 +508,31 @@ def test_general_program_matches_row_by_row_assembly(kinds):
                 (p.tobytes(), offset, names)
             bound = spec.bounds or (-np.inf, np.inf)
             assert all(np.array_equal(side, np.full(p.size, k)) for side, k in zip(lp.box, bound))
-            assert prog.valid_only == ("miv" in kinds)
+            assert prog.valid_only == ("miv" in spec.kinds and (
+                "mtr" in kinds or bool(unobserved) and "bounds" in kinds))
             assert prog.refuted == refuted
-    assert 0 < refutations < cases if "bounds" in kinds else refutations == 0
+    if conditional and "mtr" in kinds:
+        assert cases == 0
+    else:
+        assert 0 < refutations < cases if "bounds" in kinds else refutations == 0
+
+
+def test_other_legs_do_not_refute_the_target():
+    # treatment 0 has no outcomes, and E[Y | T=1, Z] falls from 0.9 to -0.9:
+    # no means of the T=0 cells in [-1, 1] make E[Y(1) | Z] rise, but that
+    # leg shares no row with E[Y(2)], so the mean of 2 keeps the bounds it
+    # has when the T=0 cells are observed at 0
+    prob = np.array([[0.05, 0.05], [0.35, 0.35], [0.1, 0.1]])
+    spec = AssumptionSpec(kinds=frozenset({"bounds", "miv"}), bounds=(-1.0, 1.0),
+                          target=MeanPotential("2"))
+    for first, observed in ((np.nan, {"1", "2"}), (0.0, {"0", "1", "2"})):
+        mean = np.array([[first, first], [0.9, -0.9], [0.0, 0.2]])
+        table = ConditionalMomentTable(["0", "1", "2"], ["z0", "z1"], mean, prob,
+                                       np.ones((3, 2)), frozenset(observed))
+        program = compile(table, spec)
+        (lo, lo_status), (up, up_status) = (bound_value(program, s) for s in ("lower", "upper"))
+        assert (lo_status, up_status) == (OPTIMAL, OPTIMAL)
+        assert abs(lo - -0.78) < 1e-12 and abs(up - 0.82) < 1e-12
 
 
 @pytest.mark.parametrize("target", [MeanPotential("1"), ATE("1", "0")], ids=["mean", "ate"])
@@ -568,7 +540,7 @@ def test_no_row_of_m_is_zero_or_a_box_row(target):
     rng = np.random.default_rng(20)
     kind_sets = [{"bounds"}, {"bounds", "miv"}, {"bounds", "cmiv_p"}, {"bounds", "cmiv_s"},
                  {"bounds", "mtr"}, {"bounds", "mtr", "miv"}]
-    paths = set()
+    tables = set()
     for _ in range(12):
         nt, nz = int(rng.integers(2, 4)), int(rng.integers(1, 4))
         labels = [str(i) for i in range(nt)]
@@ -586,9 +558,9 @@ def test_no_row_of_m_is_zero_or_a_box_row(target):
                 lp = compile(table, spec).lp
             except CompileError:  # conditional monotonicity with missing outcomes
                 continue
-            paths.add("mtr" in kinds or missing)
+            tables.add(missing)
             rows, rhs = lp.effective_system()
             M, box = np.column_stack([rows, rhs])[:lp.q], np.column_stack([rows, rhs])[lp.q:]
             assert lp.M.any(axis=1).all()
             assert not (M[:, None, :] == box[None, :, :]).all(axis=2).any()
-    assert paths == {False, True}  # the block and the general path
+    assert tables == {False, True}  # fully observed and missing-outcome tables

@@ -569,7 +569,7 @@ class TestAicmCommand:
     @pytest.mark.parametrize("missing", [False, True], ids=["full", "missing"])
     def test_no_kinds_leave_the_target_unbounded(self, tmp_path, rng, missing):
         # no assumptions and no outcome bounds: M has no rows and the box no
-        # sides, on the block path (full outcomes) and the general path alike
+        # sides, with full and with missing outcomes alike
         data = tmp_path / "micro.csv"
         with open(data, "w", newline="") as fh:
             csv.writer(fh).writerows([("y", "t", "z")] + self._general_rows(rng, missing))

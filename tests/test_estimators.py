@@ -6,6 +6,7 @@ import pytest
 from lpbound.estimators import (
     PenaltyConfig,
     PenaltyError,
+    _relaxed_params,
     debiased_estimate,
     default_kappa_n,
     full_rank_binding,
@@ -88,11 +89,17 @@ class TestDebiased:
         assert deb.penalty_residual < 1e-12
 
     def test_pick_direction_moves_along_optimal_face(self):
+        # at w = 1 the penalized minimum -1 holds for x1 in [-2, -1]; the
+        # second stage maximizes or minimizes p'x = x1 over that face, and
+        # debiased_estimate takes the maximum
         params = example1_params(0.0)
-        hi = debiased_estimate(params, 0.7, pick="max")
-        lo = debiased_estimate(params, 0.7, pick="min")
-        assert abs(hi.penalized_value - lo.penalized_value) < 1e-9
-        assert hi.value >= lo.value - 1e-12
+        relaxed = _relaxed_params(params, 1.0)
+        hi, lo = (solve_lp(relaxed, secondary=np.concatenate([sense * params.p, np.zeros(params.q)]))
+                  for sense in (-1.0, 1.0))
+        assert abs(hi.value + 1.0) < 1e-12 and abs(lo.value + 1.0) < 1e-12
+        hi_value, lo_value = (float(params.p @ sol.vertex[:params.d]) for sol in (hi, lo))
+        assert abs(hi_value + 1.0) < 1e-12 and abs(lo_value + 2.0) < 1e-12
+        assert debiased_estimate(params, 1.0).value == hi_value
 
     def test_full_rank_binding(self):
         M = example1_params(0.0).M

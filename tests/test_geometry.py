@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lpbound import geometry
 from lpbound.geometry import (
+    TAU_KKT,
     check_a1,
     delta_condition,
     distance_to_polytope,
@@ -163,3 +165,63 @@ class TestPenaltyDomination:
     def test_negative_slope_instance(self):
         assert check_a1(example1_params(-0.05), np.full(4, 0.7)) == "fails"
         assert check_a1(example1_params(-0.05), np.full(4, 25.0)) == "holds"
+
+
+def _search_rows_reference(params, w, B):
+    """(rows, rhs) of check_a1's search LP filled row by row: the reference
+    its array assembly must match bit for bit, -0.0 entries included."""
+    d, q = params.d, params.q
+    rows, rhs = [], []
+    for i in range(d):
+        rows.append(np.concatenate([params.M[:, i], [0.0]]))
+        rhs.append(params.p[i])
+        rows.append(np.concatenate([-params.M[:, i], [0.0]]))
+        rhs.append(-params.p[i])
+    rows.append(np.concatenate([params.c, [0.0]]))
+    rhs.append(B - TAU_KKT)
+    rows.append(np.concatenate([-params.c, [0.0]]))
+    rhs.append(-B - TAU_KKT)
+    for j in range(q):
+        e = np.zeros(q + 1)
+        e[j] = -1.0
+        e[q] = -1.0
+        rows.append(e)
+        rhs.append(-w[j])
+    return np.array(rows), np.array(rhs)
+
+
+def test_search_lp_matches_row_by_row_assembly(monkeypatch, rng):
+    solves = []
+    real = geometry.solve_lp
+
+    def recording_solve(params):
+        solves.append((params, real(params)))
+        return solves[-1][1]
+
+    def no_enumeration(params):
+        raise ValueError("skipped, so that check_a1 reaches its search LP")
+
+    monkeypatch.setattr(geometry, "solve_lp", recording_solve)
+    monkeypatch.setattr(geometry, "delta_condition", no_enumeration)
+    searched = 0
+    for _ in range(200):
+        d = int(rng.integers(1, 4))
+        q = d + int(rng.integers(2, 7))
+        M, c, p = rng.normal(size=(q, d)), rng.normal(size=q), rng.normal(size=d)
+        for a in (M, c, p):
+            a[rng.random(a.shape) < 0.2] = 0.0  # zeros, so that -0.0 entries occur
+        params = LpParams(p, M, c, (np.full(d, -1e6), np.full(d, 1e6)))
+        w = rng.uniform(0.1, 3.0, q)
+        solves.clear()
+        try:
+            check_a1(params, w)
+        except ValueError:  # the LP itself is not solvable
+            continue
+        if len(solves) < 2:  # box rows bind at the optimum: no search LP
+            continue
+        (_, primal), (search, _) = solves
+        rows, rhs = _search_rows_reference(params, w, float(primal.value))
+        assert (search.M.shape, search.M.tobytes(), search.c.tobytes()) == \
+            (rows.shape, rows.tobytes(), rhs.tobytes())
+        searched += 1
+    assert searched >= 20

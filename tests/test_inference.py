@@ -15,7 +15,7 @@ from lpbound.inference import (
     split_sample,
 )
 from lpbound.estimators import PenaltyConfig
-from lpbound.linalg import LpParams
+from lpbound.linalg import DimensionError, LpParams
 
 from conftest import example1_params
 
@@ -132,6 +132,11 @@ class TestAsymptoticVariance:
     def test_zero_sigma(self, rng):
         A, x, v, _ = _random_config(rng)
         assert asymptotic_variance(A, x, v, np.zeros((14, 14))) == 0.0
+
+    def test_sigma_of_another_size_rejected(self, rng):
+        A, x, v, _ = _random_config(rng)
+        with pytest.raises(DimensionError, match="Sigma must be 14x14, got \\(13, 13\\)"):
+            asymptotic_variance(A, x, v, np.eye(13))
 
     def test_non_psd_sigma_rejected(self, rng):
         A, x, v, sigma = _random_config(rng)
