@@ -8,10 +8,12 @@ The two central quantities are
   how well-posed the optimal basis is), and
 * polytope_condition_number: the smallest d-th singular value among full-rank
   binding-row subsets across all vertices (how degenerate the worst vertex is).
+
+Every row-subset loop runs numpy's stacked LAPACK calls on the index blocks
+of linalg.subset_blocks, under its one cap rule, C(n, r) <= ENUMERATION_CAP.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -23,14 +25,12 @@ from .linalg import (
     binding_rows,
     solve_lp,
     enumerate_vertices,
-    smallest_singular_value,
-    EnumerationCapError,
+    subset_blocks,
     OPTIMAL,
     UNBOUNDED,
     TAU_FEAS,
     TAU_VAL,
     TAU_RANK,
-    ENUMERATION_CAP,
 )
 
 TAU_KKT = 1e-9
@@ -56,31 +56,22 @@ def delta_condition(params: LpParams) -> DeltaReport:
     sol = solve_lp(params)
     if sol.status != OPTIMAL:
         raise ValueError(f"delta_condition needs a solvable LP, status: {sol.status}")
-    d, q = params.d, params.q
     M_all, c_all = params.effective_system()
     scale_c = 1.0 + np.abs(c_all)
-    sets: List[np.ndarray] = []
-    sigmas: List[float] = []
-    kkts: List[np.ndarray] = []
-    n_subsets = math.comb(q, d)
-    if n_subsets > ENUMERATION_CAP:
-        raise EnumerationCapError(f"{n_subsets} candidate bases exceed the cap")
-    for J in itertools.combinations(range(q), d):
-        sub = params.M[list(J)]
-        sigma = smallest_singular_value(sub)
-        if sigma <= TAU_RANK * max(1.0, np.abs(sub).max()):
-            continue
-        x = np.linalg.solve(sub, params.c[list(J)])
-        if not np.all(M_all @ x - c_all >= -TAU_FEAS * scale_c):
-            continue
-        if abs(params.p @ x - sol.value) > TAU_VAL * (1.0 + abs(sol.value)):
-            continue
-        lam = np.linalg.solve(sub.T, params.p)
-        if np.any(lam < -TAU_FEAS):
-            continue
-        sets.append(np.array(J))
-        sigmas.append(sigma)
-        kkts.append(lam)
+    sets, sigmas, kkts = [], [], []
+    for J in subset_blocks(params.q, params.d):
+        subs = params.M[J]
+        sigma = np.linalg.svd(subs, compute_uv=False)[:, -1]
+        full = sigma > TAU_RANK * np.maximum(1.0, np.abs(subs).max(axis=(1, 2)))
+        J, subs, sigma = J[full], subs[full], sigma[full]
+        x = np.linalg.solve(subs, params.c[J][..., None])[..., 0]
+        lam = np.linalg.solve(subs.mT, params.p)
+        keep = (np.all(x @ M_all.T - c_all >= -TAU_FEAS * scale_c, axis=1)
+                & (np.abs(x @ params.p - sol.value) <= TAU_VAL * (1.0 + abs(sol.value)))
+                & np.all(lam >= -TAU_FEAS, axis=1))
+        sets.extend(J[keep])
+        sigmas.extend(sigma[keep].tolist())
+        kkts.extend(lam[keep])
     if not sets:
         raise ValueError(
             "no optimal KKT basis found among d-subsets of M rows; "
@@ -128,11 +119,11 @@ def polytope_condition_number(params: LpParams) -> float:
     M_all, _ = params.effective_system()
     best = math.inf
     for _, rows in vertices:
-        for B in itertools.combinations(rows, params.d):
-            sub = M_all[list(B)]
-            sigma = smallest_singular_value(sub)
-            if sigma > TAU_RANK * max(1.0, np.abs(sub).max()):
-                best = min(best, sigma)
+        for B in subset_blocks(len(rows), params.d):
+            subs = M_all[rows[B]]
+            sigma = np.linalg.svd(subs, compute_uv=False)[:, -1]
+            full = sigma > TAU_RANK * np.maximum(1.0, np.abs(subs).max(axis=(1, 2)))
+            best = min([best, *sigma[full].tolist()])
     if not math.isfinite(best):
         raise ValueError("no vertex has a full-rank binding set")
     return best
@@ -145,11 +136,13 @@ def l1_violation(params: LpParams, x: np.ndarray) -> float:
 
 
 def distance_to_polytope(params: LpParams, x: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Euclidean distance from x to {Mx >= c} and the projection attaining it.
+    """Euclidean distance from x to the polytope of the effective system (M,
+    then the finite box rows) and the projection attaining it.
 
-    Projects x onto the affine hull of every row subset, keeps the feasible
-    projections, and returns the closest. Exact for polyhedra: the projection
-    of x is the projection onto the affine hull of its active set.
+    Projects x onto the affine hull of every subset of at most d rows, keeps
+    the feasible projections, and returns the first closest in subset order.
+    Exact for polyhedra: the projection of x is the projection onto the
+    affine hull of its active set, spanned by at most d independent rows.
     """
     x = np.asarray(x, dtype=float)
     M, c = params.effective_system()
@@ -157,19 +150,19 @@ def distance_to_polytope(params: LpParams, x: np.ndarray) -> Tuple[float, np.nda
     if np.all(M @ x - c >= -TAU_FEAS * scale_c):
         return 0.0, x.copy()
     q = M.shape[0]
-    if 2 ** q > ENUMERATION_CAP:
-        raise EnumerationCapError(f"2^{q} subsets exceed the cap")
     best = math.inf
     best_z = None
     for r in range(1, min(q, params.d) + 1):
-        for J in itertools.combinations(range(q), r):
-            sub, rhs = M[list(J)], c[list(J)]
-            # projection onto {sub z = rhs}: x + sub' (sub sub')^+ (rhs - sub x)
-            z = x + sub.T @ (np.linalg.pinv(sub @ sub.T) @ (rhs - sub @ x))
-            if np.all(M @ z - c >= -TAU_FEAS * scale_c):
-                dist = float(np.linalg.norm(z - x))
-                if dist < best:
-                    best, best_z = dist, z
+        for J in subset_blocks(q, r):
+            sub = M[J]
+            # projection onto {sub z = c_J}: x + sub' (sub sub')^+ (c_J - sub x)
+            step = np.linalg.pinv(sub @ sub.mT) @ (c[J] - sub @ x)[..., None]
+            z = x + (sub.mT @ step)[..., 0]
+            z = z[np.all(z @ M.T - c >= -TAU_FEAS * scale_c, axis=1)]
+            # sqrt of vecdot, not norm(axis=1), rounds as the norm of one row
+            dist = np.sqrt(np.vecdot(z - x, z - x))
+            if dist.size and dist[i := np.argmin(dist)] < best:
+                best, best_z = float(dist[i]), z[i]
     if best_z is None:
         raise ValueError("no feasible projection found; polytope may be empty")
     return best, best_z

@@ -9,9 +9,10 @@ _STALL_LIMIT degenerate pivots in a row. The dense basis inverse is updated
 by one rank-one step per pivot and taken afresh every _REFACTOR_EVERY pivots
 and before every verdict. solve_lp can start from a list of (basis, upper
 bound) entries of earlier solves of one shape (a warm start). The module
-also provides the vertex-enumeration oracle, the smallest singular value,
-the inverse of the vectorization behind LpParams.theta, and check_fields,
-which checks each field of a config dataclass against its type annotation.
+also provides subset_blocks (the one row-subset enumerator and cap check),
+the vertex-enumeration oracle, the smallest singular value, the inverse of
+the vectorization behind LpParams.theta, and check_fields, which checks
+each field of a config dataclass against its type annotation.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ _REDUCED_COST_TOL = 1e-9
 _REFACTOR_EVERY = 50  # simplex pivots between fresh basis inverses
 _STALL_LIMIT = 50  # degenerate pivots in a row before the switch to Bland's rule
 _WARM_FEAS_TOL = 1e-12  # a warm-start basis needs x_B >= -_WARM_FEAS_TOL
+_SUBSET_BLOCK = 4096  # subsets per block of subset_blocks
 
 
 class DimensionError(ValueError):
@@ -398,34 +400,38 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
     return LpSolution(status=OPTIMAL, value=float(params.p @ z[:d]), vertex=z[:d])
 
 
+def subset_blocks(n: int, r: int):
+    """The r-subsets of range(n) in itertools.combinations order, as (k, r)
+    index arrays of at most _SUBSET_BLOCK rows. The one cap rule: raises
+    EnumerationCapError before any block when C(n, r) > ENUMERATION_CAP."""
+    total = math.comb(n, r)
+    if total > ENUMERATION_CAP:
+        raise EnumerationCapError(f"C({n},{r}) = {total} subsets exceed the cap {ENUMERATION_CAP}")
+    subsets = itertools.combinations(range(n), r)
+    while block := list(itertools.islice(subsets, _SUBSET_BLOCK)):
+        yield np.array(block, dtype=np.intp).reshape(len(block), r)
+
+
 def enumerate_vertices(params: LpParams):
     """All vertices of {x: Mx >= c} inside the box.
 
     Returns a list of (vertex, binding-set) pairs; binding sets index the
-    effective rows (params.M first, then the finite box rows). Candidate vertices are
-    x = A_J^{-1} rhs_J over d-subsets J with |det| above the rank tolerance,
-    kept when feasible within TAU_FEAS, deduplicated within TAU_DEDUP.
+    effective rows (params.M first, then the finite box rows). Candidates
+    x = A_J^{-1} rhs_J over the d-subsets J of subset_blocks, stacked a block
+    at a time, with |det| above the rank tolerance, are kept when feasible
+    within TAU_FEAS, deduplicated within TAU_DEDUP in subset order.
     """
     A_rows, rhs = params.effective_system()
     q_eff, d = A_rows.shape
-    if math.comb(q_eff, d) > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"instance too large: C({q_eff},{d}) subsets exceed cap {ENUMERATION_CAP}"
-        )
     scale = max(1.0, float(np.abs(A_rows).max()))
     feas_tol = TAU_FEAS * max(1.0, float(np.abs(rhs).max()), scale)
     found = []
-    for J in itertools.combinations(range(q_eff), d):
-        sub = A_rows[list(J)]
-        det = np.linalg.det(sub)
-        if abs(det) <= TAU_RANK * scale**d:
-            continue
-        x = np.linalg.solve(sub, rhs[list(J)])
-        if not np.all(A_rows @ x >= rhs - feas_tol):
-            continue
-        if any(np.max(np.abs(x - v)) <= TAU_DEDUP for v, _ in found):
-            continue
-        found.append((x, binding_rows(A_rows, rhs, x)))
+    for J in subset_blocks(q_eff, d):
+        J = J[np.abs(np.linalg.det(A_rows[J])) > TAU_RANK * scale**d]
+        xs = np.linalg.solve(A_rows[J], rhs[J][..., None])[..., 0]
+        for x in xs[np.all(xs @ A_rows.T >= rhs - feas_tol, axis=1)]:
+            if not any(np.max(np.abs(x - v)) <= TAU_DEDUP for v, _ in found):
+                found.append((x, binding_rows(A_rows, rhs, x)))
     return found
 
 

@@ -169,7 +169,7 @@ class TestGeneralPath:
         v_miv, _ = lower_bound(table, {"bounds", "miv"}, MeanPotential("1"))
         assert v_bounds <= v_miv + 1e-9
 
-    def test_mtr_routes_through_general_path(self, rng):
+    def test_mtr_with_full_outcomes_tightens_the_bound(self, rng):
         table = random_binary_table(rng)
         v_plain, _ = lower_bound(table, {"bounds"}, MeanPotential("1"))
         v_mtr, status = lower_bound(table, {"bounds", "mtr"}, MeanPotential("1"))
@@ -196,8 +196,8 @@ class TestGeneralPath:
         assert not held.refuted
         assert (held.lp.M.shape, held.lp.M.tobytes()) == (program.lp.M.shape, program.lp.M.tobytes())
 
-    @pytest.mark.parametrize("observed", [{"0", "1"}, {"1"}], ids=["block", "general"])
-    def test_one_refutation_rule_on_both_paths(self, observed):
+    @pytest.mark.parametrize("observed", [{"0", "1"}, {"1"}], ids=["full", "missing"])
+    def test_one_refutation_rule_for_full_and_missing_outcomes(self, observed):
         # E[Y | T=1, Z=a] = 1.5 > K1 = 1 refutes the bounds with full
         # outcomes and with t = 0 missing alike
         mean = np.array([[0.5, 0.6], [1.5, 0.7]])

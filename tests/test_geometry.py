@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,21 @@ from lpbound.geometry import (
     l1_violation,
     polytope_condition_number,
 )
-from lpbound.linalg import LpParams
+from lpbound.linalg import (
+    OPTIMAL,
+    TAU_DEDUP,
+    TAU_FEAS,
+    TAU_RANK,
+    TAU_VAL,
+    EnumerationCapError,
+    LpParams,
+    binding_rows,
+    enumerate_vertices,
+    solve_lp,
+    subset_blocks,
+)
 
-from conftest import example1_params, random_feasible_polytope_data
+from conftest import example1_params, random_feasible_polytope_data, random_lp
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -225,3 +238,181 @@ def test_search_lp_matches_row_by_row_assembly(monkeypatch, rng):
             (rows.shape, rows.tobytes(), rhs.tobytes())
         searched += 1
     assert searched >= 20
+
+
+# Per-subset references: the loops the stacked blocks of subset_blocks
+# replaced, one LAPACK call per subset. The stacked code must match them
+# bit for bit, in values and in order.
+
+def _enumerate_vertices_reference(params):
+    A_rows, rhs = params.effective_system()
+    q_eff, d = A_rows.shape
+    scale = max(1.0, float(np.abs(A_rows).max()))
+    feas_tol = TAU_FEAS * max(1.0, float(np.abs(rhs).max()), scale)
+    found = []
+    for J in itertools.combinations(range(q_eff), d):
+        sub = A_rows[list(J)]
+        if abs(np.linalg.det(sub)) <= TAU_RANK * scale**d:
+            continue
+        x = np.linalg.solve(sub, rhs[list(J)])
+        if not np.all(A_rows @ x >= rhs - feas_tol):
+            continue
+        if any(np.max(np.abs(x - v)) <= TAU_DEDUP for v, _ in found):
+            continue
+        found.append((x, binding_rows(A_rows, rhs, x)))
+    return found
+
+
+def _delta_condition_reference(params):
+    """(sets, sigmas, kkts, delta) over the d-subsets of M's rows."""
+    sol = solve_lp(params)
+    if sol.status != OPTIMAL:
+        raise ValueError(f"delta_condition needs a solvable LP, status: {sol.status}")
+    M_all, c_all = params.effective_system()
+    scale_c = 1.0 + np.abs(c_all)
+    sets, sigmas, kkts = [], [], []
+    for J in itertools.combinations(range(params.q), params.d):
+        sub = params.M[list(J)]
+        sigma = float(np.linalg.svd(sub, compute_uv=False)[-1])
+        if sigma <= TAU_RANK * max(1.0, np.abs(sub).max()):
+            continue
+        x = np.linalg.solve(sub, params.c[list(J)])
+        if not np.all(M_all @ x - c_all >= -TAU_FEAS * scale_c):
+            continue
+        if abs(params.p @ x - sol.value) > TAU_VAL * (1.0 + abs(sol.value)):
+            continue
+        lam = np.linalg.solve(sub.T, params.p)
+        if np.any(lam < -TAU_FEAS):
+            continue
+        sets.append(np.array(J))
+        sigmas.append(sigma)
+        kkts.append(lam)
+    if not sets:
+        raise ValueError("no optimal KKT basis found among d-subsets of M rows")
+    return sets, sigmas, kkts, max(sigmas)
+
+
+def _condition_number_reference(params):
+    M_all, _ = params.effective_system()
+    best = math.inf
+    for _, rows in _enumerate_vertices_reference(params):
+        for B in itertools.combinations(rows, params.d):
+            sub = M_all[list(B)]
+            sigma = float(np.linalg.svd(sub, compute_uv=False)[-1])
+            if sigma > TAU_RANK * max(1.0, np.abs(sub).max()):
+                best = min(best, sigma)
+    return best
+
+
+def _distance_reference(params, x):
+    """(distance, projection, position of the winning subset in the order
+    of subset_blocks within its size)."""
+    M, c = params.effective_system()
+    scale_c = 1.0 + np.abs(c)
+    if np.all(M @ x - c >= -TAU_FEAS * scale_c):
+        return 0.0, x.copy(), None
+    best, best_z, where = math.inf, None, None
+    for r in range(1, min(M.shape[0], params.d) + 1):
+        for k, J in enumerate(itertools.combinations(range(M.shape[0]), r)):
+            sub, rhs = M[list(J)], c[list(J)]
+            z = x + sub.T @ (np.linalg.pinv(sub @ sub.T) @ (rhs - sub @ x))
+            if np.all(M @ z - c >= -TAU_FEAS * scale_c):
+                dist = float(np.linalg.norm(z - x))
+                if dist < best:
+                    best, best_z, where = dist, z, k
+    return best, best_z, where
+
+
+def _bits(*arrays):
+    return [(np.asarray(a).dtype, np.shape(a), np.asarray(a).tobytes()) for a in arrays]
+
+
+def _assert_vertices_match(params):
+    got, want = enumerate_vertices(params), _enumerate_vertices_reference(params)
+    assert len(got) == len(want)
+    for (x, rows), (x_ref, rows_ref) in zip(got, want):
+        assert _bits(x, rows) == _bits(x_ref, rows_ref)
+    return len(got)
+
+
+def _assert_delta_matches(params):
+    try:
+        want = _delta_condition_reference(params)
+    except ValueError:
+        with pytest.raises(ValueError):
+            delta_condition(params)
+        return 0
+    got = delta_condition(params)
+    sets, sigmas, kkts, delta = want
+    assert _bits(*got.j_star_sets) == _bits(*sets)
+    assert _bits(*got.kkt_vectors) == _bits(*kkts)
+    assert _bits(got.sigma_values, got.delta) == _bits(sigmas, delta)
+    return len(sets)
+
+
+def _assert_distance_matches(poly, x):
+    dist, proj = distance_to_polytope(poly, x)
+    dist_ref, proj_ref, where = _distance_reference(poly, x)
+    assert _bits(dist, proj) == _bits(dist_ref, proj_ref)
+    return where
+
+
+class TestStackedEnumerationMatchesLoops:
+    def test_criterion_10_lps(self):
+        rng = np.random.default_rng(1010)
+        vertices = bases = 0
+        for _ in range(300):
+            params = random_lp(rng)
+            vertices += _assert_vertices_match(params)
+            bases += _assert_delta_matches(params)
+        assert vertices > 1000 and bases > 20
+
+    def test_criterion_6_polytopes(self):
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            M, c, box = random_feasible_polytope_data(rng)
+            poly = LpParams(np.zeros(M.shape[1]), M, c, box)
+            assert _bits(polytope_condition_number(poly)) == \
+                _bits(_condition_number_reference(poly))
+            for _ in range(10):
+                _assert_distance_matches(poly, rng.uniform(-4.0, 4.0, size=M.shape[1]))
+
+    @staticmethod
+    def two_block_lp():
+        # 31 rows of M and 6 box rows in d = 3: C(31, 3) = 4495 and
+        # C(37, 3) = 7770 subsets, two blocks each
+        rng = np.random.default_rng(15)
+        M = rng.normal(size=(31, 3))
+        c = M @ rng.uniform(-1.0, 1.0, size=3) - rng.uniform(0.5, 2.0, size=31)
+        return LpParams(rng.normal(size=3), M, c, (np.full(3, -2.0), np.full(3, 2.0)))
+
+    def test_more_than_one_block(self):
+        assert [len(J) for J in subset_blocks(31, 3)] == [4096, 399]
+        params = self.two_block_lp()
+        assert _assert_vertices_match(params) > 8
+        assert _assert_delta_matches(params) > 0
+        assert _bits(polytope_condition_number(params)) == \
+            _bits(_condition_number_reference(params))
+
+    def test_distance_across_blocks(self):
+        # far points whose nearest point is a vertex: the winning 3-subset
+        # lies in the first block for one and in the second for two
+        params = self.two_block_lp()
+        wins = [_assert_distance_matches(params, np.array(x))
+                for x in ([9.0, 9.0, 9.0], [-9.0, 9.0, -9.0], [-9.0, -9.0, 9.0])]
+        assert wins[0] < 4096 <= min(wins[1:])
+
+
+class TestOneCapRule:
+    def test_subset_blocks_raises_before_it_yields(self):
+        blocks = subset_blocks(60, 20)
+        with pytest.raises(EnumerationCapError):
+            next(blocks)
+
+    def test_distance_with_20_rows_in_the_plane(self):
+        # 2^20 row subsets would pass the cap; 20 + 190 of size at most d do not
+        angles = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
+        M = -np.column_stack([np.cos(angles), np.sin(angles)])
+        poly = LpParams(np.zeros(2), M, np.full(20, -1.0))
+        dist, proj = distance_to_polytope(poly, np.array([3.0, 0.0]))
+        assert abs(dist - 2.0) < 1e-9 and np.allclose(proj, [1.0, 0.0])
