@@ -58,7 +58,6 @@ from .linalg import (
     DimensionError,
     LpParams,
     check_fields,
-    inverse_vectorize,
     is_finite,
     is_real,
 )
@@ -328,18 +327,12 @@ def cmd_estimate(config: dict, args) -> int:
 def _row_estimator(rows: np.ndarray, template: LpParams):
     """Fold estimator for i.i.d. draws of the stacked parameter vector:
     theta-hat is the column mean and sigma the per-observation covariance."""
-    d, q = template.d, template.q
 
     def estimate(idx: np.ndarray) -> ThetaEstimate:
         sub = rows[idx]
-        theta = sub.mean(axis=0)
-        p = theta[:d]
-        M = inverse_vectorize(theta[d : d + q * d], q, d)
-        c = theta[d + q * d :]
+        params = LpParams.from_theta(sub.mean(axis=0), template.q, template.d, template.box)
         sigma = np.cov(sub.T) if len(sub) > 1 else np.zeros((sub.shape[1],) * 2)
-        return ThetaEstimate(
-            params=LpParams(p=p, M=M, c=c, box=template.box), sigma=np.atleast_2d(sigma)
-        )
+        return ThetaEstimate(params=params, sigma=np.atleast_2d(sigma))
 
     return estimate
 

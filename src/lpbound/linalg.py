@@ -166,6 +166,16 @@ class LpParams:
         """The stacked parameter vector (p, vec M column-major, c)."""
         return np.concatenate([self.p, self.M.flatten(order="F"), self.c])
 
+    @classmethod
+    def from_theta(cls, theta, q: int, d: int, box: tuple = None) -> "LpParams":
+        """The inverse of theta(): the LP of a q x d M whose stacked vector
+        is theta, with the given box."""
+        theta = _as_vector(theta, "theta")
+        if theta.shape[0] != d + q * d + q:
+            raise DimensionError(f"theta has length {theta.shape[0]}, expected {d + q * d + q}")
+        M = inverse_vectorize(theta[d : d + q * d], q, d)
+        return cls(p=theta[:d], M=M, c=theta[d + q * d :], box=box)
+
     @property
     def d(self) -> int:
         return self.M.shape[1]

@@ -5,6 +5,11 @@ one-sided confidence interval coverage on the noisy-design variant, and the
 uniform-rate grid study that contrasts the sqrt(n)- and sqrt(n)/w_n-scaled
 sup-deviations of the penalty estimator.
 
+Each design is one AffineDesign: its LP inputs theta = (p, vec M, c) are
+exactly affine in a short vector phi of sample means, theta = theta0 + G phi,
+so G is also the delta-method Jacobian d theta / d phi of the noisy design's
+inference. Replications stack as Theta = theta0 + Phi G'.
+
 Randomness is counter-based (Philox keyed by the scenario seed, with the
 counter encoding replication, sample-size index, and stream), so replications
 are reproducible independently of execution order.
@@ -38,8 +43,6 @@ DGP_UNIFORM_GRID = "uniform_grid"
 Estimator = Literal["plugin", "penalty", "debiased", "setexp"]
 ESTIMATORS = get_args(Estimator)
 
-_BOX2 = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-
 
 class ScenarioError(ValueError):
     pass
@@ -68,6 +71,10 @@ class SimulationScenario:
         if not self.kappa0 >= 0:
             raise ScenarioError(f"kappa0 must be nonnegative, got {self.kappa0}")
         sizes = self.sample_sizes
+        if not sizes:
+            raise ScenarioError("sample_sizes must be a nonempty list")
+        if not self.estimators:
+            raise ScenarioError("estimators must be a nonempty list")
         if any(n < 3 for n in sizes):
             raise ScenarioError(f"sample_sizes must be integers >= 3, got {sizes!r}")
         if any(b >= a for a, b in zip(sizes[1:], sizes)):
@@ -118,31 +125,34 @@ def rng_for(seed: int, n_idx: int, rep: int, stream: int = 0) -> np.random.Gener
     return np.random.Generator(bit)
 
 
-def example_a_params(b_hat: float) -> LpParams:
-    p = np.array([1.0, 0.0])
-    M = np.array([[-(1.0 + b_hat), 1.0], [1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]])
-    c = np.array([0.0, 0.0, -1.0, -1.0])
-    return LpParams(p=p, M=M, c=c, box=_BOX2)
+@dataclass(frozen=True)
+class AffineDesign:
+    """The LPs of one design: q x d programs in one box whose stacked inputs
+    theta = (p, vec M, c) are theta0 + G phi for a vector phi of means."""
+
+    theta0: np.ndarray
+    G: np.ndarray
+    q: int
+    d: int
+    box: tuple
+
+    def params(self, phi) -> LpParams:
+        return LpParams.from_theta(self.theta0 + self.G @ phi, self.q, self.d, self.box)
 
 
-def example_b_params(b_hat: float, zeta_hat: float, nu_hat: float) -> LpParams:
-    p = np.array([1.0, 0.0])
-    M = np.array([
-        [-(1.0 + b_hat), 1.0],
-        [1.0 + zeta_hat, -1.0],
-        [1.0, 0.0],
-        [-1.0, 0.0],
-    ])
-    c = np.array([nu_hat, zeta_hat, -1.0 - nu_hat, -1.0])
-    return LpParams(p=p, M=M, c=c, box=_BOX2)
-
-
-_EXAMPLE_B_GRADIENT = np.zeros((14, 3))
-_EXAMPLE_B_GRADIENT[2, 0] = -1.0   # d M11 / d b
-_EXAMPLE_B_GRADIENT[3, 1] = 1.0    # d M21 / d zeta
-_EXAMPLE_B_GRADIENT[11, 1] = 1.0   # d c2 / d zeta
-_EXAMPLE_B_GRADIENT[10, 2] = 1.0   # d c1 / d nu
-_EXAMPLE_B_GRADIENT[12, 2] = -1.0  # d c3 / d nu
+# example_a and example_b: min x1 s.t. x2 >= (1 + b) x1 + nu, (1 + zeta) x1 - x2 >= zeta,
+# -1 - nu <= x1 <= 1 and x in [-2, 2]^2, with phi = (b, zeta, nu); example_a is the LP
+# at zeta = nu = 0. theta's entries run p, M[:, 0], M[:, 1], c.
+_EXAMPLE = AffineDesign(
+    theta0=np.array([1.0, 0.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0]),
+    G=np.array([
+        [0, 0, 0], [0, 0, 0],                         # p
+        [-1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0],  # M[:, 0]
+        [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0],   # M[:, 1]
+        [0, 0, 1], [0, 1, 0], [0, 0, -1], [0, 0, 0],  # c
+    ], dtype=float),
+    q=4, d=2, box=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
+)
 
 
 def draw_theta(scenario: SimulationScenario, n: int, rng: np.random.Generator) -> LpParams:
@@ -151,19 +161,11 @@ def draw_theta(scenario: SimulationScenario, n: int, rng: np.random.Generator) -
         raise ScenarioError("n must be at least 1")
     if scenario.dgp == DGP_EXAMPLE_A:
         b_hat = scenario.b + float(rng.uniform(-1.0, 1.0, size=n).mean())
-        return example_a_params(b_hat)
+        return _EXAMPLE.params((b_hat, 0.0, 0.0))
     if scenario.dgp == DGP_EXAMPLE_B:
         U = rng.uniform(-0.5, 0.5, size=(n, 3))
-        return example_b_params(scenario.b + U[:, 0].mean(), U[:, 1].mean(), U[:, 2].mean())
+        return _EXAMPLE.params((scenario.b + U[:, 0].mean(), U[:, 1].mean(), U[:, 2].mean()))
     raise ScenarioError(f"draw_theta does not support dgp {scenario.dgp!r}")
-
-
-def _true_params(scenario: SimulationScenario) -> LpParams:
-    if scenario.dgp == DGP_EXAMPLE_A:
-        return example_a_params(scenario.b)
-    if scenario.dgp == DGP_EXAMPLE_B:
-        return example_b_params(scenario.b, 0.0, 0.0)
-    raise ScenarioError(f"no closed truth for dgp {scenario.dgp!r}")
 
 
 def _with_moments(row: ReportRow, vals: np.ndarray, truth: float) -> ReportRow:
@@ -185,7 +187,9 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
     the first of them still feasible (see linalg.solve_lp). The values equal
     those of cold solves up to rounding.
     """
-    truth_sol = solve_lp(_true_params(scenario))
+    if scenario.dgp == DGP_UNIFORM_GRID:
+        raise ScenarioError(f"no closed truth for dgp {scenario.dgp!r}")
+    truth_sol = solve_lp(_EXAMPLE.params((scenario.b, 0.0, 0.0)))
     if truth_sol.status != OPTIMAL:
         raise ScenarioError(f"true LP is {truth_sol.status}")
     truth = float(truth_sol.value)
@@ -227,16 +231,12 @@ def _example_b_estimator(U: np.ndarray, b: float):
     """Fold estimator for the noisy design: subset means plus delta-method
     covariance of (p, vec M, c) driven by the sample covariance of the noise."""
 
+    G = _EXAMPLE.G
+
     def estimate(idx: np.ndarray) -> ThetaEstimate:
         sub = U[idx]
-        params = example_b_params(
-            b + sub[:, 0].mean(), sub[:, 1].mean(), sub[:, 2].mean()
-        )
-        omega = np.cov(sub.T)
-        return ThetaEstimate(
-            params=params,
-            sigma=_EXAMPLE_B_GRADIENT @ omega @ _EXAMPLE_B_GRADIENT.T,
-        )
+        params = _EXAMPLE.params((b + sub[:, 0].mean(), sub[:, 1].mean(), sub[:, 2].mean()))
+        return ThetaEstimate(params=params, sigma=G @ np.cov(sub.T) @ G.T)
 
     return estimate
 
@@ -249,7 +249,7 @@ def run_inference_study(scenario: SimulationScenario) -> SimulationReport:
     """
     if scenario.dgp != DGP_EXAMPLE_B:
         raise ScenarioError("the inference study runs on the noisy design (example_b)")
-    truth = float(solve_lp(_true_params(scenario)).value)
+    truth = float(solve_lp(_EXAMPLE.params((scenario.b, 0.0, 0.0))).value)
     cfg = InferenceConfig(alpha=scenario.alpha, penalty=scenario.penalty)
     rows: List[ReportRow] = []
     for n_idx, n in enumerate(scenario.sample_sizes):
@@ -283,28 +283,24 @@ def run_inference_study(scenario: SimulationScenario) -> SimulationReport:
 
 # -- uniform-rate grid study -------------------------------------------------
 
-_GRID_BOX = (np.array([-1.5, -3.0]), np.array([1.5, 3.0]))
-
-
-def _grid_params(a: float, b: float, c: float, dshift: float) -> LpParams:
-    """min y - (1+a) x over y <= (1+b) x + dshift, y >= (1+c) x, |x| <= 1."""
-    p = np.array([-(1.0 + a), 1.0])
-    M = np.array([
-        [1.0 + b, -1.0],
-        [-(1.0 + c), 1.0],
-        [1.0, 0.0],
-        [-1.0, 0.0],
-    ])
-    cvec = np.array([-dshift, 0.0, -1.0, -1.0])
-    return LpParams(p=p, M=M, c=cvec, box=_GRID_BOX)
+# min y - (1 + a) x s.t. y <= (1 + b) x + dshift, y >= (1 + c) x, |x| <= 1 and
+# (x, y) in [-1.5, 1.5] x [-3, 3], with phi = (a, b, c, dshift): the grid slope a is in
+# phi, so one design serves every grid point. theta's entries run p, M[:, 0], M[:, 1], c.
+_GRID = AffineDesign(
+    theta0=np.array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0]),
+    G=np.array([
+        [-1, 0, 0, 0], [0, 0, 0, 0],                                # p
+        [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0],    # M[:, 0]
+        [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],     # M[:, 1]
+        [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],    # c
+    ], dtype=float),
+    q=4, d=2, box=(np.array([-1.5, -3.0]), np.array([1.5, 3.0])),
+)
 
 
 def _grid_delta() -> float:
     """Worst-case basis conditioning across the target range of slopes."""
-    return min(
-        delta_condition(_grid_params(a, 0.0, 0.0, 0.0)).delta
-        for a in (-0.1, 0.0, 0.1)
-    )
+    return min(delta_condition(_GRID.params((a, 0.0, 0.0, 0.0))).delta for a in (-0.1, 0.0, 0.1))
 
 
 def grid_wn(n: int, delta: float) -> float:
@@ -370,12 +366,9 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
         wn = grid_wn(n, delta)
         w = np.full(4, wn)
         pts = grid_points(n, delta, scenario.grid)
-        truths = []
+        true_d = 0.5 if scenario.slater else 0.0
+        truths = [float(solve_lp(_GRID.params((a, 0.0, 0.0, true_d))).value) for a in pts]
         bases = [[] for _ in pts]
-        for a in pts:
-            true_d = 0.5 if scenario.slater else 0.0
-            sol = solve_lp(_grid_params(a, 0.0, 0.0, true_d))
-            truths.append(float(sol.value))
         sups = []
         for rep in range(scenario.replications):
             rng = rng_for(scenario.seed, n_idx, rep)
@@ -387,7 +380,7 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
             worst = 0.0
             try:
                 for a, truth, point_bases in zip(pts, truths, bases):
-                    params = _grid_params(a, float(noise[0]), float(noise[1]), dshift)
+                    params = _GRID.params((a, noise[0], noise[1], dshift))
                     value = penalty_value(params, w, bases=point_bases)
                     worst = max(worst, abs(value - truth))
             except (SolverError, PenaltyError):

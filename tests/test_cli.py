@@ -336,6 +336,10 @@ class TestSimulateCommand:
     pytest.param("simulate", {"study": "inference", "dgp": "example_b", "alpha": 1.5},
                  id="simulate-inference-alpha"),
     pytest.param("simulate", {"sample_sizes": [2]}, id="simulate-sample_sizes-range"),
+    pytest.param("simulate", {"sample_sizes": []}, id="simulate-sample_sizes-empty"),
+    pytest.param("simulate", {"study": "uniform_grid", "dgp": "uniform_grid", "sample_sizes": []},
+                 id="simulate-uniform_grid-sample_sizes-empty"),
+    pytest.param("simulate", {"estimators": []}, id="simulate-estimators-empty"),
     pytest.param("simulate", {"kappa0": -1}, id="simulate-kappa0-range"),
     pytest.param("simulate", {"penalty": {"w": -1}}, id="simulate-penalty-w"),
     # a fraction, and a bool where a number is read: bool passes isinstance(x, int)

@@ -150,10 +150,7 @@ class TestRunInference:
     def _gaussian_estimator(rows, template):
         def estimate(idx):
             sub = rows[idx]
-            theta = sub.mean(axis=0)
-            d, q = template.d, template.q
-            M = theta[d : d + q * d].reshape((q, d), order="F")
-            params = LpParams(theta[:d], M, theta[d + q * d :], template.box)
+            params = LpParams.from_theta(sub.mean(axis=0), template.q, template.d, template.box)
             return ThetaEstimate(params=params, sigma=np.atleast_2d(np.cov(sub.T)))
 
         return estimate

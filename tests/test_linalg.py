@@ -631,6 +631,24 @@ class TestLinalgUtilities:
         assert np.array_equal(inverse_vectorize(theta[d : d + q * d], q, d), params.M)
         assert np.array_equal(theta[d + q * d :], params.c)
 
+    @settings(deadline=None, max_examples=50)
+    @given(
+        q=st.integers(min_value=0, max_value=5),
+        d=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_from_theta_inverts_theta(self, q, d, seed):
+        rng = np.random.default_rng(seed)
+        box = (np.full(d, -1.0), np.full(d, 1.0))
+        params = LpParams(p=rng.normal(size=d), M=rng.normal(size=(q, d)), c=rng.normal(size=q),
+                          box=box)
+        back = LpParams.from_theta(params.theta(), q, d, box)
+        pairs = ((back.p, params.p), (back.M, params.M), (back.c, params.c), *zip(back.box, box))
+        for got, want in pairs:
+            assert got.shape == want.shape and np.array_equal(got, want)
+        with pytest.raises(DimensionError, match="theta has length"):
+            LpParams.from_theta(np.append(params.theta(), 0.0), q, d, box)
+
     def test_vectorize_is_column_major(self):
         params = LpParams(p=[5.0, 6.0], M=[[1.0, 3.0], [2.0, 4.0]], c=[7.0, 8.0])
         assert params.theta().tolist() == [5.0, 6.0, 1.0, 2.0, 3.0, 4.0, 7.0, 8.0]

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lpbound.linalg import INFEASIBLE, solve_lp
+from lpbound.estimators import penalty_value
+from lpbound.geometry import delta_condition
+from lpbound.linalg import INFEASIBLE, LpParams, solve_lp
 from lpbound.montecarlo import (
+    _EXAMPLE,
+    _GRID,
     ScenarioError,
     SimulationScenario,
+    _example_b_estimator,
+    _grid_delta,
     draw_theta,
-    example_a_params,
-    example_b_params,
     grid_points,
     grid_wn,
     loglog_slope,
@@ -18,6 +22,56 @@ from lpbound.montecarlo import (
     run_inference_study,
     run_uniform_grid,
 )
+
+# The designs written out by hand, one LpParams per call: the references that
+# the affine designs _EXAMPLE and _GRID must reproduce bit for bit.
+_BOX2 = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+_GRID_BOX = (np.array([-1.5, -3.0]), np.array([1.5, 3.0]))
+
+
+def example_a_params(b_hat):
+    p = np.array([1.0, 0.0])
+    M = np.array([[-(1.0 + b_hat), 1.0], [1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]])
+    c = np.array([0.0, 0.0, -1.0, -1.0])
+    return LpParams(p=p, M=M, c=c, box=_BOX2)
+
+
+def example_b_params(b_hat, zeta_hat, nu_hat):
+    p = np.array([1.0, 0.0])
+    M = np.array([
+        [-(1.0 + b_hat), 1.0],
+        [1.0 + zeta_hat, -1.0],
+        [1.0, 0.0],
+        [-1.0, 0.0],
+    ])
+    c = np.array([nu_hat, zeta_hat, -1.0 - nu_hat, -1.0])
+    return LpParams(p=p, M=M, c=c, box=_BOX2)
+
+
+def _grid_params(a, b, c, dshift):
+    """min y - (1+a) x over y <= (1+b) x + dshift, y >= (1+c) x, |x| <= 1."""
+    p = np.array([-(1.0 + a), 1.0])
+    M = np.array([
+        [1.0 + b, -1.0],
+        [-(1.0 + c), 1.0],
+        [1.0, 0.0],
+        [-1.0, 0.0],
+    ])
+    cvec = np.array([-dshift, 0.0, -1.0, -1.0])
+    return LpParams(p=p, M=M, c=cvec, box=_GRID_BOX)
+
+
+_EXAMPLE_B_GRADIENT = np.zeros((14, 3))
+_EXAMPLE_B_GRADIENT[2, 0] = -1.0   # d M11 / d b
+_EXAMPLE_B_GRADIENT[3, 1] = 1.0    # d M21 / d zeta
+_EXAMPLE_B_GRADIENT[11, 1] = 1.0   # d c2 / d zeta
+_EXAMPLE_B_GRADIENT[10, 2] = 1.0   # d c1 / d nu
+_EXAMPLE_B_GRADIENT[12, 2] = -1.0  # d c3 / d nu
+
+
+def assert_same_bits(got, want):
+    for a, b in ((got.p, want.p), (got.M, want.M), (got.c, want.c), *zip(got.box, want.box)):
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
 
 
 class TestScenarioValidation:
@@ -33,6 +87,11 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             SimulationScenario(dgp="mystery")
 
+    @pytest.mark.parametrize("field", ["sample_sizes", "estimators"])
+    def test_empty_list_rejected(self, field):
+        with pytest.raises(ScenarioError, match=f"^{field} must be a nonempty list"):
+            SimulationScenario(dgp="example_a", **{field: ()})
+
 
 class TestDrawTheta:
     def test_clt_centering(self):
@@ -46,12 +105,76 @@ class TestDrawTheta:
         assert abs(b_hats.mean() - 0.3) < 3.0 * se
 
     def test_noisy_rhs_can_be_infeasible(self):
-        params = example_b_params(0.0, 0.0, 0.1)
+        params = _EXAMPLE.params((0.0, 0.0, 0.1))
         assert solve_lp(params).status == INFEASIBLE
 
     def test_truth_from_solver(self):
-        assert solve_lp(example_a_params(0.0)).value == -1.0
-        assert solve_lp(example_a_params(-0.05)).value == 0.0
+        assert solve_lp(_EXAMPLE.params((0.0, 0.0, 0.0))).value == -1.0
+        assert solve_lp(_EXAMPLE.params((-0.05, 0.0, 0.0))).value == 0.0
+
+
+class TestAffineDesigns:
+    @pytest.mark.parametrize("b", [0.0, -0.05, 0.3])
+    def test_draw_theta_equals_the_hand_builders(self, b):
+        for rep in range(60):
+            n = (3, 100, 5000)[rep % 3]
+            rng = rng_for(4, 0, rep)
+            b_hat = b + float(rng.uniform(-1.0, 1.0, size=n).mean())
+            got = draw_theta(SimulationScenario(dgp="example_a", b=b), n, rng_for(4, 0, rep))
+            assert_same_bits(got, example_a_params(b_hat))
+            U = rng_for(4, 0, rep).uniform(-0.5, 0.5, size=(n, 3))
+            want = example_b_params(b + U[:, 0].mean(), U[:, 1].mean(), U[:, 2].mean())
+            got = draw_theta(SimulationScenario(dgp="example_b", b=b), n, rng_for(4, 0, rep))
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("grid", ["full", "single"])
+    def test_grid_design_equals_the_hand_builder(self, grid):
+        delta = _grid_delta()
+        for n_idx, n in enumerate((100, 1000, 10_000)):
+            for a in grid_points(n, delta, grid):
+                assert_same_bits(_GRID.params((a, 0.0, 0.0, 0.5)), _grid_params(a, 0.0, 0.0, 0.5))
+                for rep in range(10):
+                    rng = rng_for(5, n_idx, rep)
+                    noise = rng.uniform(-0.5, 0.5, size=(n, 3)).mean(axis=0)
+                    slater = float(rng.uniform(0.0, 1.0, size=n).mean())
+                    for dshift in (float(noise[2]), slater):
+                        want = _grid_params(a, float(noise[0]), float(noise[1]), dshift)
+                        assert_same_bits(_GRID.params((a, noise[0], noise[1], dshift)), want)
+
+    @pytest.mark.parametrize("a", [-0.1, 0.1, 0.0, 0.03162, -0.07])
+    def test_grid_truth_at_zero_shift_solves_as_the_hand_builder(self, a):
+        # the only bits that differ: the builder's c[0] = -dshift is -0.0 at
+        # dshift = 0, the affine form's 0.0 + -0.0 is +0.0
+        got, want = _GRID.params((a, 0.0, 0.0, 0.0)), _grid_params(a, 0.0, 0.0, 0.0)
+        assert np.array_equal(got.c, want.c) and np.signbit(want.c[0])
+        assert not np.signbit(got.c[0])
+        assert_same_bits(LpParams(got.p, got.M, want.c, got.box), want)
+        sol, ref = solve_lp(got), solve_lp(want)
+        assert sol.value == ref.value and sol.vertex.tobytes() == ref.vertex.tobytes()
+        w = np.full(4, 2.0)
+        assert penalty_value(got, w) == penalty_value(want, w)
+        assert delta_condition(got).delta == delta_condition(want).delta
+
+    def test_example_b_sigma_uses_the_reference_gradient(self):
+        assert _EXAMPLE.G.tobytes() == _EXAMPLE_B_GRADIENT.tobytes()
+        U = rng_for(2, 0, 0).uniform(-0.5, 0.5, size=(400, 3))
+        for b in (0.0, -0.05, 0.3):
+            idx = np.arange(0, 400, 3)
+            got = _example_b_estimator(U, b)(idx)
+            sub = U[idx]
+            sigma = _EXAMPLE_B_GRADIENT @ np.cov(sub.T) @ _EXAMPLE_B_GRADIENT.T
+            assert got.sigma.tobytes() == sigma.tobytes()
+            want = example_b_params(b + sub[:, 0].mean(), sub[:, 1].mean(), sub[:, 2].mean())
+            assert_same_bits(got.params, want)
+
+    @pytest.mark.parametrize("design, phi", [
+        (_EXAMPLE, np.array([0.25, -0.125, 0.5])),
+        (_GRID, np.array([0.125, -0.25, 0.5, 0.75])),
+    ], ids=["example", "grid"])
+    def test_unit_probes_recover_G(self, design, phi):
+        base = design.params(phi).theta()
+        for j, e_j in enumerate(np.eye(phi.size)):
+            assert np.array_equal(design.params(phi + e_j).theta() - base, design.G[:, j])
 
 
 class TestRngDiscipline:
@@ -93,7 +216,7 @@ class TestConsistencyStudy:
         )
         report = run_consistency(scenario)
         assert warm_starts.count(True) > len(warm_starts) // 2  # the cold loop passes no list
-        truth = solve_lp(example_a_params(b)).value
+        truth = solve_lp(_EXAMPLE.params((b, 0.0, 0.0))).value
         rows = iter(report.rows)
         for n_idx, n in enumerate(scenario.sample_sizes):
             values = {"plugin": [], "penalty": [], "debiased": [], "setexp": []}
@@ -199,8 +322,6 @@ class TestConsistencyStudy:
 
 class TestUniformGrid:
     def test_moving_points_match_fixed_points_at_reference_size(self):
-        from lpbound.montecarlo import _grid_delta
-
         delta = _grid_delta()
         pts = grid_points(100, delta, "full")
         assert len(pts) == 9
