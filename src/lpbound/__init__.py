@@ -54,6 +54,7 @@ from .aicm import (
     cmivw_bounds,
     ets_estimate,
     bootstrap_theta_covariance,
+    bound_interval,
 )
 from .montecarlo import (
     SimulationScenario,

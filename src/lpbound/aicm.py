@@ -20,11 +20,13 @@ import collections.abc
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .inference import (InferenceConfig, InferenceError, ThetaEstimate,
+                        combine_two_sided, run_inference)
 from .linalg import LpParams, check_fields, solve_lp, INFEASIBLE, OPTIMAL, TAU_FEAS
 
 _PROB_TOL = 1e-10
@@ -396,7 +398,7 @@ def compile(table: ConditionalMomentTable, spec: AssumptionSpec) -> CompiledProg
 
     Each target treatment's program is _general_program's; an ATE stacks
     the two. The outcome bounds are the box. The rows of M depend only on the
-    supports, observed treatments and kinds, alike for every resample of one
+    supports, observed treatments and kinds, alike for every _resample of one
     sample, as the bootstrap and the CI folds need. An observed cell mean
     outside the bounds by more than TAU_FEAS refutes them: the program is
     compiled all the same, with `refuted` set, and bound_value reports it
@@ -439,7 +441,7 @@ def bound_value(program: CompiledProgram, direction: str):
     if program.lp is None:
         return program.offset, OPTIMAL
     flip = -1.0 if direction == "upper" else 1.0  # the upper bound is -min(-p'x)
-    sol = solve_lp(LpParams(flip * program.lp.p, program.lp.M, program.lp.c, program.lp.box))
+    sol = solve_lp(replace(program.lp, p=flip * program.lp.p))
     if sol.status != OPTIMAL:
         return None, sol.status
     return flip * sol.value + program.offset, OPTIMAL
@@ -530,6 +532,19 @@ def ets_estimate(table: ConditionalMomentTable, t, d) -> float:
     return marginal(t) - marginal(d)
 
 
+def _resample(data: Microdata, idx, spec: AssumptionSpec,
+              base: ConditionalMomentTable) -> CompiledProgram:
+    """The program compiled on records idx of data. A resample with an empty
+    cell (as ingest_sample raises), or with other treatments or instruments
+    than the full-sample table base, raises TableError; every other resample
+    compiles to the rows of base."""
+    table = ingest_sample(data.take(idx))
+    if table.treatments != base.treatments or table.instruments != base.instruments:
+        raise TableError(f"resample levels {table.treatments} x {table.instruments}, "
+                         f"not the sample's {base.treatments} x {base.instruments}")
+    return compile(table, spec)
+
+
 def bootstrap_theta_covariance(
     records: Sequence[Tuple],
     spec: AssumptionSpec,
@@ -539,28 +554,46 @@ def bootstrap_theta_covariance(
     """Covariance of the compiled (p, vec M, c) under record resampling.
 
     Returns n * cov(theta-hat draws), the scale expected by the inference
-    machinery (theta-hat ~ (theta, sigma / n)). Resamples that produce empty
-    cells are redrawn (up to a cap), since the compiled dimensions must
-    match; every other resample compiles to the rows of the full sample, and
-    a resample that refutes the outcome bounds counts like any other.
+    machinery (theta-hat ~ (theta, sigma / n)). Resamples that _resample
+    rejects are redrawn (up to a cap), since the compiled dimensions must
+    match; a resample that refutes the outcome bounds counts like any other.
     """
     rng = np.random.default_rng(seed)
     data = Microdata.of(records)
     n = len(data)
     base = ingest_sample(data)
     draws = []
-    attempts = 0
-    while len(draws) < B:
-        attempts += 1
-        if attempts > 20 * B:
-            raise TableError("bootstrap resampling keeps producing empty cells")
-        idx = rng.integers(0, n, size=n)
+    for _ in range(20 * B):
         try:
-            tab = ingest_sample(data.take(idx))
+            draws.append(_resample(data, rng.integers(0, n, size=n), spec, base).lp.theta())
         except TableError:
             continue
-        if tab.treatments != base.treatments or tab.instruments != base.instruments:
-            continue
-        draws.append(compile(tab, spec).lp.theta())
-    theta = np.array(draws)
-    return n * np.cov(theta.T, bias=False)
+        if len(draws) == B:
+            return n * np.cov(np.array(draws).T, bias=False)
+    raise TableError("bootstrap resampling keeps losing a cell or a level")
+
+
+def bound_interval(data: Sequence[Tuple], spec: AssumptionSpec, base: ConditionalMomentTable,
+                   cfg: InferenceConfig, B: int, seed):
+    """(two-sided interval, lower InferenceResult, upper InferenceResult) of
+    the bounds. Both directions share the bootstrap sigma; a fold compiles by
+    _resample, or raises InferenceError. The upper bound runs on -p, as
+    bound_value solves it, and maps back by the sign and fold 2's offset."""
+    data = Microdata.of(data)
+    sigma = bootstrap_theta_covariance(data, spec, B=B, seed=seed)
+    results = []
+    for flip in (1.0, -1.0):
+        offsets = []  # the compiled offset of each fold, fold 2's last
+
+        def estimator(idx: np.ndarray) -> ThetaEstimate:
+            try:
+                prog = _resample(data, idx, spec, base)
+            except TableError as exc:
+                raise InferenceError(f"fold produced an invalid table: {exc}")
+            offsets.append(prog.offset)
+            return ThetaEstimate(params=replace(prog.lp, p=flip * prog.lp.p), sigma=sigma)
+
+        res = run_inference(len(data), estimator, cfg, seed)
+        results.append(replace(res, estimate=flip * res.estimate + offsets[-1]))
+    lower, upper = results
+    return combine_two_sided(lower, upper), lower, upper

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,9 +24,8 @@ from .aicm import (
     AssumptionSpec,
     CompileError,
     MeanPotential,
-    Microdata,
     TableError,
-    bootstrap_theta_covariance,
+    bound_interval,
     bound_value,
     compile as compile_program,
     ets_estimate,
@@ -50,7 +49,6 @@ from .inference import (
     InferenceResult,
     ThetaEstimate,
     check_covariance,
-    combine_two_sided,
     run_inference,
 )
 from .linalg import (
@@ -456,42 +454,11 @@ def _parse_target(doc: dict):
     _check_keys(doc, _TARGET_KEYS, "target")
     kind = _require(doc, "type", "target")
     if kind == "mean":
+        _check_keys(doc, _TARGET_KEYS - {"d"}, "mean target")  # d is read by ate only
         return MeanPotential(t=str(_require(doc, "t", "target")))
     if kind == "ate":
         return ATE(t=str(_require(doc, "t", "target")), d=str(_require(doc, "d", "target")))
     raise CliError("validation_error", f"target type must be 'mean' or 'ate', got {kind!r}")
-
-
-def _aicm_inference(records, base_spec, direction: str, cfg: InferenceConfig,
-                    sigma: np.ndarray, seed) -> InferenceResult:
-    """Split-sample CI for one direction of the compiled program's value."""
-    flip = -1.0 if direction == "upper" else 1.0
-    offset = 0.0  # the compiled offset, set by the estimator on each fold
-    data = Microdata.of(records)
-
-    def estimator(idx: np.ndarray) -> ThetaEstimate:
-        nonlocal offset
-        try:
-            table = ingest_sample(data.take(idx))
-        except TableError as exc:
-            raise InferenceError(f"fold produced an invalid table: {exc}")
-        prog = compile_program(table, base_spec)
-        lp = prog.lp
-        offset = prog.offset
-        params = LpParams(p=flip * lp.p, M=lp.M, c=lp.c, box=lp.box)
-        return ThetaEstimate(params=params, sigma=sigma)
-
-    res = run_inference(len(data), estimator, cfg, seed)
-    lo, up, two = res.ci_lower_onesided, res.ci_upper_onesided, res.ci_twosided
-    if flip < 0:  # the upper bound is minus the minimum of -p'x: the ends swap
-        lo, up, two = up, lo, two[::-1]
-    return replace(
-        res,
-        estimate=flip * res.estimate + offset,
-        ci_lower_onesided=flip * lo + offset,
-        ci_upper_onesided=flip * up + offset,
-        ci_twosided=(flip * two[0] + offset, flip * two[1] + offset),
-    )
 
 
 def cmd_aicm(config: dict, args) -> int:
@@ -542,10 +509,7 @@ def cmd_aicm(config: dict, args) -> int:
                            f"as {program.offset!r}, so its bounds are one point and there is "
                            "no interval to estimate", exit_code=EXIT_COMPUTE)
         try:
-            sigma = bootstrap_theta_covariance(records, spec, B=reps, seed=seed)
-            res_lo = _aicm_inference(records, spec, "lower", cfg, sigma, seed)
-            res_up = _aicm_inference(records, spec, "upper", cfg, sigma, seed)
-            interval = combine_two_sided(res_lo, res_up, cfg.alpha)
+            interval, res_lo, res_up = bound_interval(records, spec, table, cfg, reps, seed)
         except (InferenceError, TableError, PenaltyError) as exc:
             raise CliError("inference_failed", str(exc), exit_code=EXIT_COMPUTE)
         result["ci"] = {

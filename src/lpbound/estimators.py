@@ -69,7 +69,6 @@ class DebiasedResult:
     vertex: np.ndarray
     binding: np.ndarray
     penalty_residual: float
-    penalized_value: float
 
 
 def plug_in_value(params: LpParams, bases: Optional[list] = None) -> LpSolution:
@@ -137,7 +136,6 @@ def debiased_estimate(params: LpParams, w, bases: Optional[list] = None) -> Debi
         vertex=x_hat,
         binding=binding,
         penalty_residual=residual,
-        penalized_value=float(sol.value),
     )
 
 

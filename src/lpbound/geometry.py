@@ -36,6 +36,12 @@ from .linalg import (
 TAU_KKT = 1e-9
 
 
+def _sigma_d(subs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each stacked d x d block's d-th singular value, and the full-rank mask."""
+    sigma = np.linalg.svd(subs, compute_uv=False)[:, -1]
+    return sigma, sigma > TAU_RANK * np.maximum(1.0, np.abs(subs).max(axis=(1, 2)))
+
+
 @dataclass
 class DeltaReport:
     j_star_sets: List[np.ndarray]
@@ -61,8 +67,7 @@ def delta_condition(params: LpParams) -> DeltaReport:
     sets, sigmas, kkts = [], [], []
     for J in subset_blocks(params.q, params.d):
         subs = params.M[J]
-        sigma = np.linalg.svd(subs, compute_uv=False)[:, -1]
-        full = sigma > TAU_RANK * np.maximum(1.0, np.abs(subs).max(axis=(1, 2)))
+        sigma, full = _sigma_d(subs)
         J, subs, sigma = J[full], subs[full], sigma[full]
         x = np.linalg.solve(subs, params.c[J][..., None])[..., 0]
         lam = np.linalg.solve(subs.mT, params.p)
@@ -120,9 +125,7 @@ def polytope_condition_number(params: LpParams) -> float:
     best = math.inf
     for _, rows in vertices:
         for B in subset_blocks(len(rows), params.d):
-            subs = M_all[rows[B]]
-            sigma = np.linalg.svd(subs, compute_uv=False)[:, -1]
-            full = sigma > TAU_RANK * np.maximum(1.0, np.abs(subs).max(axis=(1, 2)))
+            sigma, full = _sigma_d(M_all[rows[B]])
             best = min([best, *sigma[full].tolist()])
     if not math.isfinite(best):
         raise ValueError("no vertex has a full-rank binding set")

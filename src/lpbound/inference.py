@@ -70,13 +70,24 @@ class OptimalTriplet:
 class InferenceResult:
     estimate: float
     se: float
-    ci_lower_onesided: float  # [ci_lower_onesided, +inf)
-    ci_upper_onesided: float  # (-inf, ci_upper_onesided]
-    ci_twosided: Tuple[float, float]
+    alpha: float  # the interval ends derive from (estimate, se, alpha)
     triplet: OptimalTriplet
     n1: int
     n2: int
     degenerate_variance: bool = False
+
+    @property
+    def ci_lower_onesided(self) -> float:  # [ci_lower_onesided, +inf)
+        return self.estimate - NormalDist().inv_cdf(1.0 - self.alpha) * self.se
+
+    @property
+    def ci_upper_onesided(self) -> float:  # (-inf, ci_upper_onesided]
+        return self.estimate + NormalDist().inv_cdf(1.0 - self.alpha) * self.se
+
+    @property
+    def ci_twosided(self) -> Tuple[float, float]:
+        z = NormalDist().inv_cdf(1.0 - self.alpha / 2.0)
+        return self.estimate - z * self.se, self.estimate + z * self.se
 
 
 @dataclass
@@ -247,14 +258,10 @@ def run_inference(
     sigma_hat = max(sigma_hat, cfg.sigma_min)
     se = sigma_hat / math.sqrt(n2)
 
-    z1 = NormalDist().inv_cdf(1.0 - cfg.alpha)
-    z2 = NormalDist().inv_cdf(1.0 - cfg.alpha / 2.0)
     return InferenceResult(
         estimate=estimate,
         se=se,
-        ci_lower_onesided=estimate - z1 * se,
-        ci_upper_onesided=estimate + z1 * se,
-        ci_twosided=(estimate - z2 * se, estimate + z2 * se),
+        alpha=cfg.alpha,
         triplet=triplet,
         n1=n1,
         n2=n2,
@@ -269,17 +276,9 @@ class TwoSidedInterval:
     crossed: bool
 
 
-def combine_two_sided(
-    lower: InferenceResult, upper: InferenceResult, alpha: float
-) -> TwoSidedInterval:
-    """Union-bound two-sided interval from min- and max-direction results.
-
-    lb = lower-bound estimate minus its (1 - alpha/2) margin; ub symmetric.
-    Crossed bounds are flagged, never swapped.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise InferenceError(f"alpha must lie in (0,1), got {alpha}")
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    lb = lower.estimate - z * lower.se
-    ub = upper.estimate + z * upper.se
+def combine_two_sided(lower: InferenceResult, upper: InferenceResult) -> TwoSidedInterval:
+    """Union-bound two-sided interval from min- and max-direction results:
+    the lower end of the lower bound's two-sided interval and the upper end
+    of the upper bound's. Crossed bounds are flagged, never swapped."""
+    lb, ub = lower.ci_twosided[0], upper.ci_twosided[1]
     return TwoSidedInterval(lower=lb, upper=ub, crossed=lb > ub)

@@ -140,7 +140,7 @@ class TestRandomTables:
             assert abs(lo_ate - (lo_t - up_d)) < 1e-8
 
 
-class TestGeneralPath:
+class TestConditionalMomentProgram:
     def _records(self, rng, missing_for="0"):
         records = []
         for z, pt in (("a", 0.4), ("b", 0.7)):

@@ -252,6 +252,9 @@ class TestInferCommand:
         pytest.param("aicm", {"data": "micro.csv", "assumptions": {"kinds": ["bounds"]},
                               "target": {"type": "mean", "t": "1"}, "dump_lp": True},
                      id="aicm-dump_lp"),
+        pytest.param("aicm", {"data": "micro.csv", "assumptions": {"kinds": ["bounds"]},
+                              "target": {"type": "mean", "t": "1", "d": "0"}},
+                     id="aicm-mean-d"),
         # keys the selected study or mode never reads
         pytest.param("simulate", {"study": "uniform_grid", "dgp": "uniform_grid",
                                   "penalty": {"w": 1}}, id="uniform_grid-penalty"),
@@ -609,6 +612,21 @@ class TestAicmCommand:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "inference_failed"
         assert "identify the target E[Y(1)]" in err["message"]
+
+    @pytest.mark.parametrize("seed", [7, 10])
+    def test_a_fold_that_loses_a_level_exits_1(self, tmp_path, capsys, seed):
+        # z3 has one record per treatment, and these seeds' splits put both
+        # in one fold: the other fold has no level z3, so the program it
+        # would compile is smaller than the bootstrap covariance
+        rows = [(round(0.1 * (i % 9), 6), str(i % 2), f"z{i // 2 % 2 + 1}") for i in range(200)]
+        rows += [(0.1, "0", "z3"), (0.3, "1", "z3")]
+        cfg = self._general_config(tmp_path, rows, ["bounds", "miv"],
+                                   {"type": "ate", "t": "1", "d": "0"})
+        assert run_cli(["aicm", "--config", cfg, "--seed", str(seed)],
+                       tmp_path / "o.json") == EXIT_COMPUTE
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "inference_failed"
+        assert err["message"].startswith("fold produced an invalid table") and "z3" in err["message"]
 
     def test_a_single_treatment_level_can_refute_miv(self, tmp_path):
         # E[Y | z] falls from z1 to z2, which the monotone instrument forbids

@@ -1,10 +1,11 @@
-"""Byte-for-byte checks of `simulate` and `infer` output against files in
-tests/golden/.
+"""Byte-for-byte checks of `simulate`, `infer` and `aicm` output against
+files in tests/golden/.
 
 Each golden file holds the output of one small run: the three fig_*
 scenarios cut to 25 replications, the criterion-9 uniform-grid designs at
-20 replications, and the noisy-design `infer` example. A change that moves
-these bytes on purpose regenerates the files with
+20 replications, the noisy-design `infer` example, and two `aicm` runs with
+a confidence interval on microdata drawn from a fixed numpy seed. A change
+that moves these bytes on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,6 +16,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lpbound.cli import EXIT_OK, main
@@ -29,6 +31,31 @@ def _scenario(name: str, **overrides) -> dict:
     return {**json.loads((ROOT / "scenarios" / f"{name}.json").read_text()), **overrides}
 
 
+def _microdata(seed: int, arms: int, missing=None) -> str:
+    """CSV text of 400 (y, t, z) records: t in range(arms) with the higher
+    arms likelier at higher z in z1..z3, y in [-1, 1] rising in t and z, and
+    no outcome for t = missing. The first records fill every cell."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, 3, 400)
+    t = np.minimum((rng.random(400) * arms + 0.3 * z).astype(int), arms - 1)
+    z[:3 * arms], t[:3 * arms] = np.arange(3 * arms) % 3, np.arange(3 * arms) // 3
+    y = np.clip(rng.normal(0.1 + 0.3 * t + 0.05 * z, 0.3), -1.0, 1.0)
+    return "y,t,z\n" + "".join(f"{'' if ti == missing else f'{yi:.6f}'},{ti},z{zi + 1}\n"
+                               for yi, ti, zi in zip(y, t, z))
+
+
+def _aicm(kinds: list, target: dict) -> dict:
+    return {"assumptions": {"kinds": kinds, "bounds": [-1.0, 1.0]}, "target": target,
+            "ci": {"bootstrap_reps": 40}, "seed": 3}
+
+
+# aicm golden file -> the microdata its config reads
+MICRODATA = {
+    "aicm_ate_cmiv_p.json": _microdata(11, 2),
+    "aicm_mean_mtr_miv_missing.json": _microdata(12, 3, missing=2),
+}
+
+
 # golden file -> (command, config, extra arguments)
 CASES = {
     "fig_consistency_b0.csv": ("simulate", _scenario("fig_consistency_b0", replications=25), []),
@@ -38,12 +65,20 @@ CASES = {
     "uniform_grid_single_slater.csv": (
         "simulate", {**_GRID, "grid": "single", "slater": True}, []),
     "infer_example_b.json": ("infer", _scenario("infer_example_noisy"), ["--seed", "7"]),
+    "aicm_ate_cmiv_p.json": ("aicm", _aicm(["bounds", "cmiv_p"], {"type": "ate", "t": "1", "d": "0"}),
+                             ["--diagnostics"]),
+    "aicm_mean_mtr_miv_missing.json": (
+        "aicm", _aicm(["bounds", "mtr", "miv"], {"type": "mean", "t": "1"}), []),
 }
 
 
 def run_case(name: str, workdir: Path) -> bytes:
     command, config, extra = CASES[name]
     cfg, out = workdir / f"{name}.config.json", workdir / name
+    if name in MICRODATA:
+        data = workdir / f"{name}.csv"
+        data.write_text(MICRODATA[name])
+        config = {**config, "data": str(data)}
     cfg.write_text(json.dumps(config))
     code = main([command, "--config", str(cfg), "--out", str(out), *extra])
     if code != EXIT_OK:

@@ -195,16 +195,15 @@ class TestCombineTwoSided:
 
         t = OptimalTriplet(A=np.array([0]), x=np.zeros(1), v=np.zeros(1))
         return InferenceResult(
-            estimate=estimate, se=se, ci_lower_onesided=0.0, ci_upper_onesided=0.0,
-            ci_twosided=(0.0, 0.0), triplet=t, n1=1, n2=1,
+            estimate=estimate, se=se, alpha=0.05, triplet=t, n1=1, n2=1,
         )
 
     def test_interval_and_crossing(self):
         lo, up = self._result(-1.0, 0.1), self._result(1.0, 0.1)
-        iv = combine_two_sided(lo, up, 0.05)
+        iv = combine_two_sided(lo, up)
         z = 1.959963984540054
         assert abs(iv.lower - (-1.0 - z * 0.1)) < 1e-12
         assert abs(iv.upper - (1.0 + z * 0.1)) < 1e-12
         assert not iv.crossed
-        crossed = combine_two_sided(self._result(1.0, 0.01), self._result(-1.0, 0.01), 0.05)
+        crossed = combine_two_sided(self._result(1.0, 0.01), self._result(-1.0, 0.01))
         assert crossed.crossed
