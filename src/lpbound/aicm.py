@@ -27,7 +27,8 @@ import numpy as np
 
 from .inference import (InferenceConfig, InferenceError, ThetaEstimate,
                         combine_two_sided, run_inference)
-from .linalg import LpParams, check_fields, solve_lp, INFEASIBLE, OPTIMAL, TAU_FEAS
+from .linalg import (DimensionError, LpParams, check_fields, solve_lp, INFEASIBLE, OPTIMAL,
+                     TAU_FEAS)
 
 _PROB_TOL = 1e-10
 
@@ -69,7 +70,7 @@ class ConditionalMomentTable:
         nt, nz = len(self.treatments), len(self.instruments)
         if self.mean.shape != (nt, nz) or self.prob.shape != (nt, nz):
             raise TableError(f"mean/prob must be {nt}x{nz}")
-        if np.any(self.prob <= 0.0):
+        if not (self.prob > 0.0).all():  # NaN > 0 is False
             t, z = np.unravel_index(int(np.argmin(self.prob)), self.prob.shape)
             raise TableError(
                 f"cell (T={self.treatments[t]}, Z={self.instruments[z]}) has "
@@ -300,9 +301,15 @@ class CompiledProgram:
     refuted: bool = False  # the data violate the bounds or an identified target's rows
 
 
-def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: int):
+def _general_program(table: ConditionalMomentTable, prob: np.ndarray, mean: np.ndarray,
+                     spec: AssumptionSpec, ti: int):
     """The conditional-moment-vector program of E[Y(t)] for t the ti-th
-    treatment: (p, M, c, offset, labels, valid_only).
+    treatment over a stack of B cell tables: prob and mean are (B, nt, nz),
+    draw k's P[T=a, Z=z] and E[Y | T=a, Z=z]. Returns (p, M, c, offsets,
+    labels, valid_only) with p (B, d), M (B, q, d), c (B, q) and offsets
+    (B,). The layout (free columns, labels, valid_only) comes from table and
+    spec alone, so it is one for every draw that shares table's supports and
+    observed treatments.
 
     The moment vector m has one coordinate per (treatment cell, instrument
     cell, potential-outcome leg): m[(a, z), d] = E[Y(d) | T=a, Z=z], at flat
@@ -311,16 +318,19 @@ def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: in
     target's leg ti is: no row couples another leg to it, and its objective
     is zero. Under MIV, E[Y(d) | T in A, Z=z] rises with z on every leg d and
     monotone group A, one row per adjacent pair of instrument levels, ordered
-    (leg, group, z). The groups are the full set, weighted by P[T=a | Z=z]
-    itself, then under cmiv_s every proper subset A but {ti}, under cmiv_p
-    each {a} but {ti}, weighted by P[T=a | T in A, Z=z]. Observed coordinates
-    (d = a with outcome data) are substituted out; every row keeps a free
-    entry. The outcome bounds are the box. valid_only marks the bounds as
-    valid but not claimed sharp: MIV with MTR, or with missing outcomes and
-    bounds.
+    (leg, group, z) (Manski and Pepper, Econometrica 68, 2000). The groups
+    are the full set, weighted by P[T=a | Z=z] itself, then under cmiv_s
+    every proper subset A but {ti}, under cmiv_p each {a} but {ti}, weighted
+    by P[T=a | T in A, Z=z]. Observed coordinates (d = a with outcome data)
+    are substituted out; every row keeps a free entry. The outcome bounds
+    are the box. valid_only marks the bounds as valid but not claimed sharp:
+    MIV with MTR, or with missing outcomes and bounds. c is one gemv per
+    draw, as numpy runs a stacked matmul, so draw k's (p, M, c, offset) are
+    the bits of a stack of draw k alone.
     """
     nt, nz = table.n_treatments, table.n_instruments
-    tz = table.t_given_z()
+    B = len(prob)
+    tz = prob / prob.sum(axis=1, keepdims=True)  # P[T = a | Z = z] per draw
     cells = nt * nz
 
     # almost-sure restrictions R y + r >= 0 on y = (Y(0), ..., Y(nt-1)):
@@ -330,8 +340,7 @@ def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: in
     # A m + b >= 0: R in the diagonal (cell, cell) block of every cell
     A = np.zeros((cells, mtr, cells, nt))
     A[np.arange(cells), :, np.arange(cells)] = R
-    A = A.reshape(cells * mtr, cells * nt)
-    b = np.full(cells * mtr, spec.relax)
+    A = np.broadcast_to(A.reshape(cells * mtr, cells * nt), (B, cells * mtr, cells * nt))
     legs = np.arange(nt) if KIND_MTR in spec.kinds else np.array([ti])
     if KIND_MIV in spec.kinds:
         if KIND_CMIV_S in spec.kinds:
@@ -339,39 +348,43 @@ def _general_program(table: ConditionalMomentTable, spec: AssumptionSpec, ti: in
                        if s != (ti,)]
         else:
             subsets = [(a,) for a in range(nt) if a != ti and KIND_CMIV_P in spec.kinds]
-        w = np.zeros((1 + len(subsets), nt, nz))  # w[g, a, z], 0 off the group
-        w[0] = tz
-        for wg, s in zip(w[1:], subsets):
-            wg[list(s)] = tz[list(s)] / tz[list(s)].sum(axis=0)
+        w = np.zeros((B, 1 + len(subsets), nt, nz))  # w[k, g, a, z], 0 off the group
+        w[:, 0] = tz
+        for j, s in enumerate(map(list, subsets), 1):
+            w[:, j, s] = tz[:, s] / tz[:, s].sum(axis=1, keepdims=True)
         # row (leg d, group g, z): sum_a w[g, a, z+1] m[(a, z+1), d] - w[g, a, z] m[(a, z), d] + relax >= 0,
         # filled in place on zeros, as a negated zero weight would write -0.0
-        miv = np.zeros((legs.size, len(w), nz - 1, nt, nz, nt))
+        miv = np.zeros((B, legs.size, w.shape[1], nz - 1, nt, nz, nt))
         leg = np.arange(legs.size)[:, None, None, None]
-        g = np.arange(len(w))[:, None, None]
+        g = np.arange(w.shape[1])[:, None, None]
         z = np.arange(nz - 1)[:, None]
         a = np.arange(nt)
-        miv[leg, g, z, a, z + 1, legs[leg]] += w[g, a, z + 1]
-        miv[leg, g, z, a, z, legs[leg]] -= w[g, a, z]
-        A = np.vstack([A, miv.reshape(-1, cells * nt)])
-        b = np.concatenate([b, np.full(len(A) - len(b), spec.relax)])
+        miv[:, leg, g, z, a, z + 1, legs[leg]] += w[:, None, g, a, z + 1]
+        miv[:, leg, g, z, a, z, legs[leg]] -= w[:, None, g, a, z]
+        A = np.concatenate([A, miv.reshape(B, -1, cells * nt)], axis=1)
+    b = np.full(A.shape[1], spec.relax)
 
     seen = [a for a, label in enumerate(table.treatments) if label in table.observed]
     is_free = np.zeros((nt, nz, nt), dtype=bool)
     is_free[:, :, legs] = True
     is_free[seen, :, seen] = False
     free = np.flatnonzero(is_free)
-    values = np.zeros((nt, nz, nt))
-    values[seen, :, seen] = table.mean[seen]
-    mu = np.zeros((nt, nz, nt))
-    mu[:, :, ti] = table.prob
-    values, mu = values.ravel(), mu.ravel()
+    a_seen, z_all = np.array(seen, dtype=np.intp)[:, None], np.arange(nz)
+    values = np.zeros((B, nt, nz, nt))
+    values[:, a_seen, z_all, a_seen] = mean[:, a_seen, z_all]
+    mu = np.zeros((B, nt, nz, nt))
+    mu[..., ti] = prob
+    values, mu = values.reshape(B, -1), mu.reshape(B, -1)
     labels = [(table.treatments[d], table.treatments[a], table.instruments[z])
               for a, z, d in zip(*np.unravel_index(free, (nt, nz, nt)))]
     valid_only = KIND_MIV in spec.kinds and (mtr > 0 or (len(seen) < nt and spec.bounds is not None))
-    return mu[free], A[:, free], -b - A @ values, float(mu @ values), labels, valid_only
+    c = -b - (A @ values[..., None])[..., 0]
+    offsets = (mu[:, None, :] @ values[..., None])[:, 0, 0]
+    return mu[:, free], A[:, :, free], c, offsets, labels, valid_only
 
 
-def _single_target_program(table, spec, t) -> CompiledProgram:
+def _single_target_program(table, prob, mean, spec, t):
+    """_general_program's stacked program of E[Y(t)], with refuted per draw."""
     conditional = bool(spec.kinds & {KIND_CMIV_S, KIND_CMIV_P})
     missing = len(table.observed) != table.n_treatments
     if conditional and KIND_MTR in spec.kinds:
@@ -382,52 +395,57 @@ def _single_target_program(table, spec, t) -> CompiledProgram:
     ti = table.t_index(t)
     if t not in table.observed:
         raise CompileError(f"target treatment {t!r} has no outcome data")
-    p, M, c, offset, labels, valid_only = _general_program(table, spec, ti)
+    p, M, c, offsets, labels, valid_only = _general_program(table, prob, mean, spec, ti)
     k0, k1 = spec.bounds or (-np.inf, np.inf)
-    box = (np.full(p.size, k0), np.full(p.size, k1))
     # an observed cell mean outside the bounds refutes them (NaN compares False),
     # and so does a row of an identified target's program that 0 >= c fails
-    refuted = bool(np.any((k0 - table.mean > TAU_FEAS) | (table.mean - k1 > TAU_FEAS))
-                   or (not p.size and np.any(c > TAU_FEAS)))
-    lp = LpParams(p=p, M=M, c=c, box=box) if p.size else None
-    return CompiledProgram(lp, offset, labels, valid_only, refuted)
+    refuted = np.any((k0 - mean > TAU_FEAS) | (mean - k1 > TAU_FEAS), axis=(1, 2))
+    if not p.shape[1]:
+        refuted |= np.any(c > TAU_FEAS, axis=1)
+    return p, M, c, offsets, labels, valid_only, refuted
+
+
+def _compile_stack(tables: Sequence[ConditionalMomentTable], spec: AssumptionSpec):
+    """compile over B tables that share the supports and observed treatments
+    of tables[0]: (p, M, c, offsets, labels, valid_only, refuted) with p
+    (B, d), M (B, q, d), c (B, q), offsets and refuted (B,). An ATE fills
+    the two targets' M blocks into zeros."""
+    table = tables[0]
+    prob = np.stack([tab.prob for tab in tables])
+    mean = np.stack([tab.mean for tab in tables])
+    target = spec.target
+    if isinstance(target, MeanPotential):
+        return _single_target_program(table, prob, mean, spec, target.t)
+    if not isinstance(target, ATE):
+        raise CompileError(f"unsupported target {target!r}")
+    p_t, M_t, c_t, off_t, labels_t, valid_t, refuted_t = \
+        _single_target_program(table, prob, mean, spec, target.t)
+    p_d, M_d, c_d, off_d, labels_d, valid_d, refuted_d = \
+        _single_target_program(table, prob, mean, spec, target.d)
+    (B, q_t, d_t), (q_d, d_d) = M_t.shape, M_d.shape[1:]
+    M = np.zeros((B, q_t + q_d, d_t + d_d))
+    M[:, :q_t, :d_t] = M_t
+    M[:, q_t:, d_t:] = M_d
+    return (np.concatenate([p_t, -p_d], axis=1), M, np.concatenate([c_t, c_d], axis=1),
+            off_t - off_d, labels_t + labels_d, valid_t or valid_d, refuted_t | refuted_d)
 
 
 def compile(table: ConditionalMomentTable, spec: AssumptionSpec) -> CompiledProgram:
     """LP whose direction-appropriate optimum plus offset is the target bound.
 
     Each target treatment's program is _general_program's; an ATE stacks
-    the two. The outcome bounds are the box. The rows of M depend only on the
-    supports, observed treatments and kinds, alike for every _resample of one
-    sample, as the bootstrap and the CI folds need. An observed cell mean
-    outside the bounds by more than TAU_FEAS refutes them: the program is
-    compiled all the same, with `refuted` set, and bound_value reports it
-    infeasible."""
-    target = spec.target
-    if isinstance(target, MeanPotential):
-        return _single_target_program(table, spec, target.t)
-    if isinstance(target, ATE):
-        prog_t = _single_target_program(table, spec, target.t)
-        prog_d = _single_target_program(table, spec, target.d)
-        dt, dd = prog_t.lp.d, prog_d.lp.d
-        p = np.concatenate([prog_t.lp.p, -prog_d.lp.p])
-        M = np.block([
-            [prog_t.lp.M, np.zeros((prog_t.lp.q, dd))],
-            [np.zeros((prog_d.lp.q, dt)), prog_d.lp.M],
-        ])
-        c = np.concatenate([prog_t.lp.c, prog_d.lp.c])
-        box = (
-            np.concatenate([prog_t.lp.box[0], prog_d.lp.box[0]]),
-            np.concatenate([prog_t.lp.box[1], prog_d.lp.box[1]]),
-        )
-        return CompiledProgram(
-            lp=LpParams(p=p, M=M, c=c, box=box),
-            offset=prog_t.offset - prog_d.offset,
-            variable_labels=prog_t.variable_labels + prog_d.variable_labels,
-            valid_only=prog_t.valid_only or prog_d.valid_only,
-            refuted=prog_t.refuted or prog_d.refuted,
-        )
-    raise CompileError(f"unsupported target {target!r}")
+    the two. The outcome bounds are the box. This is _compile_stack over
+    the one table: the rows of M depend only on the supports, observed
+    treatments and kinds, alike for every _resample of one sample, so the
+    bootstrap compiles its draws in one stacked call and each CI fold by
+    compile. An observed cell mean outside the bounds by more than TAU_FEAS
+    refutes them: the program is compiled all the same, with `refuted` set,
+    and bound_value reports it infeasible."""
+    p, M, c, offsets, labels, valid_only, refuted = _compile_stack([table], spec)
+    d = p.shape[1]
+    k0, k1 = spec.bounds or (-np.inf, np.inf)
+    lp = LpParams(p=p[0], M=M[0], c=c[0], box=(np.full(d, k0), np.full(d, k1))) if d else None
+    return CompiledProgram(lp, float(offsets[0]), labels, valid_only, bool(refuted[0]))
 
 
 def bound_value(program: CompiledProgram, direction: str):
@@ -532,17 +550,30 @@ def ets_estimate(table: ConditionalMomentTable, t, d) -> float:
     return marginal(t) - marginal(d)
 
 
-def _resample(data: Microdata, idx, spec: AssumptionSpec,
-              base: ConditionalMomentTable) -> CompiledProgram:
-    """The program compiled on records idx of data. A resample with an empty
-    cell (as ingest_sample raises), or with other treatments or instruments
-    than the full-sample table base, raises TableError; every other resample
-    compiles to the rows of base."""
+def _resample(data: Microdata, idx, base: ConditionalMomentTable) -> ConditionalMomentTable:
+    """The table of records idx of data. A resample with an empty cell (as
+    ingest_sample raises), or with other treatments or instruments than the
+    full-sample table base, raises TableError; every other resample compiles
+    to the rows of base."""
     table = ingest_sample(data.take(idx))
     if table.treatments != base.treatments or table.instruments != base.instruments:
         raise TableError(f"resample levels {table.treatments} x {table.instruments}, "
                          f"not the sample's {base.treatments} x {base.instruments}")
-    return compile(table, spec)
+    return table
+
+
+def _theta_stack(tables: Sequence[ConditionalMomentTable], spec: AssumptionSpec) -> np.ndarray:
+    """(B, S) rows (p, vec M column-major, c) of the tables' programs, bitwise
+    as compile(table, spec).lp.theta() gives each; a program with no free
+    variable or a non-finite entry raises DimensionError, as its LpParams
+    would. The stacked M is freed on return, before the covariance."""
+    p, M, c = _compile_stack(tables, spec)[:3]
+    if not p.shape[1]:
+        raise DimensionError("M must have at least one column")
+    theta = np.concatenate([p, M.transpose(0, 2, 1).reshape(len(M), -1), c], axis=1)
+    if not np.isfinite(theta).all():
+        raise DimensionError("p, M, c entries must be finite")
+    return theta
 
 
 def bootstrap_theta_covariance(
@@ -557,27 +588,31 @@ def bootstrap_theta_covariance(
     machinery (theta-hat ~ (theta, sigma / n)). Resamples that _resample
     rejects are redrawn (up to a cap), since the compiled dimensions must
     match; a resample that refutes the outcome bounds counts like any other.
+    The B kept tables share the sample's layout, so they compile in one
+    stacked call (_theta_stack), bitwise as compile gives each draw.
     """
     rng = np.random.default_rng(seed)
     data = Microdata.of(records)
     n = len(data)
     base = ingest_sample(data)
-    draws = []
+    tables = []
     for _ in range(20 * B):
         try:
-            draws.append(_resample(data, rng.integers(0, n, size=n), spec, base).lp.theta())
+            tables.append(_resample(data, rng.integers(0, n, size=n), base))
         except TableError:
             continue
-        if len(draws) == B:
-            return n * np.cov(np.array(draws).T, bias=False)
-    raise TableError("bootstrap resampling keeps losing a cell or a level")
+        if len(tables) == B:
+            break
+    else:
+        raise TableError("bootstrap resampling keeps losing a cell or a level")
+    return n * np.cov(_theta_stack(tables, spec).T, bias=False)
 
 
 def bound_interval(data: Sequence[Tuple], spec: AssumptionSpec, base: ConditionalMomentTable,
                    cfg: InferenceConfig, B: int, seed):
     """(two-sided interval, lower InferenceResult, upper InferenceResult) of
-    the bounds. Both directions share the bootstrap sigma; a fold compiles by
-    _resample, or raises InferenceError. The upper bound runs on -p, as
+    the bounds. Both directions share the bootstrap sigma; a fold compiles its
+    _resample table, or raises InferenceError. The upper bound runs on -p, as
     bound_value solves it, and maps back by the sign and fold 2's offset."""
     data = Microdata.of(data)
     sigma = bootstrap_theta_covariance(data, spec, B=B, seed=seed)
@@ -587,7 +622,7 @@ def bound_interval(data: Sequence[Tuple], spec: AssumptionSpec, base: Conditiona
 
         def estimator(idx: np.ndarray) -> ThetaEstimate:
             try:
-                prog = _resample(data, idx, spec, base)
+                prog = compile(_resample(data, idx, base), spec)
             except TableError as exc:
                 raise InferenceError(f"fold produced an invalid table: {exc}")
             offsets.append(prog.offset)

@@ -12,6 +12,7 @@ from lpbound.aicm import (
     MeanPotential,
     Microdata,
     TableError,
+    _compile_stack,
     bootstrap_theta_covariance,
     bound_value,
     cmivw_bounds,
@@ -20,7 +21,7 @@ from lpbound.aicm import (
     ingest_sample,
     read_microdata_csv,
 )
-from lpbound.linalg import INFEASIBLE, OPTIMAL, TAU_FEAS
+from lpbound.linalg import INFEASIBLE, OPTIMAL, TAU_FEAS, DimensionError
 
 
 def proof_example_table() -> ConditionalMomentTable:
@@ -239,6 +240,16 @@ class TestIngestAndTable:
                 treatments=["0", "1"], instruments=["a"],
                 mean=np.zeros((2, 1)), prob=np.array([[0.3], [0.3]]),
                 count=np.zeros((2, 1)), observed=frozenset({"0", "1"}),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.25])
+    def test_probability_must_be_positive(self, bad):
+        # NaN <= 0 and |NaN - 1| > tol are both False: a NaN cell must still be refused
+        with pytest.raises(TableError, match=rf"cell \(T=1, Z=b\) has probability {bad}; full support"):
+            ConditionalMomentTable(
+                treatments=["0", "1"], instruments=["a", "b"],
+                mean=np.zeros((2, 2)), prob=np.array([[0.25, 0.25], [0.5, bad]]),
+                count=np.zeros((2, 2)), observed=frozenset({"0", "1"}),
             )
 
     def test_cell_means_from_records(self):
@@ -482,8 +493,11 @@ def test_general_program_matches_row_by_row_assembly(kinds):
     rng = np.random.default_rng(19)
     conditional = bool(kinds & {"cmiv_p", "cmiv_s"})
     refutations = cases = 0
+    # the four-treatment tables give rows of M with enough entries that a
+    # changed summation order of c shows in its bits
     for nt, nz, unobserved in ((2, 1, ()), (2, 3, ()), (3, 2, ()), (2, 3, ("0",)),
-                               (3, 3, ("0",)), (3, 2, ("0", "1")), (2, 4, ()), (3, 3, ())):
+                               (3, 3, ("0",)), (3, 2, ("0", "1")), (2, 4, ()), (3, 3, ()),
+                               (4, 3, ()), (4, 2, ("0",))):
         prob = rng.uniform(0.1, 1.0, (nt, nz))
         mean = rng.uniform(-1.2, 1.2, (nt, nz))  # some cells outside the bounds
         labels = [str(i) for i in range(nt)]
@@ -564,3 +578,91 @@ def test_no_row_of_m_is_zero_or_a_box_row(target):
             assert lp.M.any(axis=1).all()
             assert not (M[:, None, :] == box[None, :, :]).all(axis=2).any()
     assert tables == {False, True}  # fully observed and missing-outcome tables
+
+
+def _grid_records(seed, nt, nz, n=150, unobserved=()):
+    """n records, uniform over nt treatments x nz instruments, no outcome
+    for the treatments in unobserved."""
+    rng = np.random.default_rng(seed)
+    t, z = rng.integers(0, nt, n), rng.integers(0, nz, n)
+    y = np.round(rng.uniform(-1.0, 1.0, n), 3)
+    return [(None if str(ti) in unobserved else float(yi), str(ti), f"z{zi}")
+            for yi, ti, zi in zip(y, t, z)]
+
+
+_COMPILING = [k for k in _KIND_SETS if not (k & {"cmiv_p", "cmiv_s"} and "mtr" in k)]
+
+
+@pytest.mark.parametrize("target", [MeanPotential("2"), ATE("2", "0")], ids=["mean", "ate"])
+@pytest.mark.parametrize("kinds", _COMPILING, ids=["+".join(sorted(k)) for k in _COMPILING])
+def test_stacked_bootstrap_matches_the_per_draw_loop(kinds, target):
+    records = _grid_records(21, 3, 3)
+    spec = AssumptionSpec(kinds=frozenset(kinds), target=target,
+                          bounds=(-1.0, 1.0) if "bounds" in kinds else None)
+    sigma = bootstrap_theta_covariance(records, spec, B=8, seed=5)
+    reference, _ = _list_bootstrap(records, spec, B=8, seed=5)
+    assert sigma.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("target", [MeanPotential("2"), ATE("2", "1")], ids=["mean", "ate"])
+def test_stacked_bootstrap_with_missing_outcomes_and_relax(target):
+    records = _grid_records(22, 3, 4, n=200, unobserved=("0",))
+    spec = AssumptionSpec(kinds=frozenset({"bounds", "mtr", "miv"}), bounds=(-1.0, 1.0),
+                          relax=0.05, target=target)
+    sigma = bootstrap_theta_covariance(records, spec, B=12, seed=6)
+    reference, _ = _list_bootstrap(records, spec, B=12, seed=6)
+    assert sigma.tobytes() == reference.tobytes()
+
+
+def test_bootstrap_cap_message():
+    # one record per cell of a 4 x 4 grid: a resample keeps all 16 cells
+    # with probability 16!/16^16, about 1e-6
+    records = [(0.5, str(t), f"z{z}") for t in range(4) for z in range(4)]
+    spec = AssumptionSpec(kinds=frozenset({"bounds", "miv"}), bounds=(0.0, 1.0),
+                          target=MeanPotential("1"))
+    with pytest.raises(TableError) as caught:
+        bootstrap_theta_covariance(records, spec, B=3, seed=0)
+    assert str(caught.value) == "bootstrap resampling keeps losing a cell or a level"
+
+
+def test_bootstrap_checks_each_draw_as_lp_params_does():
+    # relax at the float limit: the MIV row's c = -relax - (rise of the
+    # target's cell means) overflows to -inf in every draw, as in compile
+    records = [(y, "1", z) for y, z in ((-1e305, "a"), (1e305, "b"))] * 5
+    records += [(0.0, "0", z) for z in "ab"] * 5
+    spec = AssumptionSpec(kinds=frozenset({"miv"}), relax=1.7976e308, target=MeanPotential("1"))
+    for run in (lambda: compile(ingest_sample(records), spec),
+                lambda: bootstrap_theta_covariance(records, spec, B=4, seed=0)):
+        with np.errstate(over="ignore"), \
+                pytest.raises(DimensionError, match="p, M, c entries must be finite"):
+            run()
+    # one treatment level leaves no free variable, so no LP to bootstrap
+    single = [(0.1 * i, "1", z) for i in range(5) for z in "ab"]
+    spec = AssumptionSpec(kinds=frozenset({"bounds"}), bounds=(0.0, 1.0), target=MeanPotential("1"))
+    assert compile(ingest_sample(single), spec).lp is None
+    with pytest.raises(DimensionError, match="at least one column"):
+        bootstrap_theta_covariance(single, spec, B=4, seed=0)
+
+
+@pytest.mark.parametrize("kinds, target", [
+    ({"mtr"}, MeanPotential("2")),  # MTR rows alone, shared by every draw
+    ({"bounds", "cmiv_s"}, ATE("2", "0")),
+    ({"bounds", "mtr", "miv"}, ATE("1", "2")),
+])
+def test_stacked_draw_does_not_depend_on_the_stack(kinds, target):
+    # numpy must run the same gemv for draw k in a stack of 7 as alone: no
+    # arithmetic that depends on B, such as a gemm over the stack
+    records = _grid_records(23, 3, 5, n=300)
+    data, base = Microdata.of(records), ingest_sample(records)
+    rng = np.random.default_rng(7)
+    tables = [ingest_sample(data.take(rng.integers(0, len(data), len(data)))) for _ in range(7)]
+    assert all(tab.instruments == base.instruments for tab in tables)
+    spec = AssumptionSpec(kinds=frozenset(kinds), bounds=(-1.0, 1.0), target=target)
+    stack = _compile_stack(tables, spec)
+    for k, table in enumerate(tables):
+        alone = _compile_stack([table], spec)
+        for many, one in zip(stack[:4], alone[:4]):
+            assert many[k].tobytes() == one[0].tobytes()
+        lp = compile(table, spec).lp
+        assert (stack[0][k].tobytes(), stack[1][k].tobytes(), stack[2][k].tobytes()) == \
+            (lp.p.tobytes(), lp.M.tobytes(), lp.c.tobytes())
