@@ -140,7 +140,7 @@ def _require(doc: dict, key: str, where: str, kind=object):
 def _as_float_array(value, shape_hint: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an integer beyond the float range overflows
         raise CliError("invalid_value", f"{shape_hint} must be numeric")
     if arr.ndim != ndim:
         raise CliError("dimension_mismatch", f"{shape_hint} must be {ndim}-dimensional")
@@ -448,6 +448,9 @@ def cmd_simulate(config: dict, args) -> int:
 _AICM_KEYS = {"data", "assumptions", "target", "ci", "seed"}
 _TARGET_KEYS = {"type", "t", "d"}
 _CI_KEYS = {"alpha", "bootstrap_reps", "gamma"}
+# The bootstrap holds every draw's (p, vec M, c) until it takes their covariance,
+# so the draw count bounds its memory.
+MAX_BOOTSTRAP_REPS = 10_000
 
 
 def _parse_target(doc: dict):
@@ -497,6 +500,9 @@ def cmd_aicm(config: dict, args) -> int:
         _check_keys(ci_doc, _CI_KEYS, "ci")
         seed = _seed(config, args)
         reps = _at_least_2(ci_doc.get("bootstrap_reps", 200), "bootstrap_reps")
+        if reps > MAX_BOOTSTRAP_REPS:
+            raise CliError("validation_error",
+                           f"bootstrap_reps must be at most {MAX_BOOTSTRAP_REPS}, got {reps}")
         doc = {k: v for k, v in ci_doc.items() if k != "bootstrap_reps"}
         cfg = _config(InferenceConfig, doc, "ci")
         if program.refuted:

@@ -112,13 +112,14 @@ class InferenceConfig:
 
 
 def split_sample(n: int, gamma: float, seed) -> Tuple[np.ndarray, np.ndarray]:
-    """Random disjoint exhaustive folds of sizes (floor(gamma*n), rest)."""
-    if n < 2:
-        raise InferenceError("need at least 2 observations to split")
+    """Random disjoint exhaustive folds of sizes (floor(gamma*n), rest).
+
+    Each fold holds at least 2 records, since every fold estimator takes a
+    sample covariance of its fold."""
     if not (0.0 < gamma < 1.0):
         raise InferenceError(f"gamma must lie in (0,1), got {gamma}")
     n1 = int(math.floor(gamma * n))
-    if n1 == 0 or n1 == n:
+    if min(n1, n - n1) < 2:
         raise InferenceError(f"degenerate fold sizes ({n1}, {n - n1})")
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:n1]), np.sort(perm[n1:])

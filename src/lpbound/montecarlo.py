@@ -10,6 +10,13 @@ exactly affine in a short vector phi of sample means, theta = theta0 + G phi,
 so G is also the delta-method Jacobian d theta / d phi of the noisy design's
 inference. Replications stack as Theta = theta0 + Phi G'.
 
+Each study is a per-replication draw one(n_idx, n, rep), run in order over
+sizes and replications by one driver (_replicate), plus a reduction of the
+outcomes to rows (_row). One failure rule holds for all three: a replication
+that raises a SolverError, PenaltyError or InferenceError counts in
+`failures` and is left out of the statistics. A consistency replication that
+fails before its estimators run counts one failure for each estimator.
+
 Randomness is counter-based (Philox keyed by the scenario seed, with the
 counter encoding replication, sample-size index, and stream), so replications
 are reproducible independently of execution order.
@@ -20,7 +27,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Sequence, get_args
+from typing import List, Literal, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -103,19 +110,19 @@ class SimulationReport:
                    "failures", "coverage", "mean_lcb")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([
-                r.estimator,
-                r.n,
-                *("" if v is None else repr(v) for v in
-                  (r.mean, r.bias, r.std, r.rmse)),
-                r.failures,
-                *("" if v is None else repr(v) for v in (r.coverage, r.mean_lcb)),
-            ])
-        return buf.getvalue()
+        return _csv(self.CSV_COLUMNS, ([getattr(r, col) for col in self.CSV_COLUMNS]
+                                       for r in self.rows))
+
+
+def _csv(columns: Sequence[str], rows) -> str:
+    """CSV text: a float cell as its repr, None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v
+                         for v in row])
+    return buf.getvalue()
 
 
 def rng_for(seed: int, n_idx: int, rep: int, stream: int = 0) -> np.random.Generator:
@@ -168,8 +175,35 @@ def draw_theta(scenario: SimulationScenario, n: int, rng: np.random.Generator) -
     raise ScenarioError(f"draw_theta does not support dgp {scenario.dgp!r}")
 
 
-def _with_moments(row: ReportRow, vals: np.ndarray, truth: float) -> ReportRow:
-    """Fill mean, bias, std and rmse of the successful draws, if any."""
+def _truth(design: AffineDesign, phi) -> float:
+    """Value of the design's LP at the population phi."""
+    sol = solve_lp(design.params(phi))
+    if sol.status != OPTIMAL:
+        raise ScenarioError(f"true LP is {sol.status}")
+    return float(sol.value)
+
+
+def _attempt(fn, *args):
+    """fn(*args), or None when it raises a solver, penalty or inference error:
+    the one failure rule of every study."""
+    try:
+        return fn(*args)
+    except (SolverError, PenaltyError, InferenceError):
+        return None
+
+
+def _replicate(scenario: SimulationScenario, one) -> List[list]:
+    """Per sample size, the outcomes one(n_idx, n, rep) of every replication
+    in order; a replication that fails comes back as None."""
+    return [[_attempt(one, n_idx, n, rep) for rep in range(scenario.replications)]
+            for n_idx, n in enumerate(scenario.sample_sizes)]
+
+
+def _row(estimator: str, n: int, outcomes: list, truth: float) -> ReportRow:
+    """The failures (None outcomes) and the mean, bias, std and rmse of the
+    other outcomes, if any."""
+    vals = np.array([v for v in outcomes if v is not None], dtype=float)
+    row = ReportRow(estimator=estimator, n=n, failures=len(outcomes) - vals.size)
     if vals.size:
         row.mean = float(vals.mean())
         row.bias = row.mean - truth
@@ -181,6 +215,9 @@ def _with_moments(row: ReportRow, vals: np.ndarray, truth: float) -> ReportRow:
 def run_consistency(scenario: SimulationScenario) -> SimulationReport:
     """Replicated point estimation; failed draws are counted, never imputed.
 
+    A replication whose draw or penalty selection fails counts one failure
+    for each estimator; an estimator that fails on its own counts for itself.
+
     The plug-in and set-expansion solves share one list of simplex bases for
     the whole study, and the penalty and debiased solves another, since each
     pair solves LPs with one constraint matrix; every solve warm-starts from
@@ -189,41 +226,25 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
     """
     if scenario.dgp == DGP_UNIFORM_GRID:
         raise ScenarioError(f"no closed truth for dgp {scenario.dgp!r}")
-    truth_sol = solve_lp(_EXAMPLE.params((scenario.b, 0.0, 0.0)))
-    if truth_sol.status != OPTIMAL:
-        raise ScenarioError(f"true LP is {truth_sol.status}")
-    truth = float(truth_sol.value)
+    truth = _truth(_EXAMPLE, (scenario.b, 0.0, 0.0))
     original, relaxed = [], []
-    bases = {"plugin": original, "setexp": original, "penalty": relaxed, "debiased": relaxed}
-    rows: List[ReportRow] = []
-    for n_idx, n in enumerate(scenario.sample_sizes):
-        values: Dict[str, List[float]] = {e: [] for e in scenario.estimators}
-        failures: Dict[str, int] = {e: 0 for e in scenario.estimators}
-        kappa_n = default_kappa_n(n, scenario.kappa0)
-        penalized = {"penalty", "debiased"} & set(scenario.estimators)
-        for rep in range(scenario.replications):
-            params = draw_theta(scenario, n, rng_for(scenario.seed, n_idx, rep))
-            if penalized:
-                w = scenario.penalty.resolve_w(params, n)
-            for est in scenario.estimators:
-                try:
-                    if est == "plugin":
-                        value = solve_lp(params, bases=bases[est]).value
-                    elif est == "penalty":
-                        value = penalty_value(params, w, bases=bases[est])
-                    elif est == "debiased":
-                        value = debiased_estimate(params, w, bases=bases[est]).value
-                    else:
-                        value = set_expansion_value(params, kappa_n, n, bases=bases[est]).value
-                except (SolverError, PenaltyError):
-                    value = None
-                if value is None:
-                    failures[est] += 1
-                else:
-                    values[est].append(float(value))
-        for est in scenario.estimators:
-            row = ReportRow(estimator=est, n=n, failures=failures[est])
-            rows.append(_with_moments(row, np.array(values[est]), truth))
+    value_of = {
+        "plugin": lambda params, w, n: solve_lp(params, bases=original).value,
+        "penalty": lambda params, w, n: penalty_value(params, w, bases=relaxed),
+        "debiased": lambda params, w, n: debiased_estimate(params, w, bases=relaxed).value,
+        "setexp": lambda params, w, n: set_expansion_value(
+            params, default_kappa_n(n, scenario.kappa0), n, bases=original).value,
+    }
+    penalized = {"penalty", "debiased"} & set(scenario.estimators)
+
+    def one(n_idx, n, rep):
+        params = draw_theta(scenario, n, rng_for(scenario.seed, n_idx, rep))
+        w = scenario.penalty.resolve_w(params, n) if penalized else None
+        return [_attempt(value_of[est], params, w, n) for est in scenario.estimators]
+
+    rows = [_row(est, n, [None if o is None else o[i] for o in outcomes], truth)
+            for n, outcomes in zip(scenario.sample_sizes, _replicate(scenario, one))
+            for i, est in enumerate(scenario.estimators)]
     return SimulationReport(scenario=scenario, rows=rows)
 
 
@@ -249,35 +270,23 @@ def run_inference_study(scenario: SimulationScenario) -> SimulationReport:
     """
     if scenario.dgp != DGP_EXAMPLE_B:
         raise ScenarioError("the inference study runs on the noisy design (example_b)")
-    truth = float(solve_lp(_EXAMPLE.params((scenario.b, 0.0, 0.0))).value)
+    truth = _truth(_EXAMPLE, (scenario.b, 0.0, 0.0))
     cfg = InferenceConfig(alpha=scenario.alpha, penalty=scenario.penalty)
-    rows: List[ReportRow] = []
-    for n_idx, n in enumerate(scenario.sample_sizes):
-        covered = 0
-        estimates = []
-        lcbs = []
-        failures = 0
-        for rep in range(scenario.replications):
-            U = rng_for(scenario.seed, n_idx, rep).uniform(-0.5, 0.5, size=(n, 3))
-            try:
-                result = run_inference(
-                    n,
-                    _example_b_estimator(U, scenario.b),
-                    cfg,
-                    seed=np.random.SeedSequence((scenario.seed, n_idx, rep, 1)),
-                )
-            except (InferenceError, PenaltyError, SolverError):
-                failures += 1
-                continue
-            estimates.append(result.estimate)
-            lcbs.append(result.ci_lower_onesided)
-            if result.ci_lower_onesided <= truth:
-                covered += 1
-        row = ReportRow(estimator="debiased_ci", n=n, failures=failures)
-        if estimates:
-            row.coverage = covered / len(estimates)
+
+    def one(n_idx, n, rep):
+        U = rng_for(scenario.seed, n_idx, rep).uniform(-0.5, 0.5, size=(n, 3))
+        result = run_inference(n, _example_b_estimator(U, scenario.b), cfg,
+                               seed=np.random.SeedSequence((scenario.seed, n_idx, rep, 1)))
+        return result.estimate, result.ci_lower_onesided
+
+    rows = []
+    for n, outcomes in zip(scenario.sample_sizes, _replicate(scenario, one)):
+        row = _row("debiased_ci", n, [None if o is None else o[0] for o in outcomes], truth)
+        lcbs = [o[1] for o in outcomes if o is not None]
+        if lcbs:
+            row.coverage = sum(1 for lcb in lcbs if lcb <= truth) / len(lcbs)
             row.mean_lcb = float(np.mean(lcbs))
-        rows.append(_with_moments(row, np.array(estimates), truth))
+        rows.append(row)
     return SimulationReport(scenario=scenario, rows=rows)
 
 
@@ -336,13 +345,8 @@ class UniformGridResult:
                    "failures")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for i, n in enumerate(self.sample_sizes):
-            series = (getattr(self, col)[i] for col in self.CSV_COLUMNS[1:-1])
-            writer.writerow([n, *(repr(float(v)) for v in series), self.failures[i]])
-        return buf.getvalue()
+        return _csv(self.CSV_COLUMNS,
+                    zip(self.sample_sizes, *(getattr(self, col) for col in self.CSV_COLUMNS[1:])))
 
 
 def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
@@ -360,36 +364,28 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
         raise ScenarioError("run_uniform_grid needs the uniform_grid dgp")
     delta = _grid_delta()
     sizes = list(scenario.sample_sizes)
-    sup_std = np.zeros(len(sizes))
-    failures = [0] * len(sizes)
-    for n_idx, n in enumerate(sizes):
-        wn = grid_wn(n, delta)
-        w = np.full(4, wn)
-        pts = grid_points(n, delta, scenario.grid)
-        true_d = 0.5 if scenario.slater else 0.0
-        truths = [float(solve_lp(_GRID.params((a, 0.0, 0.0, true_d))).value) for a in pts]
-        bases = [[] for _ in pts]
-        sups = []
-        for rep in range(scenario.replications):
-            rng = rng_for(scenario.seed, n_idx, rep)
-            noise = rng.uniform(-0.5, 0.5, size=(n, 3)).mean(axis=0)
-            if scenario.slater:
-                dshift = float(rng.uniform(0.0, 1.0, size=n).mean())
-            else:
-                dshift = float(noise[2])
-            worst = 0.0
-            try:
-                for a, truth, point_bases in zip(pts, truths, bases):
-                    params = _GRID.params((a, noise[0], noise[1], dshift))
-                    value = penalty_value(params, w, bases=point_bases)
-                    worst = max(worst, abs(value - truth))
-            except (SolverError, PenaltyError):
-                failures[n_idx] += 1
-                continue
-            sups.append(worst)
-        sup_std[n_idx] = np.std(sups) if sups else np.nan
-    ns = np.array(sizes, dtype=float)
     wns = np.array([grid_wn(n, delta) for n in sizes])
+    pts = [grid_points(n, delta, scenario.grid) for n in sizes]
+    true_d = 0.5 if scenario.slater else 0.0
+    truths = [[_truth(_GRID, (a, 0.0, 0.0, true_d)) for a in p] for p in pts]
+    bases = [[[] for _ in p] for p in pts]
+
+    def one(n_idx, n, rep):
+        rng = rng_for(scenario.seed, n_idx, rep)
+        noise = rng.uniform(-0.5, 0.5, size=(n, 3)).mean(axis=0)
+        dshift = float(rng.uniform(0.0, 1.0, size=n).mean() if scenario.slater else noise[2])
+        w = np.full(4, wns[n_idx])
+        worst = 0.0
+        for a, truth, point_bases in zip(pts[n_idx], truths[n_idx], bases[n_idx]):
+            value = penalty_value(_GRID.params((a, noise[0], noise[1], dshift)), w,
+                                  bases=point_bases)
+            worst = max(worst, abs(value - truth))
+        return worst
+
+    # each size's sup-deviations as one row: its std is the sup_std
+    rows = [_row("penalty", n, sups, 0.0) for n, sups in zip(sizes, _replicate(scenario, one))]
+    sup_std = np.array([np.nan if r.std is None else r.std for r in rows])
+    ns = np.array(sizes, dtype=float)
     sqrt_series = sup_std * np.sqrt(ns)
     adaptive = sqrt_series / wns
     factor = adaptive[0] / sqrt_series[0] if sqrt_series[0] > 0 else 1.0
@@ -400,7 +396,7 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
         adaptive_scaled=adaptive,
         sqrt_n_normalized=sqrt_series * factor,
         delta=delta,
-        failures=failures,
+        failures=[r.failures for r in rows],
     )
 
 

@@ -369,6 +369,8 @@ class TestSimulateCommand:
     pytest.param("aicm", {"ci": {"bootstrap_reps": 0}}, id="aicm-bootstrap_reps-0"),
     pytest.param("aicm", {"ci": {"bootstrap_reps": 1}}, id="aicm-bootstrap_reps-1"),
     pytest.param("aicm", {"ci": {"bootstrap_reps": 2.5}}, id="aicm-bootstrap_reps-fraction"),
+    pytest.param("aicm", {"ci": {"bootstrap_reps": cli.MAX_BOOTSTRAP_REPS + 1}},
+                 id="aicm-bootstrap_reps-above-bound"),
     pytest.param("aicm", {"assumptions": {"kinds": ["bounds"], "bounds": [0, float("inf")]}},
                  id="aicm-bounds-infinite"),
     # a path key that is not a string: an int would be opened as a file descriptor
@@ -433,18 +435,41 @@ def test_lp_path_that_is_an_int_leaves_stdout_open(tmp_path):
     assert json.loads(done.stderr)["error"]["code"] == "validation_error"
 
 
+def _main_in_subprocess(command: str, cfg: str) -> subprocess.CompletedProcess:
+    """`lpbound COMMAND --config CFG` in a fresh interpreter, whose stderr holds
+    every warning as a user would see it, outside pytest's capture."""
+    script = ("import sys; from lpbound.cli import main; "
+              f"sys.exit(main([{command!r}, '--config', {cfg!r}]))")
+    src = str(Path(lpbound.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, stdin=subprocess.DEVNULL, timeout=120)
+
+
+def test_lp_entry_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # json reads an integer literal exactly; float() of it overflows
+    lp = write_json(tmp_path / "lp.json", dict(EXAMPLE1_DOC, c=[0, 0, -1, 10**400]))
+    cfg = write_json(tmp_path / "cfg.json", {"lp": lp, "n": 100})
+    assert run_cli(["estimate", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (error["code"], error["message"]) == ("invalid_value", "c must be numeric")
+
+
+def test_one_record_fold_exits_1_without_warnings(tmp_path):
+    # n = 3 leaves fold 1 one record, whose sample covariance numpy warns on
+    cfg = write_json(tmp_path / "cfg.json", {"mode": "example_b", "n": 3})
+    done = _main_in_subprocess("infer", cfg)
+    assert (done.returncode, done.stdout) == (EXIT_COMPUTE, "")
+    error = json.loads(done.stderr)["error"]  # the JSON error is all of stderr
+    assert error == {"code": "inference_failed", "message": "degenerate fold sizes (1, 2)"}
+
+
 def test_gaussian_sigma_that_is_not_psd_exits_2(tmp_path):
-    # numpy only warns on such a covariance and draws from it; a subprocess
-    # sees the warning on stderr as a user would, outside pytest's capture
+    # numpy only warns on such a covariance and draws from it
     lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
     cfg = write_json(tmp_path / "cfg.json",
                      {"mode": "gaussian", "lp": lp, "n": 100, "sigma": (-np.eye(14)).tolist()})
-    script = ("import sys; from lpbound.cli import main; "
-              f"sys.exit(main(['infer', '--config', {cfg!r}]))")
-    src = str(Path(lpbound.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, stdin=subprocess.DEVNULL, timeout=120)
+    done = _main_in_subprocess("infer", cfg)
     assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
     error = json.loads(done.stderr)["error"]  # the JSON error is all of stderr
     assert error["code"] == "validation_error"

@@ -4,8 +4,9 @@ files in tests/golden/.
 Each golden file holds the output of one small run: the three fig_*
 scenarios cut to 25 replications, the criterion-9 uniform-grid designs at
 20 replications, the noisy-design `infer` example, and two `aicm` runs with
-a confidence interval on microdata drawn from a fixed numpy seed. A change
-that moves these bytes on purpose regenerates the files with
+a confidence interval on microdata drawn from a fixed numpy seed. No run may
+raise a warning. A change that moves these bytes on purpose regenerates the
+files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -14,6 +15,7 @@ and says why in CHANGES.md.
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +90,11 @@ def run_case(name: str, workdir: Path) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_golden(tmp_path, name):
-    assert run_case(name, tmp_path) == (GOLDEN / name).read_bytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run_case(name, tmp_path)
+    assert out == (GOLDEN / name).read_bytes()
+    assert [str(w.message) for w in caught] == []  # no warning escapes a golden run
 
 
 if __name__ == "__main__":

@@ -53,6 +53,12 @@ class TestSplitSample:
         with pytest.raises(InferenceError):
             split_sample(1, 0.5, 0)
 
+    def test_one_record_fold_rejected(self):
+        # a fold estimator's sample covariance needs two records
+        with pytest.raises(InferenceError, match=r"degenerate fold sizes \(1, 2\)"):
+            split_sample(3, 0.5, 0)
+        assert [len(f) for f in split_sample(4, 0.5, 0)] == [2, 2]
+
 
 class TestBallConstrainedLstsq:
     def test_interior_solution_is_least_squares(self):

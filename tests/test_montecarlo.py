@@ -270,6 +270,27 @@ class TestConsistencyStudy:
         assert rows["penalty"].mean is not None
         assert all(rows[e].failures == 0 for e in ("plugin", "debiased", "setexp"))
 
+    def test_failed_penalty_selection_counts_for_every_estimator(self, monkeypatch):
+        from lpbound.estimators import PenaltyConfig, PenaltyError
+
+        calls = []
+
+        def fail_first(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise PenaltyError("forced")
+            return real(self, *args, **kwargs)
+
+        real = PenaltyConfig.resolve_w
+        monkeypatch.setattr(PenaltyConfig, "resolve_w", fail_first)
+        scenario = SimulationScenario(
+            dgp="example_a", b=0.0, sample_sizes=(100,), replications=3, seed=2
+        )
+        rows = run_consistency(scenario).rows
+        assert len(calls) == 3
+        assert [r.failures for r in rows] == [1, 1, 1, 1]
+        assert all(r.mean is not None for r in rows)
+
     def test_csv_columns(self):
         scenario = SimulationScenario(
             dgp="example_a", b=0.0, sample_sizes=(100,), replications=2, seed=1
