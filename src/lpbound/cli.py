@@ -1,75 +1,39 @@
 """Command-line interface: estimate, infer, simulate, and aicm commands.
 
-Configuration documents and LP files are JSON; bulk numeric output is CSV.
-All parsing is fail-closed: unknown keys are rejected, and so are keys the
+Configs and LP files are JSON documents, each read by _config into a
+dataclass whose annotated fields are its keys; bulk numeric output is CSV.
+Parsing is fail-closed: unknown keys are rejected, and so are keys the
 selected study or mode never reads. Only the commands that draw random
 numbers (infer, simulate, aicm) take --seed, for bit-reproducible output.
 Exit codes: 0 success (solver statuses are data), 1 computational fault
-that blocks output, 2 usage or validation fault. Faults print a
-machine-readable error object.
+that blocks output (a number JSON cannot hold among them), 2 usage or
+validation fault. Faults print a machine-readable error object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import List, Optional, Sequence, Tuple, Union, get_args, get_origin
 
 import numpy as np
 
-from .aicm import (
-    ATE,
-    AssumptionSpec,
-    CompileError,
-    MeanPotential,
-    TableError,
-    bound_interval,
-    bound_value,
-    compile as compile_program,
-    ets_estimate,
-    ingest_sample,
-    read_microdata_csv,
-)
-from .estimators import (
-    PenaltyConfig,
-    PenaltyError,
-    debiased_estimate,
-    default_kappa_n,
-    penalty_rows,
-    penalty_value,
-    plug_in_value,
-    set_expansion_value,
-)
+from .aicm import (ATE, AssumptionSpec, CompileError, MeanPotential, TableError, bound_interval,
+                   bound_value, compile as compile_program, ets_estimate, ingest_sample,
+                   read_microdata_csv)
+from .estimators import (PenaltyConfig, PenaltyError, debiased_estimate, default_kappa_n,
+                         penalty_rows, penalty_value, plug_in_value, set_expansion_value)
 from .geometry import delta_condition
-from .inference import (
-    InferenceConfig,
-    InferenceError,
-    InferenceResult,
-    ThetaEstimate,
-    check_covariance,
-    run_inference,
-)
-from .linalg import (
-    OPTIMAL,
-    DimensionError,
-    LpParams,
-    check_fields,
-    is_finite,
-    is_real,
-)
+from .inference import (InferenceConfig, InferenceError, InferenceResult, ThetaEstimate,
+                        check_covariance, run_inference)
+from .linalg import OPTIMAL, DimensionError, LpParams, _as_array, check_fields, type_hints
 from .linalg import solve_lp  # noqa: F401  perfbench's tracer test expects this binding
-from .montecarlo import (
-    ESTIMATORS,
-    Estimator,
-    ScenarioError,
-    SimulationScenario,
-    _example_b_estimator,
-    run_consistency,
-    run_inference_study,
-    run_uniform_grid,
-)
+from .montecarlo import (ESTIMATORS, Estimator, ScenarioError, SimulationScenario,
+                         _example_b_estimator, run_consistency, run_inference_study,
+                         run_uniform_grid)
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -95,12 +59,9 @@ def _canon_fragment(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if x != x:
-            return "NaN"
-        if x == float("inf"):
-            return "Infinity"
-        if x == float("-inf"):
-            return "-Infinity"
+        if not math.isfinite(x):  # NaN and Infinity are not JSON (RFC 8259)
+            raise CliError("computation_failed", f"cannot serialize the non-finite number {x!r}",
+                           exit_code=EXIT_COMPUTE)
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -121,53 +82,86 @@ def canonical_dumps(obj) -> str:
 # -- document parsing ---------------------------------------------------------
 
 
-def _check_keys(doc: dict, allowed: set, where: str) -> None:
+def _object(doc, where: str) -> dict:
     if not isinstance(doc, dict):
         raise CliError("invalid_document", f"{where} must be a JSON object")
-    unknown = set(doc) - allowed
+    return doc
+
+
+def _check_keys(doc, allowed: set, where: str) -> None:
+    unknown = set(_object(doc, where)) - allowed
     if unknown:
         raise CliError("unknown_key", f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _require(doc: dict, key: str, where: str, kind=object):
-    if key not in doc:
+def _tag(doc: dict, key: str, choices, where: str, default: Optional[str] = None) -> str:
+    """doc[key] (default when absent), the one of choices that reads the rest of doc."""
+    if key not in doc and default is None:
         raise CliError("missing_key", f"{where} requires key {key!r}")
-    if not isinstance(doc[key], kind):  # a file name must be a str, never a descriptor
-        raise CliError("validation_error", f"{key} must be {kind.__name__}, got {doc[key]!r}")
-    return doc[key]
+    tag = doc.get(key, default)
+    if not isinstance(tag, str) or tag not in choices:
+        raise CliError("validation_error", f"{key} must be one of {sorted(choices)}, got {tag!r}")
+    return tag
 
 
-def _as_float_array(value, shape_hint: str, ndim: int) -> np.ndarray:
+def _config(cls, doc, where: str, **given):
+    """cls from the JSON object doc and the values the command fixes; the dataclass
+    holds every default, type and range check. A field annotated with a dataclass
+    (or Optional of one) is an object read alike, one annotated dict an object."""
+    _check_keys(doc, {f.name for f in fields(cls)} - set(given), where)
+    for f in fields(cls):
+        absent = f.name not in doc and f.name not in given
+        if absent and f.default is MISSING and f.default_factory is MISSING:
+            raise CliError("missing_key", f"{where} requires key {f.name!r}")
+    hints, doc = type_hints(cls), dict(doc)
+    for name, value in doc.items():
+        tp = hints[name]
+        if get_origin(tp) is Union and value is not None:  # Optional[X] reads a value as X
+            tp = get_args(tp)[0]
+        if is_dataclass(tp):
+            doc[name] = _config(tp, value, name)
+        elif tp is dict:
+            _object(value, name)
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # an integer beyond the float range overflows
-        raise CliError("invalid_value", f"{shape_hint} must be numeric")
-    if arr.ndim != ndim:
-        raise CliError("dimension_mismatch", f"{shape_hint} must be {ndim}-dimensional")
-    return arr
+        return cls(**doc, **given)
+    except (TypeError, ValueError) as exc:
+        raise CliError("validation_error", str(exc))
+
+
+@dataclass
+class LpBox:
+    """null (or Infinity, which json reads) leaves a side unbounded."""
+
+    lower: Sequence[Optional[float]]
+    upper: Sequence[Optional[float]]
+
+    def __post_init__(self):
+        check_fields(self, ValueError, infinite=("lower", "upper"))
+
+
+@dataclass
+class LpDocument:
+    """An LP file: min p'x s.t. Mx >= c and x in the box; LpParams checks the shapes."""
+
+    p: Sequence[float]
+    M: Sequence[Sequence[float]]
+    c: Sequence[float]
+    box: LpBox
+    labels: Optional[Sequence[str]] = None
+
+    def __post_init__(self):
+        check_fields(self, ValueError)
 
 
 def parse_lp_document(doc: dict) -> Tuple[LpParams, Optional[List[str]]]:
-    _check_keys(doc, {"p", "M", "c", "box", "labels"}, "LP document")
-    p = _as_float_array(_require(doc, "p", "LP document"), "p", 1)
-    M = _as_float_array(_require(doc, "M", "LP document"), "M", 2)
-    c = _as_float_array(_require(doc, "c", "LP document"), "c", 1)
-    box_doc = _require(doc, "box", "LP document")
-    _check_keys(box_doc, {"lower", "upper"}, "box")
-    lower = _as_float_array(_require(box_doc, "lower", "box"), "box.lower", 1)
-    upper = _as_float_array(_require(box_doc, "upper", "box"), "box.upper", 1)
-    labels = doc.get("labels")
-    if labels is not None and (
-        not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
-    ):
-        raise CliError("invalid_value", "labels must be a list of strings")
-    try:
-        params = LpParams(p=p, M=M, c=c, box=(lower, upper))
-    except DimensionError as exc:
-        raise CliError("dimension_mismatch", str(exc))
-    if labels is not None and len(labels) != params.d:
-        raise CliError("dimension_mismatch", f"{len(labels)} labels for {params.d} variables")
-    return params, labels
+    """The LP and labels of an LP document; DimensionError if its shapes disagree."""
+    lp = _config(LpDocument, doc, "LP document")
+    lower = [-math.inf if v is None else v for v in lp.box.lower]
+    upper = [math.inf if v is None else v for v in lp.box.upper]
+    params = LpParams(p=lp.p, M=lp.M, c=lp.c, box=(lower, upper))
+    if lp.labels is not None and len(lp.labels) != params.d:
+        raise CliError("dimension_mismatch", f"{len(lp.labels)} labels for {params.d} variables")
+    return params, lp.labels
 
 
 def lp_to_document(params: LpParams, labels: Optional[List[str]] = None) -> dict:
@@ -175,7 +169,8 @@ def lp_to_document(params: LpParams, labels: Optional[List[str]] = None) -> dict
         "p": params.p.tolist(),
         "M": params.M.tolist(),
         "c": params.c.tolist(),
-        "box": {"lower": params.box[0].tolist(), "upper": params.box[1].tolist()},
+        "box": {side: [v if math.isfinite(v) else None for v in bound.tolist()]  # null: unbounded
+                for side, bound in zip(("lower", "upper"), params.box)},
     }
     if labels is not None:
         doc["labels"] = list(labels)
@@ -215,29 +210,6 @@ def _seed(config: dict, args) -> int:
     return seed
 
 
-def _at_least_2(value, name: str) -> int:
-    """value, when it is an integer >= 2 (a sample size or a draw count)."""
-    if not isinstance(value, int) or value < 2:
-        raise CliError("validation_error", f"{name} must be an integer >= 2")
-    return value
-
-
-def _config(cls, doc: dict, where: str, **given):
-    """cls built from the config keys in doc plus the values the command
-    fixes itself; the dataclass holds every default, type and range check."""
-    _check_keys(doc, {f.name for f in fields(cls)} - set(given), where)
-    for f in fields(cls):
-        absent = f.name not in doc and f.name not in given
-        if absent and f.default is MISSING and f.default_factory is MISSING:
-            raise CliError("missing_key", f"{where} requires key {f.name!r}")
-    if "penalty" in doc:
-        doc = dict(doc, penalty=_config(PenaltyConfig, doc["penalty"], "penalty"))
-    try:
-        return cls(**doc, **given)
-    except (TypeError, ValueError) as exc:
-        raise CliError("validation_error", str(exc))
-
-
 def _solution_fields(sol) -> dict:
     out = {"status": sol.status, "value": None if sol.value is None else float(sol.value)}
     if sol.vertex is not None:
@@ -258,6 +230,8 @@ class EstimateConfig:
 
     def __post_init__(self):
         check_fields(self, ValueError)
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"estimators must have no entry twice, got {self.estimators!r}")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be a positive integer")
 
@@ -294,13 +268,9 @@ def cmd_estimate(config: dict, args) -> int:
                 "penalty_residual": deb.penalty_residual,
             }
         if "setexp" in names:
-            kappa_n = cfg.kappa_n
-            if kappa_n is None:
-                if n is None:
-                    raise PenaltyError("set expansion needs kappa_n or a sample size n")
-                kappa_n = default_kappa_n(n, cfg.kappa0)
             if n is None:
                 raise PenaltyError("set expansion needs the sample size n")
+            kappa_n = default_kappa_n(n, cfg.kappa0) if cfg.kappa_n is None else cfg.kappa_n
             sol = set_expansion_value(params, float(kappa_n), n, bases=original_bases)
             result["estimators"]["setexp"] = _solution_fields(sol)
             result["kappa_n"] = float(kappa_n)
@@ -329,45 +299,71 @@ def _row_estimator(rows: np.ndarray, template: LpParams):
     def estimate(idx: np.ndarray) -> ThetaEstimate:
         sub = rows[idx]
         params = LpParams.from_theta(sub.mean(axis=0), template.q, template.d, template.box)
-        sigma = np.cov(sub.T) if len(sub) > 1 else np.zeros((sub.shape[1],) * 2)
-        return ThetaEstimate(params=params, sigma=np.atleast_2d(sigma))
+        return ThetaEstimate(params=params, sigma=np.atleast_2d(np.cov(sub.T)))
 
     return estimate
 
 
-def _infer_rows(config: dict, n: Optional[int], seed: int) -> Tuple[np.ndarray, LpParams]:
-    """Gaussian draws of theta when n is given, else the rows of the data CSV."""
-    params, _ = load_lp_file(_require(config, "lp", "infer config", str))
-    if n is not None:
+@dataclass(kw_only=True)
+class CsvInference(InferenceConfig):
+    """infer mode csv: the rows of the CSV file data are i.i.d. draws of theta."""
+
+    lp: str
+    data: str
+
+
+@dataclass(kw_only=True)
+class _DrawnInference(InferenceConfig):
+    n: int  # the number of draws
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n < 2:
+            raise InferenceError("n must be an integer >= 2")
+
+
+@dataclass(kw_only=True)
+class GaussianInference(_DrawnInference):
+    """infer mode gaussian: n normal draws of theta with covariance sigma."""
+
+    lp: str
+    sigma: Sequence[Sequence[float]]
+
+
+@dataclass(kw_only=True)
+class ExampleBInference(_DrawnInference):
+    """infer mode example_b: n draws of the built-in noisy design."""
+
+    b: float = 0.0
+
+
+_INFER_MODES = {"csv": CsvInference, "gaussian": GaussianInference, "example_b": ExampleBInference}
+
+
+def _infer_rows(cfg: Union[CsvInference, GaussianInference], seed: int):
+    """Gaussian draws of theta in gaussian mode, else the rows of the data CSV."""
+    params, _ = load_lp_file(cfg.lp)
+    if isinstance(cfg, GaussianInference):
         theta = params.theta()
-        sigma = _as_float_array(_require(config, "sigma", "infer config"), "sigma", 2)
+        sigma = _as_array(cfg.sigma, "sigma", 2)
         if sigma.shape != (theta.size, theta.size):
-            raise CliError(
-                "dimension_mismatch",
-                f"sigma must be {theta.size}x{theta.size}, got {sigma.shape}",
-            )
+            raise CliError("dimension_mismatch",
+                           f"sigma must be {theta.size}x{theta.size}, got {sigma.shape}")
         try:  # multivariate_normal only warns on a covariance that is not PSD
             check_covariance(sigma, "sigma")
         except InferenceError as exc:
             raise CliError("validation_error", str(exc))
         rng = np.random.default_rng(seed)
-        rows = rng.multivariate_normal(theta, sigma, size=n, method="svd")
+        rows = rng.multivariate_normal(theta, sigma, size=cfg.n, method="svd")
         return rows, params
-    path = _require(config, "data", "infer config", str)
     try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        rows = np.loadtxt(cfg.data, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
-        raise CliError("io_error", f"cannot read data CSV {path}: {exc}")
+        raise CliError("io_error", f"cannot read data CSV {cfg.data}: {exc}")
     S = params.theta().size
     if rows.shape[1] != S:
-        raise CliError(
-            "dimension_mismatch", f"data rows have {rows.shape[1]} columns, need {S}"
-        )
+        raise CliError("dimension_mismatch", f"data rows have {rows.shape[1]} columns, need {S}")
     return rows, params
-
-
-# mode -> the keys it reads besides mode, seed and the InferenceConfig fields
-_INFER_MODES = {"example_b": {"n", "b"}, "gaussian": {"lp", "sigma", "n"}, "csv": {"lp", "data"}}
 
 
 def _inference_result_doc(res: InferenceResult) -> dict:
@@ -389,24 +385,16 @@ def _inference_result_doc(res: InferenceResult) -> dict:
 
 
 def cmd_infer(config: dict, args) -> int:
-    mode = config.get("mode", "csv")
-    if not isinstance(mode, str) or mode not in _INFER_MODES:
-        raise CliError("validation_error", f"unknown infer mode {mode!r}")
-    own = _INFER_MODES[mode] | {"mode", "seed"}
-    doc = {k: v for k, v in config.items() if k not in own}
-    cfg = _config(InferenceConfig, doc, "infer config")
+    mode = _tag(config, "mode", _INFER_MODES, "infer config", default="csv")
+    doc = {k: v for k, v in config.items() if k not in ("mode", "seed")}
+    cfg = _config(_INFER_MODES[mode], doc, "infer config")
     seed = _seed(config, args)
-    n = None if mode == "csv" else _at_least_2(_require(config, "n", "infer config"), "n")
     if mode == "example_b":
-        b = config.get("b", 0.0)
-        if not (is_real(b) and is_finite(b)):
-            raise CliError("validation_error", f"b must be a finite number, got {b!r}")
-        U = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 3))
-        estimator = _example_b_estimator(U, b)
+        U = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(cfg.n, 3))
+        estimator, n = _example_b_estimator(U, cfg.b), cfg.n
     else:
-        rows, template = _infer_rows(config, n, seed)
-        estimator = _row_estimator(rows, template)
-        n = rows.shape[0]
+        rows, template = _infer_rows(cfg, seed)
+        estimator, n = _row_estimator(rows, template), rows.shape[0]
     try:
         res = run_inference(n, estimator, cfg, seed)
     except (InferenceError, PenaltyError) as exc:
@@ -426,9 +414,7 @@ _STUDIES = {
 
 
 def cmd_simulate(config: dict, args) -> int:
-    study = config.get("study", "consistency")
-    if not isinstance(study, str) or study not in _STUDIES:
-        raise CliError("validation_error", f"unknown study {study!r}")
+    study = _tag(config, "study", _STUDIES, "simulate config", default="consistency")
     run, keys = _STUDIES[study]
     common = {"study", "dgp", "seed", "sample_sizes", "replications"}
     _check_keys(config, keys | common, "simulate config")
@@ -445,47 +431,56 @@ def cmd_simulate(config: dict, args) -> int:
 
 # -- aicm ---------------------------------------------------------------------
 
-_AICM_KEYS = {"data", "assumptions", "target", "ci", "seed"}
-_TARGET_KEYS = {"type", "t", "d"}
-_CI_KEYS = {"alpha", "bootstrap_reps", "gamma"}
 # The bootstrap holds every draw's (p, vec M, c) until it takes their covariance,
 # so the draw count bounds its memory.
 MAX_BOOTSTRAP_REPS = 10_000
+_TARGETS = {"mean": MeanPotential, "ate": ATE}
 
 
-def _parse_target(doc: dict):
-    _check_keys(doc, _TARGET_KEYS, "target")
-    kind = _require(doc, "type", "target")
-    if kind == "mean":
-        _check_keys(doc, _TARGET_KEYS - {"d"}, "mean target")  # d is read by ate only
-        return MeanPotential(t=str(_require(doc, "t", "target")))
-    if kind == "ate":
-        return ATE(t=str(_require(doc, "t", "target")), d=str(_require(doc, "d", "target")))
-    raise CliError("validation_error", f"target type must be 'mean' or 'ate', got {kind!r}")
+@dataclass
+class CiConfig:
+    """The aicm ci object: the interval's levels and the bootstrap draw count."""
+
+    alpha: float = InferenceConfig.alpha
+    gamma: float = InferenceConfig.gamma
+    bootstrap_reps: int = 200
+
+    def __post_init__(self):
+        check_fields(self, ValueError)
+        if not 2 <= self.bootstrap_reps <= MAX_BOOTSTRAP_REPS:
+            raise ValueError(f"bootstrap_reps must be an integer from 2 to "
+                             f"{MAX_BOOTSTRAP_REPS}, got {self.bootstrap_reps}")
+        self.inference = InferenceConfig(alpha=self.alpha, gamma=self.gamma)
+
+
+@dataclass
+class AicmConfig:
+    data: str  # the microdata CSV
+    assumptions: dict  # read by AssumptionSpec, given the target
+    target: dict  # its type picks the class in _TARGETS that reads the rest
+    ci: Optional[CiConfig] = None
+
+    def __post_init__(self):
+        check_fields(self, ValueError)
 
 
 def cmd_aicm(config: dict, args) -> int:
-    _check_keys(config, _AICM_KEYS, "aicm config")
-    a_doc = _require(config, "assumptions", "aicm config")
-    target_doc = _require(config, "target", "aicm config")
-    target = _parse_target(target_doc)
-    spec = _config(AssumptionSpec, a_doc, "assumptions", target=target)
+    cfg = _config(AicmConfig, {k: v for k, v in config.items() if k != "seed"}, "aicm config")
+    kind = _tag(cfg.target, "type", _TARGETS, "target")
+    target = _config(_TARGETS[kind], {k: str(v) for k, v in cfg.target.items() if k != "type"},
+                     "target")
+    spec = _config(AssumptionSpec, cfg.assumptions, "assumptions", target=target)
 
-    path = _require(config, "data", "aicm config", str)
     try:
-        records = read_microdata_csv(path)
+        records = read_microdata_csv(cfg.data)
         table = ingest_sample(records)
         program = compile_program(table, spec)
     except (TableError, CompileError, OSError) as exc:
         raise CliError("table_error", str(exc))
 
-    result = {"target": {"type": target_doc["type"]}, "bounds": {}}
-    statuses = {}
+    result = {"target": {"type": kind}, "bounds": {}, "statuses": {}}
     for direction in ("lower", "upper"):
-        value, status = bound_value(program, direction)
-        result["bounds"][direction] = value
-        statuses[direction] = status
-    result["statuses"] = statuses
+        result["bounds"][direction], result["statuses"][direction] = bound_value(program, direction)
     result["valid_only"] = program.valid_only
     if isinstance(target, ATE):
         result["ets_estimate"] = ets_estimate(table, target.t, target.d)
@@ -495,16 +490,8 @@ def cmd_aicm(config: dict, args) -> int:
         )
         result["offset"] = program.offset
 
-    ci_doc = config.get("ci")
-    if ci_doc is not None:
-        _check_keys(ci_doc, _CI_KEYS, "ci")
+    if cfg.ci is not None:
         seed = _seed(config, args)
-        reps = _at_least_2(ci_doc.get("bootstrap_reps", 200), "bootstrap_reps")
-        if reps > MAX_BOOTSTRAP_REPS:
-            raise CliError("validation_error",
-                           f"bootstrap_reps must be at most {MAX_BOOTSTRAP_REPS}, got {reps}")
-        doc = {k: v for k, v in ci_doc.items() if k != "bootstrap_reps"}
-        cfg = _config(InferenceConfig, doc, "ci")
         if program.refuted:
             raise CliError("inference_failed", "the data refute the assumptions (an "
                            "observed cell mean lies outside the outcome bounds, or an "
@@ -515,14 +502,15 @@ def cmd_aicm(config: dict, args) -> int:
                            f"as {program.offset!r}, so its bounds are one point and there is "
                            "no interval to estimate", exit_code=EXIT_COMPUTE)
         try:
-            interval, res_lo, res_up = bound_interval(records, spec, table, cfg, reps, seed)
+            interval, res_lo, res_up = bound_interval(
+                records, spec, table, cfg.ci.inference, cfg.ci.bootstrap_reps, seed)
         except (InferenceError, TableError, PenaltyError) as exc:
             raise CliError("inference_failed", str(exc), exit_code=EXIT_COMPUTE)
         result["ci"] = {
             "lower": interval.lower,
             "upper": interval.upper,
             "crossed": interval.crossed,
-            "alpha": cfg.alpha,
+            "alpha": cfg.ci.alpha,
             "estimates": {"lower": res_lo.estimate, "upper": res_up.estimate},
             "se": {"lower": res_lo.se, "upper": res_up.se},
             "degenerate_variance": {"lower": res_lo.degenerate_variance,
@@ -558,12 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "estimate": cmd_estimate,
-    "infer": cmd_infer,
-    "simulate": cmd_simulate,
-    "aicm": cmd_aicm,
-}
+_DISPATCH = {"estimate": cmd_estimate, "infer": cmd_infer, "simulate": cmd_simulate,
+             "aicm": cmd_aicm}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -573,9 +557,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config = _load_json(args.config, "config")
-        if not isinstance(config, dict):
-            raise CliError("invalid_document", f"{args.command} config must be a JSON object")
+        config = _object(_load_json(args.config, "config"), f"{args.command} config")
         return _DISPATCH[args.command](config, args)
     except CliError as exc:
         code, message, exit_code = exc.code, str(exc), exc.exit_code

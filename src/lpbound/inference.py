@@ -255,7 +255,7 @@ def run_inference(
 
     sigma_hat = math.sqrt(asymptotic_variance(A, x, v, est2.sigma))
 
-    degenerate = sigma_hat <= cfg.sigma_min or sigma_hat == 0.0
+    degenerate = sigma_hat <= cfg.sigma_min
     sigma_hat = max(sigma_hat, cfg.sigma_min)
     se = sigma_hat / math.sqrt(n2)
 

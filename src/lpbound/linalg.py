@@ -17,6 +17,7 @@ each field of a config dataclass against its type annotation.
 from __future__ import annotations
 
 import collections.abc
+import functools
 import itertools
 import math
 import numbers
@@ -61,6 +62,11 @@ class SolverError(RuntimeError):
     """Raised when the simplex reports a status its problem cannot have."""
 
 
+type_hints = functools.cache(get_type_hints)  # each string annotation is compiled once
+# item annotation -> the types of the JSON values that fit it, checked in C over a list
+_PLAIN = {float: {float, int}, int: {int}, Optional[float]: {float, int, type(None)}}
+
+
 def is_real(v) -> bool:
     """v is a real number. JSON true and false load as bool, which
     isinstance counts as an int, so they are not."""
@@ -72,18 +78,24 @@ def _matches(value, tp) -> bool:
     integral one, neither a bool; Literal is one of its strings; Union takes
     any member; Sequence[X] and List[X] are a list or tuple of X, and
     FrozenSet[X] also a set or frozenset of X; any other class is isinstance."""
-    origin, args = get_origin(tp), get_args(tp)
     if tp is float:
         return is_real(value)
     if tp is int:
         return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    origin, args = get_origin(tp), get_args(tp)
     if origin is Literal:
         return isinstance(value, str) and value in args
     if origin is Union:
         return any(_matches(value, member) for member in args)
     if origin in (collections.abc.Sequence, list, frozenset):
         kinds = (list, tuple, frozenset, set) if origin is frozenset else (list, tuple)
-        return isinstance(value, kinds) and all(_matches(v, args[0]) for v in value)
+        if not isinstance(value, kinds):
+            return False
+        item = args[0]
+        if get_origin(item) is collections.abc.Sequence and set(map(type, value)) <= {list, tuple}:
+            value, item = list(itertools.chain.from_iterable(value)), get_args(item)[0]  # rows
+        return set(map(type, value)) <= _PLAIN.get(item, set()) or all(
+            _matches(v, item) for v in value)
     return isinstance(value, tp)
 
 
@@ -92,6 +104,13 @@ def is_finite(value) -> bool:
     a finite float or converts to one: not NaN or Infinity, which json
     loads, nor an integer literal beyond the float range."""
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {list, tuple}:  # rows: check their entries as one list
+            value = list(itertools.chain.from_iterable(value))
+        if set(map(type, value)) <= {float, int}:  # plain numbers, checked in C
+            try:
+                return all(map(math.isfinite, value))
+            except OverflowError:  # an integer beyond the float range
+                return False
         return all(map(is_finite, value))
     return not is_real(value) or abs(value) <= sys.float_info.max
 
@@ -102,7 +121,7 @@ def check_fields(obj, error, infinite=()) -> None:
     <value>"). A number in a field must also be finite (see is_finite), or
     error("<name> must be finite, got <value>") is raised, except in the
     fields named in `infinite`."""
-    for name, tp in get_type_hints(type(obj)).items():
+    for name, tp in type_hints(type(obj)).items():
         value = getattr(obj, name)
         if not _matches(value, tp):
             shown = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
@@ -111,17 +130,15 @@ def check_fields(obj, error, infinite=()) -> None:
             raise error(f"{name} must be finite, got {value!r}")
 
 
-def _as_vector(v, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
-def _as_matrix(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be two-dimensional, got shape {arr.shape}")
+def _as_array(v, name: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or beyond the float range
+        raise DimensionError(f"{name} must be a numeric array") from None
+    if ndim == 1:
+        arr = np.atleast_1d(arr)
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     return arr
 
 
@@ -140,9 +157,9 @@ class LpParams:
     box: tuple = None  # (lower, upper) arrays of length d
 
     def __post_init__(self):
-        self.p = _as_vector(self.p, "p")
-        self.M = _as_matrix(self.M, "M")
-        self.c = _as_vector(self.c, "c")
+        self.p = _as_array(self.p, "p", 1)
+        self.M = _as_array(self.M, "M", 2)
+        self.c = _as_array(self.c, "c", 1)
         q, d = self.M.shape
         if d < 1:  # q = 0 rows is a program of its box alone
             raise DimensionError("M must have at least one column")
@@ -154,8 +171,8 @@ class LpParams:
             raise DimensionError("p, M, c entries must be finite")
         if self.box is None:
             self.box = (np.full(d, -np.inf), np.full(d, np.inf))
-        lower = _as_vector(self.box[0], "box lower")
-        upper = _as_vector(self.box[1], "box upper")
+        lower = _as_array(self.box[0], "box lower", 1)
+        upper = _as_array(self.box[1], "box upper", 1)
         if lower.shape[0] != d or upper.shape[0] != d:
             raise DimensionError("box bounds must have length d")
         if not ((lower <= upper) & (lower < np.inf) & (upper > -np.inf)).all():
@@ -170,7 +187,7 @@ class LpParams:
     def from_theta(cls, theta, q: int, d: int, box: tuple = None) -> "LpParams":
         """The inverse of theta(): the LP of a q x d M whose stacked vector
         is theta, with the given box."""
-        theta = _as_vector(theta, "theta")
+        theta = _as_array(theta, "theta", 1)
         if theta.shape[0] != d + q * d + q:
             raise DimensionError(f"theta has length {theta.shape[0]}, expected {d + q * d + q}")
         M = inverse_vectorize(theta[d : d + q * d], q, d)
@@ -447,7 +464,7 @@ def enumerate_vertices(params: LpParams):
 
 def smallest_singular_value(m) -> float:
     """sigma_min(m), the last of the LAPACK singular values."""
-    arr = _as_matrix(m, "m")
+    arr = _as_array(m, "m", 2)
     if arr.size == 0:
         raise DimensionError("matrix must be nonempty")
     return float(np.linalg.svd(arr, compute_uv=False)[-1])
@@ -455,7 +472,7 @@ def smallest_singular_value(m) -> float:
 
 def inverse_vectorize(x, q: int, d: int) -> np.ndarray:
     """Inverse of the column-major vectorization: a q x d matrix from vec(M)."""
-    arr = _as_vector(x, "x")
+    arr = _as_array(x, "x", 1)
     if arr.shape[0] != q * d:
         raise DimensionError(f"x has length {arr.shape[0]}, expected q*d = {q * d}")
     return arr.reshape((q, d), order="F")

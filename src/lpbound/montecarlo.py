@@ -80,8 +80,9 @@ class SimulationScenario:
         sizes = self.sample_sizes
         if not sizes:
             raise ScenarioError("sample_sizes must be a nonempty list")
-        if not self.estimators:
-            raise ScenarioError("estimators must be a nonempty list")
+        if not self.estimators or len(set(self.estimators)) < len(self.estimators):
+            raise ScenarioError("estimators must be a nonempty list with no entry twice, "
+                                f"got {self.estimators!r}")
         if any(n < 3 for n in sizes):
             raise ScenarioError(f"sample_sizes must be integers >= 3, got {sizes!r}")
         if any(b >= a for a, b in zip(sizes[1:], sizes)):

@@ -4,22 +4,29 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
 import lpbound
 from lpbound import aicm, cli
+from lpbound.aicm import ATE, AssumptionSpec, MeanPotential
 from lpbound.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
     EXIT_USAGE,
+    CliError,
     canonical_dumps,
     lp_to_document,
     main,
     parse_lp_document,
 )
+from lpbound.estimators import PenaltyConfig
+from lpbound.linalg import LpParams
+from lpbound.montecarlo import SimulationScenario
 
 EXAMPLE1_DOC = {
     "p": [1.0, 0.0],
@@ -50,14 +57,26 @@ class TestLpFileFormat:
 
     def test_unknown_keys_rejected(self):
         doc = dict(EXAMPLE1_DOC, extra=1)
-        from lpbound.cli import CliError
-
         with pytest.raises(CliError, match="unknown keys"):
             parse_lp_document(doc)
 
     def test_canonical_floats(self):
         assert canonical_dumps({"x": 1.0 / 3.0}) == '{"x":0.33333333333333331}\n'
         assert canonical_dumps({"b": True, "n": None}) == '{"b":true,"n":null}\n'
+        for x in (math.nan, math.inf, -math.inf):  # not JSON (RFC 8259)
+            with pytest.raises(CliError, match="non-finite") as caught:
+                canonical_dumps({"x": [np.float64(x)]})
+            assert (caught.value.code, caught.value.exit_code) == (
+                "computation_failed", EXIT_COMPUTE)
+
+    def test_an_unbounded_box_side_is_null(self):
+        params = LpParams(p=[1.0, 0.0], M=[[1.0, 1.0]], c=[0.0],
+                          box=([-1.0, -np.inf], [np.inf, 1.0]))
+        doc = lp_to_document(params)
+        assert doc["box"] == {"lower": [-1.0, None], "upper": [None, 1.0]}
+        for box in (doc["box"], {"lower": [-1.0, -math.inf], "upper": [math.inf, 1.0]}):
+            back, _ = parse_lp_document(dict(doc, box=box))
+            assert canonical_dumps(lp_to_document(back)) == canonical_dumps(doc)
 
 
 class TestEstimateCommand:
@@ -356,6 +375,14 @@ class TestSimulateCommand:
     pytest.param("estimate", {"n": True, "estimators": ["plugin"]}, id="estimate-n-bool"),
     pytest.param("estimate", {"estimators": "plugin"}, id="estimate-estimators-string"),
     pytest.param("estimate", {"estimators": 5}, id="estimate-estimators-number"),
+    pytest.param("simulate", {"estimators": ["plugin", "plugin"]},
+                 id="simulate-estimators-repeated"),
+    pytest.param("estimate", {"estimators": ["plugin", "plugin"]},
+                 id="estimate-estimators-repeated"),
+    # the key that picks the mode, study or target type
+    pytest.param("infer", {"mode": 5}, id="infer-mode-number"),
+    pytest.param("simulate", {"study": "bogus"}, id="simulate-study-unknown"),
+    pytest.param("aicm", {"target": {"type": "median", "t": "1"}}, id="aicm-target-type-unknown"),
     # gaussian infer checks n as example_b does: an integer >= 2
     pytest.param("infer-gaussian", {"n": "x"}, id="infer-gaussian-n-type"),
     pytest.param("infer-gaussian", {"n": 1.5}, id="infer-gaussian-n-fraction"),
@@ -416,6 +443,67 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override)
     assert error["message"].split()[0] in keys
 
 
+# Every dataclass a command reads its documents with -> the command, a base
+# config it accepts, and the keys from that config (or, after "LP", from the LP
+# file it names) to the object the dataclass reads. "<lp>" stands for the path
+# of a valid LP file.
+_AICM = {"data": "micro.csv", "assumptions": {"kinds": ["bounds"], "bounds": [0, 1]},
+         "target": {"type": "ate", "t": "1", "d": "0"}, "ci": {}}
+_SIM = {"dgp": "example_a", "sample_sizes": [100], "replications": 1}
+_SCHEMA = [
+    (cli.LpDocument, "estimate", {"lp": "<lp>"}, ("LP",)),
+    (cli.LpBox, "estimate", {"lp": "<lp>"}, ("LP", "box")),
+    (cli.EstimateConfig, "estimate", {"lp": "<lp>"}, ()),
+    (PenaltyConfig, "estimate", {"lp": "<lp>", "penalty": {}}, ("penalty",)),
+    (cli.CsvInference, "infer", {"mode": "csv", "lp": "<lp>", "data": "rows.csv"}, ()),
+    (cli.GaussianInference, "infer", {"mode": "gaussian", "lp": "<lp>", "n": 100,
+                                      "sigma": np.eye(14).tolist()}, ()),
+    (cli.ExampleBInference, "infer", {"mode": "example_b", "n": 100}, ()),
+    (SimulationScenario, "simulate", dict(_SIM, study="consistency"), ()),
+    (cli.AicmConfig, "aicm", _AICM, ()),
+    (cli.CiConfig, "aicm", _AICM, ("ci",)),
+    (AssumptionSpec, "aicm", _AICM, ("assumptions",)),
+    (MeanPotential, "aicm", dict(_AICM, target={"type": "mean", "t": "1"}), ("target",)),
+    (ATE, "aicm", _AICM, ("target",)),
+]
+# the simulate fields that the consistency study never reads -> a study that does
+_STUDY_OF = {"alpha": "inference", "slater": "uniform_grid", "grid": "uniform_grid"}
+
+
+def _holds_object(tp) -> bool:
+    members = get_args(tp) if get_origin(tp) is Union else (tp,)
+    return any(is_dataclass(m) or m is dict for m in members)
+
+
+def _schema_cases():
+    for cls, command, base, path in _SCHEMA:
+        for name, tp in get_type_hints(cls).items():
+            if tp is object:  # any JSON value fits
+                continue
+            yield pytest.param(cls, command, base, path, name, tp, id=f"{cls.__name__}.{name}")
+
+
+@pytest.mark.parametrize("cls, command, base, path, name, tp", _schema_cases())
+def test_schema_value_of_wrong_type_exits_2(tmp_path, capsys, cls, command, base, path, name, tp):
+    wrong = "x" if tp is bool else True  # true is a JSON value of no other annotation
+    config, lp_doc = json.loads(json.dumps(base)), json.loads(json.dumps(EXAMPLE1_DOC))
+    if cls is SimulationScenario and name in _STUDY_OF:
+        dgp = "example_b" if _STUDY_OF[name] == "inference" else "uniform_grid"
+        config.update(study=_STUDY_OF[name], dgp=dgp)
+    obj = lp_doc if path[:1] == ("LP",) else config
+    for key in path[1:] if obj is lp_doc else path:
+        obj = obj[key]
+    obj[name] = wrong
+    lp = write_json(tmp_path / "lp.json", lp_doc)
+    config = {k: lp if v == "<lp>" else v for k, v in config.items()}
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert run_cli([command, "--config", cfg], tmp_path / "o") == EXIT_USAGE
+    error = json.loads(capsys.readouterr().err)["error"]
+    # a key that holds an object fails as a document, every other as a value
+    assert error["code"] == ("invalid_document" if _holds_object(tp) else "validation_error")
+    assert error["message"].split()[0] == name
+
+
 def test_infinite_v_bar_still_runs(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"mode": "example_b", "n": 200, "v_bar": float("inf")})
     assert run_cli(["infer", "--config", cfg, "--seed", "1"], tmp_path / "o.json") == EXIT_OK
@@ -452,7 +540,35 @@ def test_lp_entry_beyond_the_float_range_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"lp": lp, "n": 100})
     assert run_cli(["estimate", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
     error = json.loads(capsys.readouterr().err)["error"]
-    assert (error["code"], error["message"]) == ("invalid_value", "c must be numeric")
+    assert (error["code"], error["message"]) == (
+        "validation_error", f"c must be finite, got {[0, 0, -1, 10**400]!r}")
+
+
+def test_a_value_json_cannot_hold_exits_1_writing_nothing(tmp_path, capsys):
+    # c[0] = 1e308 sends the penalty value to inf, which JSON cannot hold (RFC 8259)
+    lp = write_json(tmp_path / "lp.json", dict(EXAMPLE1_DOC, c=[1e308, 0.0, -1.0, -1.0]))
+    cfg = write_json(tmp_path / "cfg.json", {"lp": lp, "n": 5000, "penalty": {"w": 2.0}})
+    out = tmp_path / "o.json"
+    assert run_cli(["estimate", "--config", cfg], out) == EXIT_COMPUTE
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "code": "computation_failed", "message": "cannot serialize the non-finite number inf"}
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    ("estimate", {"n": 100}, "M"),
+    ("infer", {"mode": "gaussian", "n": 100, "sigma": [[1.0] * 14, [1.0]] + [[1.0] * 14] * 12},
+     "sigma"),
+], ids=["M", "sigma"])
+def test_ragged_array_exits_2(tmp_path, capsys, command, doc, name):
+    M = [[-1.0, 1.0], [1.0], [1.0, 0.0], [-1.0, 0.0]] if name == "M" else EXAMPLE1_DOC["M"]
+    lp = write_json(tmp_path / "lp.json", dict(EXAMPLE1_DOC, M=M))
+    cfg = write_json(tmp_path / "cfg.json", dict(doc, lp=lp))
+    assert run_cli([command, "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"code": "dimension_mismatch", "message": f"{name} must be a numeric array"}
 
 
 def test_one_record_fold_exits_1_without_warnings(tmp_path):

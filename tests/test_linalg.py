@@ -664,6 +664,16 @@ class TestLinalgUtilities:
         with pytest.raises(DimensionError):
             inverse_vectorize(np.zeros(5), 2, 2)
 
+    @pytest.mark.parametrize("name, entries", [
+        ("M", dict(p=[1.0, 0.0], M=[[1.0], [1.0, 0.0]], c=[0.0, 0.0])),  # ragged: ValueError
+        ("p", dict(p="x", M=[[1.0]], c=[0.0])),  # ValueError
+        ("p", dict(p=[10**400], M=[[1.0]], c=[0.0])),  # OverflowError
+        ("p", dict(p=[{}], M=[[1.0]], c=[0.0])),  # TypeError
+    ], ids=["ragged-M", "p-string", "p-beyond-float", "p-dict"])
+    def test_input_numpy_cannot_convert_raises_dimension_error(self, name, entries):
+        with pytest.raises(DimensionError, match=rf"^{name} must be a numeric array$"):
+            LpParams(**entries)
+
 
 @dataclass
 class _Typed:
@@ -673,6 +683,8 @@ class _Typed:
     names: Sequence[str] = ()
     limit: Optional[float] = None
     tags: FrozenSet[Literal["x", "y"]] = frozenset()
+    rows: Sequence[Sequence[float]] = ()
+    sides: Sequence[Optional[float]] = ()
 
     def __post_init__(self):
         check_fields(self, ValueError)
@@ -695,6 +707,17 @@ class _Typed:
     ({"tags": ["z"]}, False),
     ({"rate": float("inf")}, False),  # a float must be finite
     ({"limit": float("nan")}, False),
+    # lists of plain JSON numbers are checked in one pass: the same verdicts
+    ({"rows": [[1, 2.0], [3.0]]}, True),
+    ({"rows": [[1.0], [True]]}, False),
+    ({"rows": [[1.0], ["1"]]}, False),
+    ({"rows": [1.0, 2.0]}, False),
+    ({"rows": [[1.0], [float("nan")]]}, False),
+    ({"rows": [[1.0], [10**400]]}, False),
+    ({"rows": [[np.float64(1.0)]]}, True),
+    ({"sides": [None, 1.0, 2]}, True),
+    ({"sides": [None, "x"]}, False),
+    ({"sides": [float("inf")]}, False),
 ], ids=repr)
 def test_check_fields(value, ok):
     if ok:
