@@ -58,6 +58,9 @@ from .aicm import (
 )
 from .montecarlo import (
     SimulationScenario,
+    ConsistencyScenario,
+    InferenceScenario,
+    UniformGridScenario,
     SimulationReport,
     run_consistency,
     run_inference_study,

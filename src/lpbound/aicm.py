@@ -27,8 +27,8 @@ import numpy as np
 
 from .inference import (InferenceConfig, InferenceError, ThetaEstimate,
                         combine_two_sided, run_inference)
-from .linalg import (DimensionError, LpParams, check_fields, solve_lp, INFEASIBLE, OPTIMAL,
-                     TAU_FEAS)
+from .linalg import (DimensionError, LpParams, check_fields, solve_lp, stack_theta, INFEASIBLE,
+                     OPTIMAL, TAU_FEAS)
 
 _PROB_TOL = 1e-10
 
@@ -570,7 +570,7 @@ def _theta_stack(tables: Sequence[ConditionalMomentTable], spec: AssumptionSpec)
     p, M, c = _compile_stack(tables, spec)[:3]
     if not p.shape[1]:
         raise DimensionError("M must have at least one column")
-    theta = np.concatenate([p, M.transpose(0, 2, 1).reshape(len(M), -1), c], axis=1)
+    theta = stack_theta(p, M, c)
     if not np.isfinite(theta).all():
         raise DimensionError("p, M, c entries must be finite")
     return theta

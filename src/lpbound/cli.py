@@ -2,9 +2,11 @@
 
 Configs and LP files are JSON documents, each read by _config into a
 dataclass whose annotated fields are its keys; bulk numeric output is CSV.
-Parsing is fail-closed: unknown keys are rejected, and so are keys the
-selected study or mode never reads. Only the commands that draw random
-numbers (infer, simulate, aicm) take --seed, for bit-reproducible output.
+Parsing is fail-closed: unknown keys are rejected. The infer mode and the
+simulate study pick the class (_INFER_MODES, _STUDIES) whose fields are the
+keys that mode or study reads, so a key it never reads is unknown. Only the
+commands that draw random numbers (infer, simulate, aicm) take --seed, for
+bit-reproducible output.
 Exit codes: 0 success (solver statuses are data), 1 computational fault
 that blocks output (a number JSON cannot hold among them), 2 usage or
 validation fault. Faults print a machine-readable error object.
@@ -31,8 +33,9 @@ from .inference import (InferenceConfig, InferenceError, InferenceResult, ThetaE
                         check_covariance, run_inference)
 from .linalg import OPTIMAL, DimensionError, LpParams, _as_array, check_fields, type_hints
 from .linalg import solve_lp  # noqa: F401  perfbench's tracer test expects this binding
-from .montecarlo import (ESTIMATORS, Estimator, ScenarioError, SimulationScenario,
-                         _example_b_estimator, run_consistency, run_inference_study,
+from .montecarlo import (ESTIMATORS, ConsistencyScenario, Estimator, InferenceScenario,
+                         ScenarioError, UniformGridScenario, _example_b_estimator,
+                         check_estimator_keys, run_consistency, run_inference_study,
                          run_uniform_grid)
 
 EXIT_OK = 0
@@ -88,12 +91,6 @@ def _object(doc, where: str) -> dict:
     return doc
 
 
-def _check_keys(doc, allowed: set, where: str) -> None:
-    unknown = set(_object(doc, where)) - allowed
-    if unknown:
-        raise CliError("unknown_key", f"unknown keys in {where}: {sorted(unknown)}")
-
-
 def _tag(doc: dict, key: str, choices, where: str, default: Optional[str] = None) -> str:
     """doc[key] (default when absent), the one of choices that reads the rest of doc."""
     if key not in doc and default is None:
@@ -108,7 +105,9 @@ def _config(cls, doc, where: str, **given):
     """cls from the JSON object doc and the values the command fixes; the dataclass
     holds every default, type and range check. A field annotated with a dataclass
     (or Optional of one) is an object read alike, one annotated dict an object."""
-    _check_keys(doc, {f.name for f in fields(cls)} - set(given), where)
+    unknown = set(_object(doc, where)) - {f.name for f in fields(cls)} - set(given)
+    if unknown:
+        raise CliError("unknown_key", f"unknown keys in {where}: {sorted(unknown)}")
     for f in fields(cls):
         absent = f.name not in doc and f.name not in given
         if absent and f.default is MISSING and f.default_factory is MISSING:
@@ -158,7 +157,8 @@ def parse_lp_document(doc: dict) -> Tuple[LpParams, Optional[List[str]]]:
     lp = _config(LpDocument, doc, "LP document")
     lower = [-math.inf if v is None else v for v in lp.box.lower]
     upper = [math.inf if v is None else v for v in lp.box.upper]
-    params = LpParams(p=lp.p, M=lp.M, c=lp.c, box=(lower, upper))
+    M = lp.M or np.zeros((0, len(lp.p)))  # an LP with no rows writes M as []
+    params = LpParams(p=lp.p, M=M, c=lp.c, box=(lower, upper))
     if lp.labels is not None and len(lp.labels) != params.d:
         raise CliError("dimension_mismatch", f"{len(lp.labels)} labels for {params.d} variables")
     return params, lp.labels
@@ -230,8 +230,7 @@ class EstimateConfig:
 
     def __post_init__(self):
         check_fields(self, ValueError)
-        if len(set(self.estimators)) < len(self.estimators):
-            raise ValueError(f"estimators must have no entry twice, got {self.estimators!r}")
+        check_estimator_keys(self, ValueError)
         if self.n is not None and self.n < 1:
             raise ValueError("n must be a positive integer")
 
@@ -360,7 +359,7 @@ def _infer_rows(cfg: Union[CsvInference, GaussianInference], seed: int):
         rows = np.loadtxt(cfg.data, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise CliError("io_error", f"cannot read data CSV {cfg.data}: {exc}")
-    S = params.theta().size
+    S = params.theta_size
     if rows.shape[1] != S:
         raise CliError("dimension_mismatch", f"data rows have {rows.shape[1]} columns, need {S}")
     return rows, params
@@ -405,22 +404,17 @@ def cmd_infer(config: dict, args) -> int:
 
 # -- simulate -----------------------------------------------------------------
 
-# study -> (runner, the keys it reads besides those every study reads)
-_STUDIES = {
-    "consistency": (run_consistency, {"b", "estimators", "kappa0", "penalty"}),
-    "inference": (run_inference_study, {"b", "alpha", "penalty"}),
-    "uniform_grid": (run_uniform_grid, {"slater", "grid"}),
-}
+_STUDIES = {"consistency": ConsistencyScenario, "inference": InferenceScenario,
+            "uniform_grid": UniformGridScenario}
 
 
 def cmd_simulate(config: dict, args) -> int:
     study = _tag(config, "study", _STUDIES, "simulate config", default="consistency")
-    run, keys = _STUDIES[study]
-    common = {"study", "dgp", "seed", "sample_sizes", "replications"}
-    _check_keys(config, keys | common, "simulate config")
-    seed = _seed(config, args)
     doc = {k: v for k, v in config.items() if k not in ("study", "seed")}
-    scenario = _config(SimulationScenario, doc, "simulate config", seed=seed)
+    scenario = _config(_STUDIES[study], doc, "simulate config", seed=_seed(config, args))
+    # read when the command runs, so that a rebound name (a traced span) is the one called
+    run = {"consistency": run_consistency, "inference": run_inference_study,
+           "uniform_grid": run_uniform_grid}[study]
     try:
         text = run(scenario).to_csv()
     except ScenarioError as exc:

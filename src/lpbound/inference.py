@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .linalg import LpParams, DimensionError, binding_rows, check_fields
+from .linalg import LpParams, DimensionError, binding_rows, check_fields, stack_theta
 from .estimators import (
     PenaltyConfig,
     debiased_estimate,
@@ -47,7 +47,7 @@ class ThetaEstimate:
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
-        S = self.params.theta().size
+        S = self.params.theta_size
         if self.sigma.shape != (S, S):
             raise DimensionError(
                 f"sigma must be {S}x{S} for (q,d)=({self.params.q},{self.params.d})"
@@ -213,8 +213,8 @@ def asymptotic_variance(
     """Variance of v_A'(c_A - M_A x) under theta ~ (theta_0, Sigma).
 
     Delta method: the statistic is linear in theta with gradient
-    g = (0_d, -x (x) v_A, v_A) in the (p, vec M, c) ordering, where v_A is v
-    zeroed off A, so sigma^2 = g' Sigma g.
+    g = (0_d, vec(-v_A x') = -x (x) v_A, v_A) in the (p, vec M, c) ordering,
+    where v_A is v zeroed off A, so sigma^2 = g' Sigma g.
     """
     A = np.asarray(A, dtype=int)
     x = np.asarray(x, dtype=float)
@@ -222,7 +222,7 @@ def asymptotic_variance(
     Sigma = np.asarray(Sigma, dtype=float)
     v_A = np.zeros(v.shape[0])
     v_A[A] = v[A]
-    g = np.concatenate([np.zeros(x.shape[0]), -np.kron(x, v_A), v_A])
+    g = stack_theta(np.zeros(x.shape[0]), -np.outer(v_A, x), v_A)
     if Sigma.shape != (g.size, g.size):
         raise DimensionError(f"Sigma must be {g.size}x{g.size}, got {Sigma.shape}")
     check_covariance(Sigma)

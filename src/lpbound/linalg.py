@@ -10,9 +10,10 @@ by one rank-one step per pivot and taken afresh every _REFACTOR_EVERY pivots
 and before every verdict. solve_lp can start from a list of (basis, upper
 bound) entries of earlier solves of one shape (a warm start). The module
 also provides subset_blocks (the one row-subset enumerator and cap check),
-the vertex-enumeration oracle, the smallest singular value, the inverse of
-the vectorization behind LpParams.theta, and check_fields, which checks
-each field of a config dataclass against its type annotation.
+the vertex-enumeration oracle, the smallest singular value, the stacking of
+theta = (p, vec M, c) behind LpParams.theta (stack_theta) and its inverse,
+and check_fields, which checks each field of a config dataclass against its
+type annotation.
 """
 from __future__ import annotations
 
@@ -181,7 +182,7 @@ class LpParams:
 
     def theta(self) -> np.ndarray:
         """The stacked parameter vector (p, vec M column-major, c)."""
-        return np.concatenate([self.p, self.M.flatten(order="F"), self.c])
+        return stack_theta(self.p, self.M, self.c)
 
     @classmethod
     def from_theta(cls, theta, q: int, d: int, box: tuple = None) -> "LpParams":
@@ -200,6 +201,11 @@ class LpParams:
     @property
     def q(self) -> int:
         return self.M.shape[0]
+
+    @property
+    def theta_size(self) -> int:
+        """S, the length of theta()."""
+        return self.d + self.q * self.d + self.q
 
     def effective_system(self):
         """The constraints as rows, for geometry, enumeration and inference:
@@ -468,6 +474,14 @@ def smallest_singular_value(m) -> float:
     if arr.size == 0:
         raise DimensionError("matrix must be nonempty")
     return float(np.linalg.svd(arr, compute_uv=False)[-1])
+
+
+def stack_theta(p, M, c) -> np.ndarray:
+    """theta = (p, vec M column-major, c), the one layout of an LP's inputs;
+    over leading axes (p (..., d), M (..., q, d), c (..., q)), a stack of them."""
+    M = np.asarray(M)
+    vec_M = np.swapaxes(M, -1, -2).reshape(M.shape[:-2] + (-1,))
+    return np.concatenate([p, vec_M, c], axis=-1)
 
 
 def inverse_vectorize(x, q: int, d: int) -> np.ndarray:

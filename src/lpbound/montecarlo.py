@@ -5,6 +5,11 @@ one-sided confidence interval coverage on the noisy-design variant, and the
 uniform-rate grid study that contrasts the sqrt(n)- and sqrt(n)/w_n-scaled
 sup-deviations of the penalty estimator.
 
+Each study reads one dataclass, whose fields are all the keys its runner
+reads: SimulationScenario holds those of every study (dgp, sample_sizes,
+replications, seed), and ConsistencyScenario, InferenceScenario and
+UniformGridScenario add their own and narrow dgp to the designs they run on.
+
 Each design is one AffineDesign: its LP inputs theta = (p, vec M, c) are
 exactly affine in a short vector phi of sample means, theta = theta0 + G phi,
 so G is also the delta-method Jacobian d theta / d phi of the noisy design's
@@ -57,36 +62,73 @@ class ScenarioError(ValueError):
 
 @dataclass
 class SimulationScenario:
+    """The keys every study reads; each study's class adds the keys its runner
+    reads and narrows dgp to the designs it runs on."""
+
     dgp: Literal[DGP_EXAMPLE_A, DGP_EXAMPLE_B, DGP_UNIFORM_GRID]
-    b: float = 0.0
     sample_sizes: Sequence[int] = (100, 500, 1000, 5000)
     replications: int = 1000
-    estimators: Sequence[Estimator] = ESTIMATORS
     seed: int = 0
-    alpha: float = 0.05
-    kappa0: float = 0.1
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    slater: bool = False  # uniform-grid: draw the intercept noise from U[0,1]
-    grid: Literal["full", "single"] = "full"  # uniform-grid: 9-point grid or {0}
 
     def __post_init__(self):
         check_fields(self, ScenarioError)
         if self.replications < 1:
             raise ScenarioError("replications must be at least 1")
-        if not (0.0 < self.alpha < 1.0):
-            raise ScenarioError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.kappa0 >= 0:
-            raise ScenarioError(f"kappa0 must be nonnegative, got {self.kappa0}")
         sizes = self.sample_sizes
         if not sizes:
             raise ScenarioError("sample_sizes must be a nonempty list")
-        if not self.estimators or len(set(self.estimators)) < len(self.estimators):
-            raise ScenarioError("estimators must be a nonempty list with no entry twice, "
-                                f"got {self.estimators!r}")
         if any(n < 3 for n in sizes):
             raise ScenarioError(f"sample_sizes must be integers >= 3, got {sizes!r}")
         if any(b >= a for a, b in zip(sizes[1:], sizes)):
             raise ScenarioError("sample_sizes must be strictly increasing")
+
+
+def check_estimator_keys(cfg, error) -> None:
+    """The checks of the estimators and kappa0 keys, shared by the consistency
+    study and the estimate command: error(message) on the first that fails."""
+    if not cfg.estimators or len(set(cfg.estimators)) < len(cfg.estimators):
+        raise error("estimators must be a nonempty list with no entry twice, "
+                    f"got {cfg.estimators!r}")
+    if not cfg.kappa0 >= 0:
+        raise error(f"kappa0 must be nonnegative, got {cfg.kappa0}")
+
+
+@dataclass(kw_only=True)
+class ConsistencyScenario(SimulationScenario):
+    """The consistency study (run_consistency) on a worked example design."""
+
+    dgp: Literal[DGP_EXAMPLE_A, DGP_EXAMPLE_B]
+    b: float = 0.0
+    estimators: Sequence[Estimator] = ESTIMATORS
+    kappa0: float = 0.1
+    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_estimator_keys(self, ScenarioError)
+
+
+@dataclass(kw_only=True)
+class InferenceScenario(SimulationScenario):
+    """The coverage study (run_inference_study) on the noisy design."""
+
+    dgp: Literal[DGP_EXAMPLE_B]
+    b: float = 0.0
+    alpha: float = InferenceConfig.alpha
+    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.inference = InferenceConfig(alpha=self.alpha, penalty=self.penalty)
+
+
+@dataclass(kw_only=True)
+class UniformGridScenario(SimulationScenario):
+    """The uniform-rate grid study (run_uniform_grid)."""
+
+    dgp: Literal[DGP_UNIFORM_GRID]
+    slater: bool = False  # draw the intercept noise from U[0,1]
+    grid: Literal["full", "single"] = "full"  # the 9-point grid or {0}
 
 
 @dataclass
@@ -104,7 +146,6 @@ class ReportRow:
 
 @dataclass
 class SimulationReport:
-    scenario: SimulationScenario
     rows: List[ReportRow]
 
     CSV_COLUMNS = ("estimator", "n", "mean", "bias", "std", "rmse",
@@ -163,17 +204,15 @@ _EXAMPLE = AffineDesign(
 )
 
 
-def draw_theta(scenario: SimulationScenario, n: int, rng: np.random.Generator) -> LpParams:
+def draw_theta(scenario: ConsistencyScenario, n: int, rng: np.random.Generator) -> LpParams:
     """One parameter estimate of size n under the scenario's design."""
     if n < 1:
         raise ScenarioError("n must be at least 1")
     if scenario.dgp == DGP_EXAMPLE_A:
         b_hat = scenario.b + float(rng.uniform(-1.0, 1.0, size=n).mean())
         return _EXAMPLE.params((b_hat, 0.0, 0.0))
-    if scenario.dgp == DGP_EXAMPLE_B:
-        U = rng.uniform(-0.5, 0.5, size=(n, 3))
-        return _EXAMPLE.params((scenario.b + U[:, 0].mean(), U[:, 1].mean(), U[:, 2].mean()))
-    raise ScenarioError(f"draw_theta does not support dgp {scenario.dgp!r}")
+    U = rng.uniform(-0.5, 0.5, size=(n, 3))
+    return _EXAMPLE.params((scenario.b + U[:, 0].mean(), U[:, 1].mean(), U[:, 2].mean()))
 
 
 def _truth(design: AffineDesign, phi) -> float:
@@ -213,7 +252,7 @@ def _row(estimator: str, n: int, outcomes: list, truth: float) -> ReportRow:
     return row
 
 
-def run_consistency(scenario: SimulationScenario) -> SimulationReport:
+def run_consistency(scenario: ConsistencyScenario) -> SimulationReport:
     """Replicated point estimation; failed draws are counted, never imputed.
 
     A replication whose draw or penalty selection fails counts one failure
@@ -225,8 +264,6 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
     the first of them still feasible (see linalg.solve_lp). The values equal
     those of cold solves up to rounding.
     """
-    if scenario.dgp == DGP_UNIFORM_GRID:
-        raise ScenarioError(f"no closed truth for dgp {scenario.dgp!r}")
     truth = _truth(_EXAMPLE, (scenario.b, 0.0, 0.0))
     original, relaxed = [], []
     value_of = {
@@ -246,7 +283,7 @@ def run_consistency(scenario: SimulationScenario) -> SimulationReport:
     rows = [_row(est, n, [None if o is None else o[i] for o in outcomes], truth)
             for n, outcomes in zip(scenario.sample_sizes, _replicate(scenario, one))
             for i, est in enumerate(scenario.estimators)]
-    return SimulationReport(scenario=scenario, rows=rows)
+    return SimulationReport(rows=rows)
 
 
 def _example_b_estimator(U: np.ndarray, b: float):
@@ -263,20 +300,17 @@ def _example_b_estimator(U: np.ndarray, b: float):
     return estimate
 
 
-def run_inference_study(scenario: SimulationScenario) -> SimulationReport:
+def run_inference_study(scenario: InferenceScenario) -> SimulationReport:
     """Coverage of the true LP value by the one-sided split-sample interval.
 
     A replication whose inference fails is counted in `failures`; the
     statistics and the coverage come from the replications that succeeded.
     """
-    if scenario.dgp != DGP_EXAMPLE_B:
-        raise ScenarioError("the inference study runs on the noisy design (example_b)")
     truth = _truth(_EXAMPLE, (scenario.b, 0.0, 0.0))
-    cfg = InferenceConfig(alpha=scenario.alpha, penalty=scenario.penalty)
 
     def one(n_idx, n, rep):
         U = rng_for(scenario.seed, n_idx, rep).uniform(-0.5, 0.5, size=(n, 3))
-        result = run_inference(n, _example_b_estimator(U, scenario.b), cfg,
+        result = run_inference(n, _example_b_estimator(U, scenario.b), scenario.inference,
                                seed=np.random.SeedSequence((scenario.seed, n_idx, rep, 1)))
         return result.estimate, result.ci_lower_onesided
 
@@ -288,7 +322,7 @@ def run_inference_study(scenario: SimulationScenario) -> SimulationReport:
             row.coverage = sum(1 for lcb in lcbs if lcb <= truth) / len(lcbs)
             row.mean_lcb = float(np.mean(lcbs))
         rows.append(row)
-    return SimulationReport(scenario=scenario, rows=rows)
+    return SimulationReport(rows=rows)
 
 
 # -- uniform-rate grid study -------------------------------------------------
@@ -350,7 +384,7 @@ class UniformGridResult:
                     zip(self.sample_sizes, *(getattr(self, col) for col in self.CSV_COLUMNS[1:])))
 
 
-def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
+def run_uniform_grid(scenario: UniformGridScenario) -> UniformGridResult:
     """Std of per-replication sup-deviations of the penalty estimator, scaled
     by sqrt(n) and by sqrt(n)/w_n. A replication with a failed penalty solve
     is counted in `failures` and left out of its size's std (NaN if none is
@@ -361,8 +395,6 @@ def run_uniform_grid(scenario: SimulationScenario) -> UniformGridResult:
     (see linalg.solve_lp). The values equal those of cold solves up to
     rounding.
     """
-    if scenario.dgp != DGP_UNIFORM_GRID:
-        raise ScenarioError("run_uniform_grid needs the uniform_grid dgp")
     delta = _grid_delta()
     sizes = list(scenario.sample_sizes)
     wns = np.array([grid_wn(n, delta) for n in sizes])

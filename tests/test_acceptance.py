@@ -24,7 +24,9 @@ from lpbound.geometry import (
 from lpbound.inference import asymptotic_variance
 from lpbound.linalg import INFEASIBLE, OPTIMAL, LpParams, enumerate_vertices, solve_lp
 from lpbound.montecarlo import (
-    SimulationScenario,
+    ConsistencyScenario,
+    InferenceScenario,
+    UniformGridScenario,
     loglog_slope,
     run_consistency,
     run_inference_study,
@@ -41,7 +43,7 @@ def report(number: int, description: str, ok: bool) -> None:
 
 
 def consistency_rows(b: float):
-    scenario = SimulationScenario(
+    scenario = ConsistencyScenario(
         dgp="example_a", b=b, sample_sizes=(100, 500, 1000, 5000),
         replications=1000, seed=11,
     )
@@ -95,7 +97,7 @@ def test_acceptance_4_one_sided_coverage():
     start = time.perf_counter()
     coverages = {}
     for b in (0.0, -0.05):
-        scenario = SimulationScenario(
+        scenario = InferenceScenario(
             dgp="example_b", b=b, sample_sizes=(5000,), replications=1000, seed=42,
         )
         coverages[b] = run_inference_study(scenario).rows[0].coverage
@@ -198,10 +200,10 @@ def test_acceptance_8_causal_bounds():
 def test_acceptance_9_uniform_rate_study():
     sizes = (100, 500, 1000, 5000, 10000)
     start = time.perf_counter()
-    full = run_uniform_grid(SimulationScenario(
+    full = run_uniform_grid(UniformGridScenario(
         dgp="uniform_grid", sample_sizes=sizes, replications=2000, seed=5, grid="full",
     ))
-    single = run_uniform_grid(SimulationScenario(
+    single = run_uniform_grid(UniformGridScenario(
         dgp="uniform_grid", sample_sizes=sizes, replications=2000, seed=5,
         grid="single", slater=True,
     ))

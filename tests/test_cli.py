@@ -26,7 +26,8 @@ from lpbound.cli import (
 )
 from lpbound.estimators import PenaltyConfig
 from lpbound.linalg import LpParams
-from lpbound.montecarlo import SimulationScenario
+from lpbound.montecarlo import (ConsistencyScenario, InferenceScenario, SimulationScenario,
+                                UniformGridScenario)
 
 EXAMPLE1_DOC = {
     "p": [1.0, 0.0],
@@ -54,6 +55,13 @@ class TestLpFileFormat:
         again_params, again_labels = parse_lp_document(json.loads(once))
         assert canonical_dumps(lp_to_document(again_params, again_labels)) == once
         assert once == canonical_dumps(EXAMPLE1_DOC)
+
+    def test_an_lp_with_no_rows_round_trips(self):
+        params = LpParams(p=[1.0, -1.0], M=np.zeros((0, 2)), c=[], box=([0.0, 0.0], [1.0, 1.0]))
+        once = canonical_dumps(lp_to_document(params))
+        again, _ = parse_lp_document(json.loads(once))
+        assert again.M.shape == (0, 2)
+        assert canonical_dumps(lp_to_document(again)) == once
 
     def test_unknown_keys_rejected(self):
         doc = dict(EXAMPLE1_DOC, extra=1)
@@ -328,6 +336,16 @@ class TestSimulateCommand:
             assert run_cli(["simulate", "--config", cfg], tmp_path / "o.csv") == EXIT_USAGE
             assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation_error"
 
+    def test_the_runner_is_looked_up_when_the_command_runs(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.run_consistency
+        monkeypatch.setattr(cli, "run_consistency",
+                            lambda scenario: calls.append(scenario) or real(scenario))
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"dgp": "example_a", "sample_sizes": [100], "replications": 1})
+        assert run_cli(["simulate", "--config", cfg], tmp_path / "o.csv") == EXIT_OK
+        assert [type(scenario) for scenario in calls] == [ConsistencyScenario]
+
     def test_uniform_grid_csv(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
@@ -363,6 +381,8 @@ class TestSimulateCommand:
                  id="simulate-uniform_grid-sample_sizes-empty"),
     pytest.param("simulate", {"estimators": []}, id="simulate-estimators-empty"),
     pytest.param("simulate", {"kappa0": -1}, id="simulate-kappa0-range"),
+    pytest.param("estimate", {"estimators": []}, id="estimate-estimators-empty"),
+    pytest.param("estimate", {"kappa0": -1}, id="estimate-kappa0-range"),
     pytest.param("simulate", {"penalty": {"w": -1}}, id="simulate-penalty-w"),
     # a fraction, and a bool where a number is read: bool passes isinstance(x, int)
     pytest.param("simulate", {"replications": 1.5}, id="simulate-replications-fraction"),
@@ -382,6 +402,12 @@ class TestSimulateCommand:
     # the key that picks the mode, study or target type
     pytest.param("infer", {"mode": 5}, id="infer-mode-number"),
     pytest.param("simulate", {"study": "bogus"}, id="simulate-study-unknown"),
+    # a design the study does not run on
+    pytest.param("simulate", {"dgp": "uniform_grid"}, id="simulate-consistency-dgp"),
+    pytest.param("simulate", {"study": "inference", "dgp": "example_a"},
+                 id="simulate-inference-dgp"),
+    pytest.param("simulate", {"study": "uniform_grid", "dgp": "example_b"},
+                 id="simulate-uniform_grid-dgp"),
     pytest.param("aicm", {"target": {"type": "median", "t": "1"}}, id="aicm-target-type-unknown"),
     # gaussian infer checks n as example_b does: an integer >= 2
     pytest.param("infer-gaussian", {"n": "x"}, id="infer-gaussian-n-type"),
@@ -446,7 +472,8 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override)
 # Every dataclass a command reads its documents with -> the command, a base
 # config it accepts, and the keys from that config (or, after "LP", from the LP
 # file it names) to the object the dataclass reads. "<lp>" stands for the path
-# of a valid LP file.
+# of a valid LP file. SimulationScenario holds the keys every study reads and
+# is tested on them; each study's class is tested on the keys it adds.
 _AICM = {"data": "micro.csv", "assumptions": {"kinds": ["bounds"], "bounds": [0, 1]},
          "target": {"type": "ate", "t": "1", "d": "0"}, "ci": {}}
 _SIM = {"dgp": "example_a", "sample_sizes": [100], "replications": 1}
@@ -460,25 +487,46 @@ _SCHEMA = [
                                       "sigma": np.eye(14).tolist()}, ()),
     (cli.ExampleBInference, "infer", {"mode": "example_b", "n": 100}, ()),
     (SimulationScenario, "simulate", dict(_SIM, study="consistency"), ()),
+    (ConsistencyScenario, "simulate", dict(_SIM, study="consistency"), ()),
+    (InferenceScenario, "simulate", dict(_SIM, study="inference", dgp="example_b"), ()),
+    (UniformGridScenario, "simulate", dict(_SIM, study="uniform_grid", dgp="uniform_grid"), ()),
     (cli.AicmConfig, "aicm", _AICM, ()),
     (cli.CiConfig, "aicm", _AICM, ("ci",)),
     (AssumptionSpec, "aicm", _AICM, ("assumptions",)),
     (MeanPotential, "aicm", dict(_AICM, target={"type": "mean", "t": "1"}), ("target",)),
     (ATE, "aicm", _AICM, ("target",)),
 ]
-# the simulate fields that the consistency study never reads -> a study that does
-_STUDY_OF = {"alpha": "inference", "slater": "uniform_grid", "grid": "uniform_grid"}
+
+
+def _members(tp) -> tuple:
+    return get_args(tp) if get_origin(tp) is Union else (tp,)
 
 
 def _holds_object(tp) -> bool:
-    members = get_args(tp) if get_origin(tp) is Union else (tp,)
-    return any(is_dataclass(m) or m is dict for m in members)
+    return any(is_dataclass(m) or m is dict for m in _members(tp))
+
+
+def test_schema_lists_every_document_dataclass():
+    read, todo = set(), [*cli._INFER_MODES.values(), *cli._STUDIES.values(),
+                         *cli._TARGETS.values(), cli.LpDocument, cli.EstimateConfig,
+                         cli.AicmConfig, AssumptionSpec]
+    while todo:
+        cls = todo.pop()
+        if cls not in read:
+            read.add(cls)
+            todo += [m for tp in get_type_hints(cls).values() for m in _members(tp)
+                     if is_dataclass(m)]
+    listed = {cls for cls, *_ in _SCHEMA}
+    assert read <= listed
+    assert all(any(issubclass(r, cls) for r in read) for cls in listed)
 
 
 def _schema_cases():
+    listed = {cls for cls, *_ in _SCHEMA}
     for cls, command, base, path in _SCHEMA:
+        tested = {name for b in cls.__mro__[1:] if b in listed for name in get_type_hints(b)}
         for name, tp in get_type_hints(cls).items():
-            if tp is object:  # any JSON value fits
+            if tp is object or name in tested:  # any JSON value fits, or tested on a base
                 continue
             yield pytest.param(cls, command, base, path, name, tp, id=f"{cls.__name__}.{name}")
 
@@ -487,9 +535,6 @@ def _schema_cases():
 def test_schema_value_of_wrong_type_exits_2(tmp_path, capsys, cls, command, base, path, name, tp):
     wrong = "x" if tp is bool else True  # true is a JSON value of no other annotation
     config, lp_doc = json.loads(json.dumps(base)), json.loads(json.dumps(EXAMPLE1_DOC))
-    if cls is SimulationScenario and name in _STUDY_OF:
-        dgp = "example_b" if _STUDY_OF[name] == "inference" else "uniform_grid"
-        config.update(study=_STUDY_OF[name], dgp=dgp)
     obj = lp_doc if path[:1] == ("LP",) else config
     for key in path[1:] if obj is lp_doc else path:
         obj = obj[key]

@@ -34,6 +34,7 @@ from lpbound.linalg import (
     smallest_singular_value,
     check_fields,
     solve_lp,
+    stack_theta,
 )
 
 from lpbound.montecarlo import ScenarioError, SimulationScenario
@@ -652,6 +653,13 @@ class TestLinalgUtilities:
     def test_vectorize_is_column_major(self):
         params = LpParams(p=[5.0, 6.0], M=[[1.0, 3.0], [2.0, 4.0]], c=[7.0, 8.0])
         assert params.theta().tolist() == [5.0, 6.0, 1.0, 2.0, 3.0, 4.0, 7.0, 8.0]
+
+    @pytest.mark.parametrize("q, d", [(0, 2), (3, 1), (4, 3)])
+    def test_stack_theta_over_a_leading_axis_stacks_each_lp(self, rng, q, d):
+        p, M, c = rng.normal(size=(5, d)), rng.normal(size=(5, q, d)), rng.normal(size=(5, q))
+        want = np.array([np.concatenate([p[b], M[b].flatten(order="F"), c[b]]) for b in range(5)])
+        got = stack_theta(p, M, c)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):

@@ -9,8 +9,11 @@ from lpbound.linalg import INFEASIBLE, LpParams, solve_lp
 from lpbound.montecarlo import (
     _EXAMPLE,
     _GRID,
+    ConsistencyScenario,
+    InferenceScenario,
     ScenarioError,
     SimulationScenario,
+    UniformGridScenario,
     _example_b_estimator,
     _grid_delta,
     draw_theta,
@@ -77,7 +80,7 @@ def assert_same_bits(got, want):
 class TestScenarioValidation:
     def test_unknown_estimator(self):
         with pytest.raises(ScenarioError):
-            SimulationScenario(dgp="example_a", estimators=("bogus",))
+            ConsistencyScenario(dgp="example_a", estimators=("bogus",))
 
     def test_sample_sizes_must_increase(self):
         with pytest.raises(ScenarioError):
@@ -90,12 +93,12 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("field", ["sample_sizes", "estimators"])
     def test_empty_list_rejected(self, field):
         with pytest.raises(ScenarioError, match=f"^{field} must be a nonempty list"):
-            SimulationScenario(dgp="example_a", **{field: ()})
+            ConsistencyScenario(dgp="example_a", **{field: ()})
 
 
 class TestDrawTheta:
     def test_clt_centering(self):
-        scenario = SimulationScenario(dgp="example_a", b=0.3, replications=1)
+        scenario = ConsistencyScenario(dgp="example_a", b=0.3, replications=1)
         rng = np.random.default_rng(0)
         draws = np.array(
             [draw_theta(scenario, 50, rng).M[0, 0] for _ in range(100_000)]
@@ -120,11 +123,11 @@ class TestAffineDesigns:
             n = (3, 100, 5000)[rep % 3]
             rng = rng_for(4, 0, rep)
             b_hat = b + float(rng.uniform(-1.0, 1.0, size=n).mean())
-            got = draw_theta(SimulationScenario(dgp="example_a", b=b), n, rng_for(4, 0, rep))
+            got = draw_theta(ConsistencyScenario(dgp="example_a", b=b), n, rng_for(4, 0, rep))
             assert_same_bits(got, example_a_params(b_hat))
             U = rng_for(4, 0, rep).uniform(-0.5, 0.5, size=(n, 3))
             want = example_b_params(b + U[:, 0].mean(), U[:, 1].mean(), U[:, 2].mean())
-            got = draw_theta(SimulationScenario(dgp="example_b", b=b), n, rng_for(4, 0, rep))
+            got = draw_theta(ConsistencyScenario(dgp="example_b", b=b), n, rng_for(4, 0, rep))
             assert_same_bits(got, want)
 
     @pytest.mark.parametrize("grid", ["full", "single"])
@@ -197,7 +200,7 @@ class TestRngDiscipline:
 
 class TestConsistencyStudy:
     def test_bit_reproducible(self):
-        scenario = SimulationScenario(
+        scenario = ConsistencyScenario(
             dgp="example_a", b=0.0, sample_sizes=(100,), replications=25, seed=5
         )
         a = run_consistency(scenario).to_csv()
@@ -211,7 +214,7 @@ class TestConsistencyStudy:
             set_expansion_value,
         )
 
-        scenario = SimulationScenario(
+        scenario = ConsistencyScenario(
             dgp="example_a", b=b, sample_sizes=(100, 1000), replications=50, seed=11
         )
         report = run_consistency(scenario)
@@ -238,7 +241,7 @@ class TestConsistencyStudy:
                 assert abs(row.rmse - np.sqrt(np.mean((cold - truth) ** 2))) <= 1e-12
 
     def test_failure_accounting_on_noisy_rhs(self):
-        scenario = SimulationScenario(
+        scenario = ConsistencyScenario(
             dgp="example_b", b=0.0, sample_sizes=(5000,), replications=200,
             seed=3, estimators=("plugin",),
         )
@@ -261,7 +264,7 @@ class TestConsistencyStudy:
 
         real = mc.penalty_value
         monkeypatch.setattr(mc, "penalty_value", fail_first)
-        scenario = SimulationScenario(
+        scenario = ConsistencyScenario(
             dgp="example_a", b=0.0, sample_sizes=(100,), replications=3, seed=2
         )
         rows = {r.estimator: r for r in run_consistency(scenario).rows}
@@ -283,7 +286,7 @@ class TestConsistencyStudy:
 
         real = PenaltyConfig.resolve_w
         monkeypatch.setattr(PenaltyConfig, "resolve_w", fail_first)
-        scenario = SimulationScenario(
+        scenario = ConsistencyScenario(
             dgp="example_a", b=0.0, sample_sizes=(100,), replications=3, seed=2
         )
         rows = run_consistency(scenario).rows
@@ -292,7 +295,7 @@ class TestConsistencyStudy:
         assert all(r.mean is not None for r in rows)
 
     def test_csv_columns(self):
-        scenario = SimulationScenario(
+        scenario = ConsistencyScenario(
             dgp="example_a", b=0.0, sample_sizes=(100,), replications=2, seed=1
         )
         text = run_consistency(scenario).to_csv()
@@ -312,7 +315,7 @@ class TestConsistencyStudy:
 
         real = mc.run_inference
         monkeypatch.setattr(mc, "run_inference", fail_first)
-        scenario = SimulationScenario(
+        scenario = InferenceScenario(
             dgp="example_b", b=0.0, sample_sizes=(500,), replications=3, seed=2
         )
         row = run_inference_study(scenario).rows[0]
@@ -329,16 +332,15 @@ class TestConsistencyStudy:
             raise PenaltyError("forced")
 
         monkeypatch.setattr(mc, "run_inference", fail)
-        scenario = SimulationScenario(
+        scenario = InferenceScenario(
             dgp="example_b", b=0.0, sample_sizes=(500,), replications=2, seed=2
         )
         report = run_inference_study(scenario)
         assert report.to_csv().splitlines()[1] == "debiased_ci,500,,,,,2,,"
 
     def test_inference_study_requires_noisy_dgp(self):
-        scenario = SimulationScenario(dgp="example_a", sample_sizes=(100,), replications=2)
         with pytest.raises(ScenarioError):
-            run_inference_study(scenario)
+            InferenceScenario(dgp="example_a", sample_sizes=(100,), replications=2)
 
 
 class TestUniformGrid:
@@ -363,7 +365,7 @@ class TestUniformGrid:
         assert abs(loglog_slope(ns, series) - 0.42) < 1e-9
 
     def test_normalization_matches_levels_at_smallest_n(self):
-        scenario = SimulationScenario(
+        scenario = UniformGridScenario(
             dgp="uniform_grid", sample_sizes=(100, 400), replications=40, seed=2
         )
         res = run_uniform_grid(scenario)
@@ -371,16 +373,15 @@ class TestUniformGrid:
         assert np.all(res.sup_std >= 0.0)
 
     def test_rejects_other_dgps(self):
-        scenario = SimulationScenario(dgp="example_a", sample_sizes=(100,), replications=2)
         with pytest.raises(ScenarioError):
-            run_uniform_grid(scenario)
+            UniformGridScenario(dgp="example_a", sample_sizes=(100,), replications=2)
 
     def test_counts_failures(self, monkeypatch):
         import lpbound.montecarlo as mc
         from lpbound.linalg import SolverError
 
-        scenario = SimulationScenario(dgp="uniform_grid", sample_sizes=(100, 400),
-                                      replications=5, seed=2, grid="single")
+        scenario = UniformGridScenario(dgp="uniform_grid", sample_sizes=(100, 400),
+                                       replications=5, seed=2, grid="single")
         clean = run_uniform_grid(scenario)
         calls = []
 
