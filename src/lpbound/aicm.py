@@ -79,12 +79,12 @@ class ConditionalMomentTable:
         if abs(self.prob.sum() - 1.0) > _PROB_TOL:
             raise TableError(f"cell probabilities sum to {self.prob.sum()!r}, not 1")
         self.observed = frozenset(self.observed)
-        for i, t in enumerate(self.treatments):
-            finite = np.all(np.isfinite(self.mean[i]))
-            if t in self.observed and not finite:
-                raise TableError(f"treatment {t} is observed but has undefined cell means")
-            if t not in self.observed and finite:
-                raise TableError(f"treatment {t} is unobserved but has cell means")
+        seen = np.array([t in self.observed for t in self.treatments], dtype=bool)
+        wrong = np.flatnonzero(seen != np.isfinite(self.mean).all(axis=1))
+        if wrong.size:
+            i = wrong[0]
+            state = "observed but has undefined" if seen[i] else "unobserved but has"
+            raise TableError(f"treatment {self.treatments[i]} is {state} cell means")
 
     @property
     def n_treatments(self) -> int:
@@ -112,13 +112,14 @@ class ConditionalMomentTable:
 _MISSING = {None, ""}
 
 
-def _sorted_codes(labels: dict, codes: list):
-    """Sorted labels, and codes given in first-seen order (the values of
-    `labels`, in insertion order) renumbered into them."""
-    ordered = sorted(labels)
+def _coded(labels: list):
+    """The sorted distinct labels, and each label's index into them."""
+    seen = {}
+    codes = np.array([seen.setdefault(label, len(seen)) for label in labels], dtype=np.intp)
+    ordered = sorted(seen)
     rank = {label: i for i, label in enumerate(ordered)}
-    remap = np.array([rank[label] for label in labels], dtype=np.intp)
-    return ordered, remap[np.array(codes, dtype=np.intp)]
+    remap = np.array([rank[label] for label in seen], dtype=np.intp)
+    return ordered, remap[codes]
 
 
 class Microdata(collections.abc.Sequence):
@@ -136,23 +137,26 @@ class Microdata(collections.abc.Sequence):
         self.t_labels, self.z_labels = t_labels, z_labels
 
     @classmethod
+    def _of_lists(cls, y: list, missing: list, t: list, z: list) -> "Microdata":
+        """Columns of floats y, flags missing and labels t and z."""
+        (t_labels, t), (z_labels, z) = _coded(t), _coded(z)
+        return cls(np.array(y, dtype=float), np.array(missing, dtype=bool), t, z, t_labels, z_labels)
+
+    @classmethod
     def of(cls, records) -> "Microdata":
         """records as columns, in one pass over them: y is missing when it
         is None, "" or a float NaN, and any other y converts by float()."""
         if isinstance(records, cls):
             return records
         y, missing, t, z = [], [], [], []
-        t_seen, z_seen = {}, {}
         for r in records:
             v = r[0]
             gone = v in _MISSING or (isinstance(v, float) and math.isnan(v))
             missing.append(gone)
             y.append(0.0 if gone else float(v))
-            t.append(t_seen.setdefault(r[1], len(t_seen)))
-            z.append(z_seen.setdefault(r[2], len(z_seen)))
-        t_labels, t = _sorted_codes(t_seen, t)
-        z_labels, z = _sorted_codes(z_seen, z)
-        return cls(np.array(y, dtype=float), np.array(missing, dtype=bool), t, z, t_labels, z_labels)
+            t.append(r[1])
+            z.append(r[2])
+        return cls._of_lists(y, missing, t, z)
 
     def __len__(self) -> int:
         return len(self.y)
@@ -166,91 +170,88 @@ class Microdata(collections.abc.Sequence):
                          self.t_labels, self.z_labels)
 
 
-def _present(codes: np.ndarray, labels: List):
-    """The labels that occur in codes, and the codes renumbered over them."""
-    seen = np.bincount(codes, minlength=len(labels)) > 0
-    if seen.all():
-        return list(labels), codes
-    return [label for label, s in zip(labels, seen) if s], (np.cumsum(seen) - 1)[codes]
-
-
 def ingest_sample(records: Sequence[Tuple]) -> ConditionalMomentTable:
     """Empirical conditional moment table from (y, t, z) records, a
     Microdata or any sequence of tuples (converted by Microdata.of).
 
     y is None/NaN/"" for missing outcomes; within a treatment level the
-    presence of y must be consistent. Every (t, z) cell must be populated.
+    presence of y must be consistent. Every (t, z) cell of the labels that
+    occur must be populated. The records are counted over the full grid of
+    the data's labels; only when a cell of it is empty are the labels
+    without records dropped, and the cells checked again.
     """
     data = Microdata.of(records)
     if not len(data):
         raise TableError("no records")
-    treatments, t_code = _present(data.t, data.t_labels)
-    instruments, z_code = _present(data.z, data.z_labels)
-    nt, nz = len(treatments), len(instruments)
-    cell = t_code * nz + z_code
-    missing = data.missing
-    # bincount adds in record order, as a running sum over the records would
-    count = np.bincount(cell, minlength=nt * nz).reshape(nt, nz)
-    total = np.bincount(cell, weights=data.y, minlength=nt * nz).reshape(nt, nz)
-    present = np.bincount(t_code[~missing], minlength=nt)
-    absent = np.bincount(t_code[missing], minlength=nt)
-    observed = set()
-    for i, t in enumerate(treatments):
-        if present[i] and absent[i]:
+    treatments, instruments = data.t_labels, data.z_labels
+    shape = (len(treatments), len(instruments))
+    cell = data.t * shape[1] + data.z
+    count = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+    observed, missing = np.ones(shape[0], dtype=bool), data.missing
+    if missing.any():
+        present = np.bincount(data.t[~missing], minlength=shape[0])
+        absent = np.bincount(data.t[missing], minlength=shape[0])
+        mixed = np.flatnonzero((present > 0) & (absent > 0))
+        if mixed.size:
+            i = mixed[0]
             raise TableError(
-                f"treatment {t!r} has {present[i]} records with outcomes and "
+                f"treatment {treatments[i]!r} has {present[i]} records with outcomes and "
                 f"{absent[i]} without; outcome presence must be consistent"
             )
-        if present[i]:
-            observed.add(t)
-    empty = np.argwhere(count == 0)
-    if empty.size:
-        i, j = empty[0]
-        raise TableError(
-            f"empty cell (T={treatments[i]}, Z={instruments[j]}): "
-            "every treatment-instrument cell needs observations"
-        )
-    mean = np.full((nt, nz), np.nan)
-    for i, t in enumerate(treatments):
-        if t in observed:
-            mean[i] = total[i] / count[i]
-    prob = count / count.sum()
-    return ConditionalMomentTable(treatments, instruments, mean, prob, count, frozenset(observed))
-
-
-def _csv_records(reader):
-    """(y or None, t, z) per data row of a microdata CSV reader; a row that
-    is not three fields, or whose y is neither empty nor a finite number,
-    raises TableError naming its line."""
-    for row in reader:
-        if not row:  # a blank line
-            continue
-        if len(row) != 3:
-            raise TableError(f"microdata CSV line {reader.line_num}: expected 3 fields "
-                             f"y,t,z, got {len(row)}")
-        y, t, z = (field.strip() for field in row)
-        if not y:
-            yield None, t, z
-            continue
-        try:
-            value = float(y)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise TableError(f"microdata CSV line {reader.line_num}: y must be a finite "
-                             f"number or empty, got {y!r}")
-        yield value, t, z
+        observed = present > 0
+    # bincount adds in record order, as a running sum over the records would
+    total = np.bincount(cell, weights=data.y, minlength=count.size).reshape(shape)
+    if not count.all():  # keep the labels that occur
+        rows, cols = count.any(axis=1), count.any(axis=0)
+        treatments = [t for t, keep in zip(treatments, rows) if keep]
+        instruments = [z for z, keep in zip(instruments, cols) if keep]
+        count, total, observed = count[rows][:, cols], total[rows][:, cols], observed[rows]
+        empty = np.argwhere(count == 0)
+        if empty.size:
+            i, j = empty[0]
+            raise TableError(
+                f"empty cell (T={treatments[i]}, Z={instruments[j]}): "
+                "every treatment-instrument cell needs observations"
+            )
+    mean = total / count
+    mean[~observed] = np.nan
+    return ConditionalMomentTable(list(treatments), list(instruments), mean, count / count.sum(),
+                                  count, frozenset(itertools.compress(treatments, observed)))
 
 
 def read_microdata_csv(path) -> Microdata:
-    """Records from a CSV with header y,t,z. Each y is a finite number or
-    empty, which denotes a missing outcome."""
+    """Records from a CSV with header y,t,z, read in one pass over its rows.
+    Each y is a finite number or empty, which denotes a missing outcome; a
+    row that is not three fields, or whose y is neither, raises TableError
+    naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
             raise TableError(f"microdata CSV must have header 'y,t,z', got {header}")
-        return Microdata.of(_csv_records(reader))
+        y, missing, t, z = [], [], [], []
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            if len(row) != 3:
+                raise TableError(f"microdata CSV line {reader.line_num}: expected 3 fields "
+                                 f"y,t,z, got {len(row)}")
+            field = row[0].strip()
+            if field:
+                try:
+                    value = float(field)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise TableError(f"microdata CSV line {reader.line_num}: y must be a "
+                                     f"finite number or empty, got {field!r}")
+            else:
+                value = 0.0
+            y.append(value)
+            missing.append(not field)
+            t.append(row[1].strip())
+            z.append(row[2].strip())
+    return Microdata._of_lists(y, missing, t, z)
 
 
 @dataclass

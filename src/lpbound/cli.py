@@ -8,8 +8,9 @@ keys that mode or study reads, so a key it never reads is unknown. Only the
 commands that draw random numbers (infer, simulate, aicm) take --seed, for
 bit-reproducible output.
 Exit codes: 0 success (solver statuses are data), 1 computational fault
-that blocks output (a number JSON cannot hold among them), 2 usage or
-validation fault. Faults print a machine-readable error object.
+that blocks output (a floating-point overflow or a number JSON cannot hold
+among them), 2 usage or validation fault. Faults print a machine-readable
+error object, and nothing else reaches stderr.
 """
 
 from __future__ import annotations
@@ -552,12 +553,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config = _object(_load_json(args.config, "config"), f"{args.command} config")
-        return _DISPATCH[args.command](config, args)
+        # an overflow, a division by zero or an invalid operation raises, not warns on stderr
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _DISPATCH[args.command](config, args)
     except CliError as exc:
         code, message, exit_code = exc.code, str(exc), exc.exit_code
     except DimensionError as exc:
         code, message, exit_code = "dimension_mismatch", str(exc), EXIT_USAGE
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError) as exc:
         # a library fault that no command maps to a code of its own
         code, message = "computation_failed", f"{type(exc).__name__}: {exc}"
         exit_code = EXIT_COMPUTE

@@ -196,15 +196,22 @@ def find_triplet(
 
 def check_covariance(sigma: np.ndarray, name: str = "Sigma") -> None:
     """Raise InferenceError unless sigma is finite, symmetric and positive
-    semidefinite, each within _PSD_TOL (relative to its largest entry)."""
+    semidefinite, each within _PSD_TOL (relative to its largest entry).
+
+    Its symmetric part S has no eigenvalue below -_PSD_TOL * scale exactly
+    when S + _PSD_TOL * scale * I is positive definite, which one Cholesky
+    factorization tells; the eigenvalues are computed only to word a refusal."""
     if not np.all(np.isfinite(sigma)):
         raise InferenceError(f"{name} must be finite")
     if not np.allclose(sigma, sigma.T, atol=_PSD_TOL):
         raise InferenceError(f"{name} must be symmetric")
     scale = max(1.0, float(np.abs(sigma).max()))
-    evals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
-    if evals.min() < -_PSD_TOL * scale:
-        raise InferenceError(f"{name} is not PSD (min eigenvalue {evals.min():.3e})")
+    sym = 0.5 * (sigma + sigma.T)
+    try:
+        np.linalg.cholesky(sym + _PSD_TOL * scale * np.eye(len(sym)))
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(sym).min()
+        raise InferenceError(f"{name} is not PSD (min eigenvalue {lowest:.3e})") from None
 
 
 def asymptotic_variance(

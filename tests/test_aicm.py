@@ -1,5 +1,6 @@
 import csv
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -252,6 +253,19 @@ class TestIngestAndTable:
                 count=np.zeros((2, 2)), observed=frozenset({"0", "1"}),
             )
 
+    @pytest.mark.parametrize("observed, nan_rows, message", [
+        ({"0", "1"}, [1], "treatment 1 is observed but has undefined cell means"),
+        ({"0", "2"}, [], "treatment 1 is unobserved but has cell means"),
+        ({"0", "1", "2"}, [2], "treatment 2 is observed but has undefined cell means"),
+    ])
+    def test_means_must_match_the_observed_treatments(self, observed, nan_rows, message):
+        # the first treatment at fault is named; a row with one NaN is undefined
+        mean = np.zeros((3, 2))
+        mean[nan_rows, 0] = np.nan
+        with pytest.raises(TableError, match=f"^{message}$"):
+            ConditionalMomentTable(["0", "1", "2"], ["a", "b"], mean, np.full((3, 2), 1 / 6),
+                                   np.ones((3, 2)), frozenset(observed))
+
     def test_cell_means_from_records(self):
         records = [(1.0, "1", "a"), (3.0, "1", "a"), (0.0, "0", "a")]
         table = ingest_sample(records)
@@ -307,6 +321,42 @@ class TestScalars:
 def _table_bytes(table):
     return (table.treatments, table.instruments, table.observed, table.mean.tobytes(),
             table.prob.tobytes(), table.count.tobytes(), table.count.dtype)
+
+
+def _ingest_reference(records):
+    """_table_bytes of the table of (y, t, z) records, y None or NaN when
+    missing, by a loop over the records: a running sum per cell in record
+    order, over the sorted labels that occur. It raises TableError as
+    ingest_sample does: mixed outcome presence first, then an empty cell."""
+    if not records:
+        raise TableError("no records")
+    treatments = sorted({t for _, t, _ in records})
+    instruments = sorted({z for _, _, z in records})
+    count = {(t, z): 0 for t in treatments for z in instruments}
+    total = {(t, z): 0.0 for t in treatments for z in instruments}
+    with_y, without_y = dict.fromkeys(treatments, 0), dict.fromkeys(treatments, 0)
+    for y, t, z in records:
+        count[t, z] += 1
+        if y is None or math.isnan(y):
+            without_y[t] += 1
+        else:
+            with_y[t] += 1
+            total[t, z] += y
+    for t in treatments:
+        if with_y[t] and without_y[t]:
+            raise TableError(f"treatment {t!r} has {with_y[t]} records with outcomes and "
+                             f"{without_y[t]} without; outcome presence must be consistent")
+    for t, z in count:
+        if not count[t, z]:
+            raise TableError(f"empty cell (T={t}, Z={z}): every treatment-instrument "
+                             "cell needs observations")
+    observed = frozenset(t for t in treatments if with_y[t])
+    mean = np.array([[total[t, z] / count[t, z] if t in observed else math.nan
+                      for z in instruments] for t in treatments])
+    prob = np.array([[count[t, z] / len(records) for z in instruments] for t in treatments])
+    count = np.array([[count[t, z] for z in instruments] for t in treatments])
+    return (treatments, instruments, observed, mean.tobytes(), prob.tobytes(), count.tobytes(),
+            count.dtype)
 
 
 def _list_bootstrap(records, spec, B, seed):
@@ -373,6 +423,33 @@ class TestMicrodata:
         with pytest.raises(TableError) as from_columns:
             ingest_sample(Microdata.of(records).take(np.array(idx)))
         assert str(from_columns.value) == str(from_list.value)
+
+    def test_ingest_matches_a_per_record_reference(self, rng):
+        # treatment "2" never has an outcome (None or NaN), and "3" has one
+        # record without; small resamples lose levels and leave cells empty
+        ts, zs = rng.choice(["0", "1", "2"], 60), rng.choice(["a", "b", "c"], 60)
+        ys = np.round(rng.normal(size=60), 1)  # -0.0 and 0.0 both occur
+        records = [((math.nan if i % 2 else None) if t == "2" else float(y), t, z)
+                   for i, (y, t, z) in enumerate(zip(ys, ts, zs))]
+        records += [(0.5, "3", "a"), (-0.0, "3", "b"), (1.5, "3", "c"), (None, "3", "a")]
+        data = Microdata.of(records)
+        seen = set()
+        for _ in range(400):
+            idx = rng.integers(0, len(records), int(rng.integers(1, 2 * len(records))))
+            sample = [records[i] for i in idx]
+            try:
+                expected = _ingest_reference(sample)
+            except TableError as exc:
+                seen.add(str(exc).split(" ")[0])
+                for given in (sample, data.take(idx)):
+                    with pytest.raises(TableError) as raised:
+                        ingest_sample(given)
+                    assert str(raised.value) == str(exc)
+                continue
+            seen.add("lost level" if len(expected[0]) < 4 or len(expected[1]) < 3 else "table")
+            assert _table_bytes(ingest_sample(sample)) == expected
+            assert _table_bytes(ingest_sample(data.take(idx))) == expected
+        assert seen == {"treatment", "empty", "lost level", "table"}
 
     def test_bootstrap_matches_the_record_list_loop(self, rng):
         # a cell of 2 of 36 records: about one resample in eight leaves it empty

@@ -72,8 +72,9 @@ class TestLpFileFormat:
         assert canonical_dumps({"x": 1.0 / 3.0}) == '{"x":0.33333333333333331}\n'
         assert canonical_dumps({"b": True, "n": None}) == '{"b":true,"n":null}\n'
         for x in (math.nan, math.inf, -math.inf):  # not JSON (RFC 8259)
-            with pytest.raises(CliError, match="non-finite") as caught:
+            with pytest.raises(CliError) as caught:
                 canonical_dumps({"x": [np.float64(x)]})
+            assert str(caught.value) == f"cannot serialize the non-finite number {x!r}"
             assert (caught.value.code, caught.value.exit_code) == (
                 "computation_failed", EXIT_COMPUTE)
 
@@ -590,7 +591,8 @@ def test_lp_entry_beyond_the_float_range_exits_2(tmp_path, capsys):
 
 
 def test_a_value_json_cannot_hold_exits_1_writing_nothing(tmp_path, capsys):
-    # c[0] = 1e308 sends the penalty value to inf, which JSON cannot hold (RFC 8259)
+    # c[0] = 1e308 sends the penalty value to inf, which JSON cannot hold (RFC 8259);
+    # the overflow raises where it happens
     lp = write_json(tmp_path / "lp.json", dict(EXAMPLE1_DOC, c=[1e308, 0.0, -1.0, -1.0]))
     cfg = write_json(tmp_path / "cfg.json", {"lp": lp, "n": 5000, "penalty": {"w": 2.0}})
     out = tmp_path / "o.json"
@@ -599,7 +601,26 @@ def test_a_value_json_cannot_hold_exits_1_writing_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == {
-        "code": "computation_failed", "message": "cannot serialize the non-finite number inf"}
+        "code": "computation_failed",
+        "message": "FloatingPointError: overflow encountered in matmul"}
+
+
+@pytest.mark.parametrize("field, value, doc, operation", [
+    # finite entries whose norms overflow in the default penalty
+    ("p", [-1e300, 1e300], {"n": 100}, "dot"),
+    ("M", [[-1e300, 1e300], [1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]], {"n": 100}, "multiply"),
+    # a penalty value past the float range
+    ("c", [1e308, 0.0, -1.0, -1.0], {"n": 5000, "penalty": {"w": 2.0}}, "matmul"),
+], ids=["p", "M", "c"])
+def test_floating_point_overflow_exits_1_with_one_json_error(tmp_path, field, value, doc,
+                                                              operation):
+    lp = write_json(tmp_path / "lp.json", dict(EXAMPLE1_DOC, **{field: value}))
+    cfg = write_json(tmp_path / "cfg.json", dict(doc, lp=lp))
+    done = _main_in_subprocess("estimate", cfg)
+    assert (done.returncode, done.stdout) == (EXIT_COMPUTE, "")
+    assert json.loads(done.stderr)["error"] == {  # the JSON error is all of stderr
+        "code": "computation_failed",
+        "message": f"FloatingPointError: overflow encountered in {operation}"}
 
 
 @pytest.mark.parametrize("command, doc, name", [

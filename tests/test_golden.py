@@ -3,8 +3,9 @@ files in tests/golden/.
 
 Each golden file holds the output of one small run: the three fig_*
 scenarios cut to 25 replications, the criterion-9 uniform-grid designs at
-20 replications, the noisy-design `infer` example, and two `aicm` runs with
-a confidence interval on microdata drawn from a fixed numpy seed. No run may
+20 replications, the noisy-design `infer` example, and three `aicm` runs
+with a confidence interval on microdata drawn from a fixed numpy seed, one
+of whose bootstraps redraws resamples that lose a cell. No run may
 raise a warning. A change that moves these bytes on purpose regenerates the
 files with
 
@@ -46,14 +47,26 @@ def _microdata(seed: int, arms: int, missing=None) -> str:
                                for yi, ti, zi in zip(y, t, z))
 
 
-def _aicm(kinds: list, target: dict) -> dict:
-    return {"assumptions": {"kinds": kinds, "bounds": [-1.0, 1.0]}, "target": target,
+def _thin_cell_microdata(seed: int) -> str:
+    """CSV text of 36 (y, t, z) records, y uniform on [0, 1], in cells of
+    12, 12, 10 and 2 records: about one bootstrap resample in eight leaves
+    the thin cell (T=1, Z=b) empty and is redrawn."""
+    rng = np.random.default_rng(seed)
+    return "y,t,z\n" + "".join(f"{rng.uniform(0, 1):.6f},{t},{z}\n"
+                               for t, z, size in (("0", "a", 12), ("1", "a", 12),
+                                                  ("0", "b", 10), ("1", "b", 2))
+                               for _ in range(size))
+
+
+def _aicm(kinds: list, target: dict, bounds=(-1.0, 1.0)) -> dict:
+    return {"assumptions": {"kinds": kinds, "bounds": list(bounds)}, "target": target,
             "ci": {"bootstrap_reps": 40}, "seed": 3}
 
 
 # aicm golden file -> the microdata its config reads
 MICRODATA = {
     "aicm_ate_cmiv_p.json": _microdata(11, 2),
+    "aicm_ate_cmiv_p_thin_cell.json": _thin_cell_microdata(13),
     "aicm_mean_mtr_miv_missing.json": _microdata(12, 3, missing=2),
 }
 
@@ -69,6 +82,8 @@ CASES = {
     "infer_example_b.json": ("infer", _scenario("infer_example_noisy"), ["--seed", "7"]),
     "aicm_ate_cmiv_p.json": ("aicm", _aicm(["bounds", "cmiv_p"], {"type": "ate", "t": "1", "d": "0"}),
                              ["--diagnostics"]),
+    "aicm_ate_cmiv_p_thin_cell.json": (
+        "aicm", _aicm(["bounds", "cmiv_p"], {"type": "ate", "t": "1", "d": "0"}, (0.0, 1.0)), []),
     "aicm_mean_mtr_miv_missing.json": (
         "aicm", _aicm(["bounds", "mtr", "miv"], {"type": "mean", "t": "1"}), []),
 }

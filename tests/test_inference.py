@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from lpbound.aicm import ATE, AssumptionSpec, bootstrap_theta_covariance
 from lpbound.inference import (
     InferenceConfig,
     InferenceError,
     ThetaEstimate,
     asymptotic_variance,
     ball_constrained_lstsq,
+    check_covariance,
     combine_two_sided,
     find_triplet,
     run_inference,
@@ -149,6 +151,59 @@ class TestAsymptoticVariance:
         bad = sigma - 2.0 * np.linalg.eigvalsh(sigma)[-1] * np.eye(sigma.shape[0])
         with pytest.raises(InferenceError):
             asymptotic_variance(A, x, v, bad)
+
+
+class TestCheckCovariance:
+    """check_covariance accepts a minimum eigenvalue down to -tau * scale,
+    tau = 1e-8 and scale the largest entry's magnitude (at least 1)."""
+
+    @staticmethod
+    def _with_min_eigenvalue(rng, k, factor, size=12):
+        # factor * Q diag(lam) Q' with lam[0] = 0, then its null direction
+        # moved to k * tau * scale
+        Q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+        lam = np.concatenate([[0.0], rng.uniform(0.1, 1.0, size - 1)])
+        sigma = factor * (Q * lam) @ Q.T
+        scale = max(1.0, float(np.abs(sigma).max()))
+        sigma = sigma + k * 1e-8 * scale * np.outer(Q[:, 0], Q[:, 0])
+        return 0.5 * (sigma + sigma.T)
+
+    @pytest.mark.parametrize("factor", [1.0, 300.0])
+    def test_min_eigenvalue_half_the_tolerance_below_zero_passes(self, rng, factor):
+        check_covariance(self._with_min_eigenvalue(rng, -0.5, factor))
+
+    @pytest.mark.parametrize("factor", [1.0, 300.0])
+    def test_min_eigenvalue_twice_the_tolerance_below_zero_fails(self, rng, factor):
+        sigma = self._with_min_eigenvalue(rng, -2.0, factor)
+        with pytest.raises(InferenceError, match=r"^Sigma is not PSD \(min eigenvalue -"):
+            check_covariance(sigma)
+
+    def test_nan_is_not_finite(self):
+        sigma = np.eye(3)
+        sigma[1, 2] = sigma[2, 1] = np.nan
+        with pytest.raises(InferenceError, match="^S must be finite$"):
+            check_covariance(sigma, "S")
+
+    def test_asymmetric_is_refused(self):
+        sigma = np.eye(3)
+        sigma[0, 2] = 1e-3
+        with pytest.raises(InferenceError, match="^Sigma must be symmetric$"):
+            check_covariance(sigma)
+
+    def test_rank_deficient_bootstrap_sigma_passes(self, rng):
+        # the aicm bootstrap Sigma of a binary treatment over five instrument
+        # levels: 186 x 186, of rank at most B - 1 = 99 and with zero rows
+        z = rng.integers(0, 5, 2000)
+        t = (rng.random(2000) < 0.25 + 0.1 * z).astype(int)
+        z[:10], t[:10] = np.arange(10) % 5, np.arange(10) // 5
+        y = np.clip(rng.normal(0.1 + 0.3 * t + 0.05 * z, 0.3), -1.0, 1.0)
+        records = [(float(yi), str(ti), f"z{zi}") for yi, ti, zi in zip(y, t, z)]
+        spec = AssumptionSpec(kinds=frozenset({"bounds", "cmiv_p"}), bounds=(-1.0, 1.0),
+                              target=ATE("1", "0"))
+        sigma = bootstrap_theta_covariance(records, spec, B=100, seed=1)
+        assert sigma.shape == (186, 186)
+        assert np.linalg.matrix_rank(sigma) < 100
+        check_covariance(sigma)
 
 
 class TestRunInference:
