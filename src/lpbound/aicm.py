@@ -86,6 +86,16 @@ class ConditionalMomentTable:
             state = "observed but has undefined" if seen[i] else "unobserved but has"
             raise TableError(f"treatment {self.treatments[i]} is {state} cell means")
 
+    @classmethod
+    def _unchecked(cls, treatments: List, instruments: List, mean: np.ndarray, prob: np.ndarray,
+                   count: np.ndarray, observed: frozenset) -> "ConditionalMomentTable":
+        """The table of fields that meet __post_init__'s checks by
+        construction (see ingest_sample), without running them."""
+        table = cls.__new__(cls)
+        table.treatments, table.instruments, table.mean = treatments, instruments, mean
+        table.prob, table.count, table.observed = prob, count, observed
+        return table
+
     @property
     def n_treatments(self) -> int:
         return len(self.treatments)
@@ -125,22 +135,27 @@ def _coded(labels: list):
 class Microdata(collections.abc.Sequence):
     """(y, t, z) records held as columns.
 
-    y holds the outcomes as floats (0.0 where missing), `missing` marks the
-    records without one, and t and z are integer codes into the sorted label
-    lists t_labels and z_labels. Item i is the record (y or None, t, z);
-    take(idx) is the resample of records idx, sharing the label lists, so a
-    resample may leave some labels without records.
+    y holds the outcomes as floats (0.0 where missing), and `missing` marks
+    the records without one, or is None when every record of the sample has
+    one. t and z are integer codes into the sorted label lists t_labels and
+    z_labels; each record's cell code t * len(z_labels) + z is computed once
+    per sample and held as `cell`, from which t and z are read. Item i is the
+    record (y or None, t, z); take(idx) is the resample of records idx, which
+    indexes y and cell (and missing, when there is one), sharing the label
+    lists, so a resample may leave some labels without records.
     """
 
-    def __init__(self, y, missing, t, z, t_labels: List, z_labels: List):
-        self.y, self.missing, self.t, self.z = y, missing, t, z
+    def __init__(self, y, missing, cell, t_labels: List, z_labels: List):
+        self.y, self.missing, self.cell = y, missing, cell
         self.t_labels, self.z_labels = t_labels, z_labels
 
     @classmethod
-    def _of_lists(cls, y: list, missing: list, t: list, z: list) -> "Microdata":
+    def _of_lists(cls, y, missing: list, t: list, z: list) -> "Microdata":
         """Columns of floats y, flags missing and labels t and z."""
         (t_labels, t), (z_labels, z) = _coded(t), _coded(z)
-        return cls(np.array(y, dtype=float), np.array(missing, dtype=bool), t, z, t_labels, z_labels)
+        missing = np.array(missing, dtype=bool)
+        return cls(np.asarray(y, dtype=float), missing if missing.any() else None,
+                   t * len(z_labels) + z, t_labels, z_labels)
 
     @classmethod
     def of(cls, records) -> "Microdata":
@@ -158,16 +173,25 @@ class Microdata(collections.abc.Sequence):
             z.append(r[2])
         return cls._of_lists(y, missing, t, z)
 
+    @property
+    def t(self) -> np.ndarray:
+        return self.cell // len(self.z_labels)
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.cell % len(self.z_labels)
+
     def __len__(self) -> int:
         return len(self.y)
 
     def __getitem__(self, i) -> Tuple:
-        return (None if self.missing[i] else float(self.y[i]),
-                self.t_labels[self.t[i]], self.z_labels[self.z[i]])
+        t, z = divmod(int(self.cell[i]), len(self.z_labels))
+        gone = self.missing is not None and self.missing[i]
+        return None if gone else float(self.y[i]), self.t_labels[t], self.z_labels[z]
 
     def take(self, idx) -> "Microdata":
-        return Microdata(self.y[idx], self.missing[idx], self.t[idx], self.z[idx],
-                         self.t_labels, self.z_labels)
+        missing = None if self.missing is None else self.missing[idx]
+        return Microdata(self.y[idx], missing, self.cell[idx], self.t_labels, self.z_labels)
 
 
 def ingest_sample(records: Sequence[Tuple]) -> ConditionalMomentTable:
@@ -176,21 +200,25 @@ def ingest_sample(records: Sequence[Tuple]) -> ConditionalMomentTable:
 
     y is None/NaN/"" for missing outcomes; within a treatment level the
     presence of y must be consistent. Every (t, z) cell of the labels that
-    occur must be populated. The records are counted over the full grid of
-    the data's labels; only when a cell of it is empty are the labels
-    without records dropped, and the cells checked again.
+    occur must be populated. The records are counted from their cell codes
+    over the full grid of the data's labels; only when a cell of it is empty
+    are the labels without records dropped, and the cells checked again. A
+    table whose every treatment has outcomes and whose means are finite
+    meets every check of ConditionalMomentTable by construction, so it
+    skips them (_unchecked); any other goes through the checked constructor.
     """
     data = Microdata.of(records)
     if not len(data):
         raise TableError("no records")
     treatments, instruments = data.t_labels, data.z_labels
     shape = (len(treatments), len(instruments))
-    cell = data.t * shape[1] + data.z
+    cell = data.cell
     count = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
     observed, missing = np.ones(shape[0], dtype=bool), data.missing
-    if missing.any():
-        present = np.bincount(data.t[~missing], minlength=shape[0])
-        absent = np.bincount(data.t[missing], minlength=shape[0])
+    if missing is not None and missing.any():
+        codes = data.t
+        present = np.bincount(codes[~missing], minlength=shape[0])
+        absent = np.bincount(codes[missing], minlength=shape[0])
         mixed = np.flatnonzero((present > 0) & (absent > 0))
         if mixed.size:
             i = mixed[0]
@@ -214,21 +242,21 @@ def ingest_sample(records: Sequence[Tuple]) -> ConditionalMomentTable:
                 "every treatment-instrument cell needs observations"
             )
     mean = total / count
+    # every cell is populated here, so prob > 0 and sums to 1; with every
+    # treatment observed and every mean finite, the table's checks all hold
+    sound = observed.all() and np.isfinite(mean).all()
     mean[~observed] = np.nan
-    return ConditionalMomentTable(list(treatments), list(instruments), mean, count / count.sum(),
-                                  count, frozenset(itertools.compress(treatments, observed)))
+    make = ConditionalMomentTable._unchecked if sound else ConditionalMomentTable
+    return make(list(treatments), list(instruments), mean, count / count.sum(),
+                count, frozenset(itertools.compress(treatments, observed)))
 
 
-def read_microdata_csv(path) -> Microdata:
-    """Records from a CSV with header y,t,z, read in one pass over its rows.
-    Each y is a finite number or empty, which denotes a missing outcome; a
-    row that is not three fields, or whose y is neither, raises TableError
-    naming its line."""
+def _read_rows(path) -> Microdata:
+    """read_microdata_csv one row at a time: the pass that names the first
+    line at fault."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
-            raise TableError(f"microdata CSV must have header 'y,t,z', got {header}")
+        next(reader)  # the header, checked by read_microdata_csv
         y, missing, t, z = [], [], [], []
         for row in reader:
             if not row:  # a blank line
@@ -252,6 +280,32 @@ def read_microdata_csv(path) -> Microdata:
             t.append(row[1].strip())
             z.append(row[2].strip())
     return Microdata._of_lists(y, missing, t, z)
+
+
+def read_microdata_csv(path) -> Microdata:
+    """Records from a CSV with header y,t,z. Each y is a finite number or
+    empty, which denotes a missing outcome; a row that is not three fields,
+    or whose y is neither, raises TableError naming its line. The y column
+    converts in one np.array call (as float() converts each field); when a
+    row is not three fields or a y is not a finite number, the rows are read
+    again one at a time (_read_rows), which names the first line at fault."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
+            raise TableError(f"microdata CSV must have header 'y,t,z', got {header}")
+        rows = [row for row in reader if row]  # a blank line is no row
+    if all(len(row) == 3 for row in rows):
+        fields = [row[0].strip() for row in rows]
+        try:
+            y = np.array([field or "0" for field in fields], dtype=float)
+        except ValueError:  # a y that is not a number
+            return _read_rows(path)
+        if np.isfinite(y).all():
+            return Microdata._of_lists(y, [not field for field in fields],
+                                       [row[1].strip() for row in rows],
+                                       [row[2].strip() for row in rows])
+    return _read_rows(path)
 
 
 @dataclass
@@ -460,7 +514,8 @@ def bound_value(program: CompiledProgram, direction: str):
     if program.lp is None:
         return program.offset, OPTIMAL
     flip = -1.0 if direction == "upper" else 1.0  # the upper bound is -min(-p'x)
-    sol = solve_lp(replace(program.lp, p=flip * program.lp.p))
+    lp = program.lp
+    sol = solve_lp(LpParams._derived(flip * lp.p, lp.M, lp.c, lp.box))
     if sol.status != OPTIMAL:
         return None, sol.status
     return flip * sol.value + program.offset, OPTIMAL
@@ -627,7 +682,9 @@ def bound_interval(data: Sequence[Tuple], spec: AssumptionSpec, base: Conditiona
             except TableError as exc:
                 raise InferenceError(f"fold produced an invalid table: {exc}")
             offsets.append(prog.offset)
-            return ThetaEstimate(params=replace(prog.lp, p=flip * prog.lp.p), sigma=sigma)
+            lp = prog.lp
+            return ThetaEstimate(params=LpParams._derived(flip * lp.p, lp.M, lp.c, lp.box),
+                                 sigma=sigma)
 
         res = run_inference(len(data), estimator, cfg, seed)
         results.append(replace(res, estimate=flip * res.estimate + offsets[-1]))

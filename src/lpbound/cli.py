@@ -16,6 +16,7 @@ error object, and nothing else reaches stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -545,10 +546,16 @@ _DISPATCH = {"estimate": cmd_estimate, "infer": cmd_infer, "simulate": cmd_simul
              "aicm": cmd_aicm}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parse_args keeps no
+    state between calls, so every command can share it."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

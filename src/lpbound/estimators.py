@@ -94,11 +94,12 @@ def _relaxed_params(params: LpParams, w) -> LpParams:
     w = penalty_rows(w, q)
     if np.any(w < 0):
         raise PenaltyError("penalty vector must be nonnegative")
-    return LpParams(
-        p=np.concatenate([params.p, w]),
-        M=np.hstack([params.M, np.eye(q)]),
-        c=params.c.copy(),
-        box=(np.concatenate([lower, np.zeros(q)]), np.concatenate([upper, np.full(q, np.inf)])),
+    return LpParams._derived(
+        np.concatenate([params.p, w]),
+        np.hstack([params.M, np.eye(q)]),
+        params.c.copy(),
+        (np.concatenate([lower, np.zeros(q)]), np.concatenate([upper, np.full(q, np.inf)])),
+        added=w,
     )
 
 
@@ -165,8 +166,8 @@ def set_expansion_value(params: LpParams, kappa_n: float, n: int,
     if kappa_n < 0:
         raise PenaltyError("kappa_n must be nonnegative")
     eps = math.sqrt(kappa_n / n)
-    expanded = LpParams(p=params.p, M=params.M, c=params.c - eps, box=params.box)
-    return solve_lp(expanded, bases=bases)
+    c = params.c - eps
+    return solve_lp(LpParams._derived(params.p, params.M, c, params.box, added=c), bases=bases)
 
 
 def tao_vu_quantile(alpha: float) -> float:

@@ -27,6 +27,7 @@ from .estimators import (
 )
 
 _PSD_TOL = 1e-8
+_SYM_RTOL = 1e-5  # np.allclose's default rtol
 _VAR_CLIP = -1e-10
 
 
@@ -198,19 +199,27 @@ def check_covariance(sigma: np.ndarray, name: str = "Sigma") -> None:
     """Raise InferenceError unless sigma is finite, symmetric and positive
     semidefinite, each within _PSD_TOL (relative to its largest entry).
 
-    Its symmetric part S has no eigenvalue below -_PSD_TOL * scale exactly
-    when S + _PSD_TOL * scale * I is positive definite, which one Cholesky
-    factorization tells; the eigenvalues are computed only to word a refusal."""
+    Symmetry is np.allclose(sigma, sigma.T, atol=_PSD_TOL), with its rtol,
+    as one comparison of the finite entries. The symmetric part S has no
+    eigenvalue below -_PSD_TOL * scale exactly when S + _PSD_TOL * scale * I
+    is positive definite, which one Cholesky factorization tells; the
+    diagonal is shifted in place, and the eigenvalues are computed only to
+    word a refusal."""
     if not np.all(np.isfinite(sigma)):
         raise InferenceError(f"{name} must be finite")
-    if not np.allclose(sigma, sigma.T, atol=_PSD_TOL):
+    magnitude = np.abs(sigma)
+    # allclose bounds |sigma - sigma.T| at (i, j) by |sigma.T[i, j]|; that
+    # difference is symmetric, so bounding it by |sigma[i, j]| tests the same
+    # pairs, with the bound read in memory order
+    if not (np.abs(sigma - sigma.T) <= _PSD_TOL + _SYM_RTOL * magnitude).all():
         raise InferenceError(f"{name} must be symmetric")
-    scale = max(1.0, float(np.abs(sigma).max()))
-    sym = 0.5 * (sigma + sigma.T)
+    scale = max(1.0, float(magnitude.max()))
+    shifted = 0.5 * (sigma + sigma.T)
+    shifted.reshape(-1)[::len(shifted) + 1] += _PSD_TOL * scale  # the diagonal, a view
     try:
-        np.linalg.cholesky(sym + _PSD_TOL * scale * np.eye(len(sym)))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh(sym).min()
+        lowest = np.linalg.eigvalsh(0.5 * (sigma + sigma.T)).min()
         raise InferenceError(f"{name} is not PSD (min eigenvalue {lowest:.3e})") from None
 
 

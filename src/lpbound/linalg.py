@@ -150,6 +150,12 @@ class LpParams:
     The program is  min p'x  s.t.  Mx >= c  and x in the box.  M may have no
     rows (shape (0, d)), leaving the box alone. Box bounds may be +-inf for
     unconstrained coordinates; box=None leaves every coordinate unconstrained.
+
+    An LP built from the arrays of one already checked goes through _derived,
+    which skips these checks: the relaxed penalty LP (estimators
+    ._relaxed_params), the expanded LP of estimators.set_expansion_value, a
+    design's LP (montecarlo.AffineDesign.params) and the sign-flipped
+    objective of an aicm bound (aicm.bound_value, aicm.bound_interval).
     """
 
     p: np.ndarray
@@ -179,6 +185,19 @@ class LpParams:
         if not ((lower <= upper) & (lower < np.inf) & (upper > -np.inf)).all():
             raise DimensionError("box bounds need lower <= upper, lower < inf and upper > -inf")
         self.box = (lower, upper)
+
+    @classmethod
+    def _derived(cls, p: np.ndarray, M: np.ndarray, c: np.ndarray, box: tuple,
+                 added=()) -> "LpParams":
+        """The LP of float arrays p, M, c and box whose shapes and box agree by
+        construction from a checked LP, without __post_init__. Only the new
+        entries `added` (a penalty w, a shifted c, a design's theta) are
+        checked to be finite, with __post_init__'s error."""
+        if not np.isfinite(added).all():
+            raise DimensionError("p, M, c entries must be finite")
+        lp = cls.__new__(cls)
+        lp.p, lp.M, lp.c, lp.box = p, M, c, box
+        return lp
 
     def theta(self) -> np.ndarray:
         """The stacked parameter vector (p, vec M column-major, c)."""

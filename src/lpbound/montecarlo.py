@@ -36,7 +36,7 @@ from typing import List, Literal, Optional, Sequence, get_args
 
 import numpy as np
 
-from .linalg import LpParams, SolverError, check_fields, solve_lp, OPTIMAL
+from .linalg import LpParams, SolverError, check_fields, inverse_vectorize, solve_lp, OPTIMAL
 from .estimators import (
     PenaltyConfig,
     PenaltyError,
@@ -177,7 +177,9 @@ def rng_for(seed: int, n_idx: int, rep: int, stream: int = 0) -> np.random.Gener
 @dataclass(frozen=True)
 class AffineDesign:
     """The LPs of one design: q x d programs in one box whose stacked inputs
-    theta = (p, vec M, c) are theta0 + G phi for a vector phi of means."""
+    theta = (p, vec M, c) are theta0 + G phi for a vector phi of means. The
+    layout and box are checked once, on the LP of theta0; params(phi) builds
+    each LP by LpParams._derived, checking only that theta is finite."""
 
     theta0: np.ndarray
     G: np.ndarray
@@ -185,8 +187,14 @@ class AffineDesign:
     d: int
     box: tuple
 
+    def __post_init__(self):
+        checked = LpParams.from_theta(self.theta0, self.q, self.d, self.box)
+        object.__setattr__(self, "box", checked.box)
+
     def params(self, phi) -> LpParams:
-        return LpParams.from_theta(self.theta0 + self.G @ phi, self.q, self.d, self.box)
+        theta, q, d = self.theta0 + self.G @ phi, self.q, self.d
+        return LpParams._derived(theta[:d], inverse_vectorize(theta[d:d + q * d], q, d),
+                                 theta[d + q * d:], self.box, added=theta)
 
 
 # example_a and example_b: min x1 s.t. x2 >= (1 + b) x1 + nu, (1 + zeta) x1 - x2 >= zeta,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lpbound import aicm
 from lpbound.aicm import (
     ATE,
     AssumptionSpec,
@@ -478,6 +479,139 @@ class TestMicrodata:
         assert repr(list(data)) == repr(reference)
         assert data.t_labels == ["0", "1", "x"] and data.z_labels == ["a", "b"]
         assert repr(list(Microdata.of(reference))) == repr(reference)
+
+
+class TestUncheckedTable:
+    """ingest_sample skips ConditionalMomentTable's checks only for a table
+    that meets them by construction: with every table sent through the
+    checked constructor instead, each ingest gives a bitwise-equal table or
+    the same TableError text. Microdata's items and codes stay the records'."""
+
+    @staticmethod
+    def _outcome(given):
+        try:
+            table = ingest_sample(given)
+        except TableError as exc:
+            return str(exc)
+        assert type(table.observed) is frozenset and table.mean.dtype == np.float64
+        return _table_bytes(table)
+
+    @staticmethod
+    def _check_columns(data, records):
+        # records: the (y, t, z) tuples data holds, None or NaN where missing
+        want = [(None if y is None or math.isnan(y) else y, t, z) for y, t, z in records]
+        assert repr(list(data)) == repr(want)
+        assert [data.t_labels[i] for i in data.t] == [r[1] for r in records]
+        assert [data.z_labels[i] for i in data.z] == [r[2] for r in records]
+        assert data.t.dtype == data.z.dtype == np.intp
+
+    @pytest.mark.parametrize("unobserved, y_extra", [
+        ((), []),  # every outcome present
+        (("2",), []),  # treatment "2" has none
+        ((), [math.inf, -math.inf]),  # a non-finite y passed through Microdata.of
+    ], ids=["observed", "missing", "non-finite"])
+    def test_ingest_equals_the_checked_path(self, rng, monkeypatch, unobserved, y_extra):
+        records = _grid_records(int(rng.integers(1 << 30)), 3, 3, n=45, unobserved=unobserved)
+        records = [(math.nan if y is None and i % 2 else y, t, z) for i, (y, t, z) in enumerate(records)]
+        records += [(y, "1", "z0") for y in y_extra]
+        data = Microdata.of(records)
+        self._check_columns(data, records)
+        draws = []  # (given, its records): random resamples, and resamples of them
+        for _ in range(150):
+            idx = rng.integers(0, len(records), int(rng.integers(1, 2 * len(records))))
+            draws.append((data.take(idx), [records[i] for i in idx]))
+            again = rng.integers(0, len(idx), len(idx))
+            draws.append((data.take(idx).take(again), [records[idx[i]] for i in again]))
+        draws.append((data, records))
+        paths, build, check = [], ConditionalMomentTable._unchecked, ConditionalMomentTable.__post_init__
+        monkeypatch.setattr(ConditionalMomentTable, "_unchecked",
+                            lambda *fields: paths.append("unchecked") or build(*fields))
+        monkeypatch.setattr(ConditionalMomentTable, "__post_init__",
+                            lambda table: paths.append("checked") or check(table))
+        fast = [self._outcome(given) for given, _ in draws]
+        # both paths ran, the unchecked one only where every outcome is present and finite
+        assert set(paths) == ({"checked", "unchecked"} if unobserved or y_extra else {"unchecked"})
+        monkeypatch.setattr(ConditionalMomentTable, "_unchecked", ConditionalMomentTable)
+        assert fast == [self._outcome(given) for given, _ in draws]
+        for (given, held), outcome in zip(draws, fast):
+            self._check_columns(given, held)
+            if not isinstance(outcome, str):  # the table of the records as a list
+                assert outcome == _table_bytes(ingest_sample(held))
+
+
+_CSV_Y = ["0.5", "-1.25", " 2 ", "", "  ", "-0.0", "1e-400", "+.5", "1_000", "\u0661\u0662",
+          "\uff11\uff12", '"3.5"', "1e5", "7"]
+_CSV_BAD_Y = ["nan", "NaN", "inf", "-inf", "1e999", "abc", ' "3.5"', "0x1p3", "1__0"]
+_CSV_LABELS = ["0", "1", " 1 ", "a", '"x,y"', "\u00e9", '""']
+
+
+def _read_csv_reference(path):
+    """The records of a microdata CSV, read one row at a time with float()
+    on each y, or the TableError text: the reference for read_microdata_csv."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
+            return f"microdata CSV must have header 'y,t,z', got {header}"
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                return f"microdata CSV line {reader.line_num}: expected 3 fields y,t,z, got {len(row)}"
+            field, y = row[0].strip(), None
+            if field:
+                try:
+                    y = float(field)
+                except ValueError:
+                    y = math.nan
+                if not math.isfinite(y):
+                    return (f"microdata CSV line {reader.line_num}: y must be a finite number "
+                            f"or empty, got {field!r}")
+            records.append((y, row[1].strip(), row[2].strip()))
+    return records
+
+
+def _random_csv(rng) -> str:
+    """A microdata CSV text: mostly good rows, with blank lines, rows of 2
+    and 4 fields, y that is not a finite number, and now and then a bad header."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    lines = [pick(["y,t,z"] * 16 + [" y , t ,z", "y,t", "t,y,z"])]
+    for _ in range(int(rng.integers(0, 12))):
+        u = rng.random()
+        if u < 0.08:
+            lines.append("")
+        elif u < 0.12:
+            lines.append(",".join(pick(_CSV_LABELS) for _ in range(pick([2, 4]))))
+        else:
+            y = pick(_CSV_BAD_Y) if u > 0.95 else pick(_CSV_Y)
+            lines.append(f"{y},{pick(_CSV_LABELS)},{pick(_CSV_LABELS)}")
+    return "\n".join(lines) + pick(["", "\n", "\n\n"])
+
+
+def test_csv_reads_as_the_row_by_row_reference(rng, tmp_path, monkeypatch):
+    # the fast path and the row-by-row fallback both run
+    by_rows, read_rows = [], aicm._read_rows
+    monkeypatch.setattr(aicm, "_read_rows", lambda path: by_rows.append(1) or read_rows(path))
+    path, outcomes = tmp_path / "micro.csv", set()
+    for _ in range(400):
+        path.write_text(_random_csv(rng))
+        want = _read_csv_reference(path)
+        try:
+            data = read_microdata_csv(path)
+        except TableError as exc:
+            assert str(exc) == want
+            outcomes.add(next(kind for kind in ("header", "fields", "finite") if kind in want))
+            continue
+        assert repr(list(data)) == repr(want)  # repr tells -0.0 from 0.0
+        assert data.y.tobytes() == np.array([0.0 if r[0] is None else r[0] for r in want]).tobytes()
+        assert (data.missing is None) == all(r[0] is not None for r in want)
+        assert data.t_labels == sorted({r[1] for r in want})
+        assert data.z_labels == sorted({r[2] for r in want})
+        outcomes.add("records")
+    assert outcomes == {"records", "header", "fields", "finite"} and 0 < len(by_rows) < 400
 
 
 def _general_rows_reference(table, spec, t):

@@ -580,6 +580,26 @@ def _main_in_subprocess(command: str, cfg: str) -> subprocess.CompletedProcess:
                           env=env, stdin=subprocess.DEVNULL, timeout=120)
 
 
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # a usage error leaves the shared parser as it was: the next command
+    # prints what it prints in a fresh process
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
+    cfg = write_json(tmp_path / "cfg.json", {"lp": lp, "n": 5000})
+    capsys.readouterr()
+    assert main(["estimate"]) == EXIT_USAGE
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    assert main(["estimate", "--config", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert main(["infer", "--config", cfg, "--seed", "x"]) == EXIT_USAGE
+    assert len(built) == 1
+    fresh = _main_in_subprocess("estimate", cfg)
+    assert (fresh.returncode, fresh.stderr) == (EXIT_OK, "")
+    assert out.encode() == fresh.stdout.encode()
+
+
 def test_lp_entry_beyond_the_float_range_exits_2(tmp_path, capsys):
     # json reads an integer literal exactly; float() of it overflows
     lp = write_json(tmp_path / "lp.json", dict(EXAMPLE1_DOC, c=[0, 0, -1, 10**400]))

@@ -1,13 +1,14 @@
-"""Byte-for-byte checks of `simulate`, `infer` and `aicm` output against
-files in tests/golden/.
+"""Byte-for-byte checks of `estimate`, `simulate`, `infer` and `aicm` output
+against files in tests/golden/.
 
-Each golden file holds the output of one small run: the three fig_*
-scenarios cut to 25 replications, the criterion-9 uniform-grid designs at
-20 replications, the noisy-design `infer` example, and three `aicm` runs
-with a confidence interval on microdata drawn from a fixed numpy seed, one
-of whose bootstraps redraws resamples that lose a cell. No run may
-raise a warning. A change that moves these bytes on purpose regenerates the
-files with
+Each golden file holds the output of one small run: all four estimators on
+scenarios/example1_b0.json and on a (10, 30) boxed LP drawn from a fixed
+numpy seed, the three fig_* scenarios cut to 25 replications, the
+criterion-9 uniform-grid designs at 20 replications, the noisy-design
+`infer` example, and three `aicm` runs with a confidence interval on
+microdata drawn from a fixed numpy seed, one of whose bootstraps redraws
+resamples that lose a cell. No run may raise a warning. A change that
+moves these bytes on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -58,6 +59,16 @@ def _thin_cell_microdata(seed: int) -> str:
                                for _ in range(size))
 
 
+def _random_lp(seed: int, d: int, q: int) -> dict:
+    """A feasible LP document in the box [-5, 5]^d: c = M x0 - margin for
+    an x0 inside the box."""
+    rng = np.random.default_rng(seed)
+    M, p = rng.standard_normal((q, d)), rng.standard_normal(d)
+    c = M @ rng.uniform(-4.0, 4.0, d) - rng.uniform(0.1, 1.0, q)
+    return {"p": p.tolist(), "M": M.tolist(), "c": c.tolist(),
+            "box": {"lower": [-5.0] * d, "upper": [5.0] * d}}
+
+
 def _aicm(kinds: list, target: dict, bounds=(-1.0, 1.0)) -> dict:
     return {"assumptions": {"kinds": kinds, "bounds": list(bounds)}, "target": target,
             "ci": {"bootstrap_reps": 40}, "seed": 3}
@@ -70,9 +81,16 @@ MICRODATA = {
     "aicm_mean_mtr_miv_missing.json": _microdata(12, 3, missing=2),
 }
 
+_ESTIMATE = {"estimators": ["plugin", "penalty", "debiased", "setexp"], "n": 2000}
+# estimate golden file -> the LP document its config reads
+LP_DOCS = {"estimate_random_10x30.json": _random_lp(17, 10, 30)}
+
 
 # golden file -> (command, config, extra arguments)
 CASES = {
+    "estimate_example1_b0.json": (
+        "estimate", {**_ESTIMATE, "lp": str(ROOT / "scenarios" / "example1_b0.json")}, []),
+    "estimate_random_10x30.json": ("estimate", _ESTIMATE, []),
     "fig_consistency_b0.csv": ("simulate", _scenario("fig_consistency_b0", replications=25), []),
     "fig_consistency_bneg.csv": ("simulate", _scenario("fig_consistency_bneg", replications=25), []),
     "fig_coverage_b0.csv": ("simulate", _scenario("fig_coverage_b0", replications=25), []),
@@ -96,6 +114,10 @@ def run_case(name: str, workdir: Path) -> bytes:
         data = workdir / f"{name}.csv"
         data.write_text(MICRODATA[name])
         config = {**config, "data": str(data)}
+    if name in LP_DOCS:
+        lp = workdir / f"{name}.lp.json"
+        lp.write_text(json.dumps(LP_DOCS[name]))
+        config = {**config, "lp": str(lp)}
     cfg.write_text(json.dumps(config))
     code = main([command, "--config", str(cfg), "--out", str(out), *extra])
     if code != EXIT_OK:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpbound import linalg
-from lpbound.aicm import AssumptionSpec, CompileError
+from lpbound import aicm, estimators, linalg
+from lpbound.aicm import AssumptionSpec, CompileError, CompiledProgram, bound_value
 from lpbound.estimators import (
     PenaltyConfig,
     _relaxed_params,
@@ -37,7 +37,7 @@ from lpbound.linalg import (
     stack_theta,
 )
 
-from lpbound.montecarlo import ScenarioError, SimulationScenario
+from lpbound.montecarlo import _EXAMPLE, _GRID, ScenarioError, SimulationScenario
 
 from conftest import example1_params, random_lp
 
@@ -681,6 +681,92 @@ class TestLinalgUtilities:
     def test_input_numpy_cannot_convert_raises_dimension_error(self, name, entries):
         with pytest.raises(DimensionError, match=rf"^{name} must be a numeric array$"):
             LpParams(**entries)
+
+
+def _same_arrays(derived: LpParams, checked: LpParams) -> bool:
+    """Every array of derived equals checked's, in shape, dtype and value."""
+    pairs = zip((derived.p, derived.M, derived.c, *derived.box),
+                (checked.p, checked.M, checked.c, *checked.box))
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
+
+
+class TestDerivedLp:
+    """LPs built from a checked one skip LpParams.__post_init__
+    (LpParams._derived): each has the arrays of the checked LpParams built
+    from the same pieces, and an entry it adds that is not finite raises the
+    checked constructor's error."""
+
+    FINITE = r"^p, M, c entries must be finite$"
+
+    def test_relaxed_lp_is_the_checked_one(self, rng):
+        for _ in range(30):
+            params = random_lp(rng)
+            q, (lower, upper) = params.q, params.box
+            for w in (float(rng.uniform(0.0, 5.0)), rng.uniform(0.0, 5.0, q)):
+                checked = LpParams(
+                    p=np.concatenate([params.p, np.broadcast_to(w, (q,))]),
+                    M=np.hstack([params.M, np.eye(q)]), c=params.c,
+                    box=(np.concatenate([lower, np.zeros(q)]), np.concatenate([upper, np.full(q, np.inf)])))
+                assert _same_arrays(_relaxed_params(params, w), checked)
+
+    def test_expanded_and_flipped_lps_are_the_checked_ones(self, rng, monkeypatch):
+        solved = []
+        for module in (estimators, aicm):
+            monkeypatch.setattr(module, "solve_lp", lambda lp, **_: solved.append(lp) or
+                                linalg.LpSolution(OPTIMAL, 0.0, np.zeros(lp.d)))
+        params = random_lp(rng)
+        set_expansion_value(params, 0.3, 50)
+        checked = LpParams(p=params.p, M=params.M, c=params.c - math.sqrt(0.3 / 50), box=params.box)
+        assert _same_arrays(solved.pop(), checked)
+        for direction, flip in (("lower", 1.0), ("upper", -1.0)):
+            bound_value(CompiledProgram(params, 0.0, []), direction)
+            checked = LpParams(p=flip * params.p, M=params.M, c=params.c, box=params.box)
+            assert _same_arrays(solved.pop(), checked)
+
+    def test_fold_lps_of_an_aicm_interval_are_the_checked_ones(self, monkeypatch):
+        folds, run = [], aicm.run_inference
+
+        def recording_run(n, estimator, cfg, seed):
+            def recording(idx):
+                estimate = estimator(idx)
+                folds.append((idx, estimate.params))
+                return estimate
+            return run(n, recording, cfg, seed)
+
+        monkeypatch.setattr(aicm, "run_inference", recording_run)
+        rng = np.random.default_rng(5)
+        records = [(float(rng.uniform(0, 1)), str(t), z) for t in (0, 1) for z in "ab"
+                   for _ in range(15)]
+        spec = AssumptionSpec(kinds=frozenset({"bounds", "cmiv_p"}), bounds=(0.0, 1.0),
+                              target=aicm.ATE("1", "0"))
+        data = aicm.Microdata.of(records)
+        base = aicm.ingest_sample(data)
+        aicm.bound_interval(data, spec, base, InferenceConfig(), 20, 3)
+        assert len(folds) == 4  # two folds per direction, lower first
+        for k, (idx, lp) in enumerate(folds):
+            fold = aicm.compile(aicm._resample(data, idx, base), spec).lp
+            flip = 1.0 if k < 2 else -1.0
+            assert _same_arrays(lp, LpParams(p=flip * fold.p, M=fold.M, c=fold.c, box=fold.box))
+
+    def test_design_lp_is_the_checked_one(self, rng):
+        for design in (_EXAMPLE, _GRID):
+            for _ in range(10):
+                phi = rng.normal(size=design.G.shape[1])
+                checked = LpParams.from_theta(design.theta0 + design.G @ phi, design.q, design.d,
+                                              design.box)
+                assert _same_arrays(design.params(phi), checked)
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan, [2.0, math.inf, 2.0, 2.0]],
+                             ids=["inf", "nan", "one-inf-row"])
+    @pytest.mark.parametrize("estimate", [penalty_value, debiased_estimate])
+    def test_a_penalty_that_is_not_finite_raises_the_checked_error(self, estimate, w):
+        with pytest.raises(DimensionError, match=self.FINITE):
+            estimate(example1_params(0.0), w)
+
+    @pytest.mark.parametrize("kappa_n", [math.inf, math.nan])
+    def test_an_expansion_that_is_not_finite_raises_the_checked_error(self, kappa_n):
+        with pytest.raises(DimensionError, match=self.FINITE):
+            set_expansion_value(example1_params(0.0), kappa_n, 100)
 
 
 @dataclass
