@@ -27,6 +27,7 @@ from .linalg import (
     check_fields,
     SolverError,
     TAU_RANK,
+    standard_blocks,
 )
 
 
@@ -78,9 +79,12 @@ def plug_in_value(params: LpParams, bases: Optional[list] = None) -> LpSolution:
 
 
 def penalty_rows(w, q: int) -> np.ndarray:
-    """The penalty w (a scalar or one entry per row of M) as a length-q vector."""
+    """The penalty w (a scalar or one entry per row of M) as a length-q vector:
+    a float vector of q entries as it is, a single entry broadcast."""
     w = np.asarray(w, dtype=float)
-    if w.ndim > 1 or w.size not in (1, q):
+    if w.shape == (q,):
+        return w
+    if w.ndim > 1 or w.size != 1:
         raise DimensionError(f"penalty w has {w.size} entries for {q} rows of M")
     return np.broadcast_to(w, (q,))
 
@@ -88,17 +92,18 @@ def penalty_rows(w, q: int) -> np.ndarray:
 def _relaxed_params(params: LpParams, w) -> LpParams:
     """The (x, a)-space LP whose value equals min_X L(x; theta, w)."""
     lower, upper = params.box
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise PenaltyError("penalized estimation requires a compact box")
     q = params.q
     w = penalty_rows(w, q)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise PenaltyError("penalty vector must be nonnegative")
+    _, eye, zeros_q, inf_q = standard_blocks(q)
     return LpParams._derived(
-        np.concatenate([params.p, w]),
-        np.hstack([params.M, np.eye(q)]),
+        np.concatenate((params.p, w)),
+        np.concatenate((params.M, eye), axis=1),
         params.c.copy(),
-        (np.concatenate([lower, np.zeros(q)]), np.concatenate([upper, np.full(q, np.inf)])),
+        (np.concatenate((lower, zeros_q)), np.concatenate((upper, inf_q))),
         added=w,
     )
 

@@ -272,7 +272,7 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi:
     eligible index enters (Bland's rule, acyclic by Bland 1977) for good.
 
     Each pivot updates the inverse by one rank-one step (row `leave` divided
-    by the pivot entry, `outer(direction, row)` subtracted from the others)
+    by the pivot entry, `direction[:, None] * row` subtracted from the others)
     and x_B by its step. Both are taken afresh every _REFACTOR_EVERY pivots
     and before any verdict, so OPTIMAL and UNBOUNDED come from a fresh
     inverse only. `allowed` masks the columns permitted to move (an optimal
@@ -287,6 +287,7 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi:
     may = True if allowed is None else allowed
     up, down = (z < hi) & may, (z > lo) & may  # where nonbasic z_j may rise, and fall
     updates = stall = 0  # pivots since the inverse; zero steps in a row (up to _STALL_LIMIT)
+    ratios = np.empty(len(basis))  # the ratio test's buffer, refilled at each pivot
     while True:
         if Binv is None:
             Binv, updates = np.linalg.inv(A.take(basis, axis=1)), 0
@@ -308,10 +309,10 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi:
         direction = Binv @ A[:, enter]
         sense = 1.0 if reduced[enter] < 0.0 else -1.0  # z_enter rises or falls
         move = sense * direction  # x_B falls by t * move as z_enter moves by t
-        ratios = np.full(len(basis), np.inf)  # distance to the bound met / |move|
+        ratios.fill(np.inf)  # distance to the bound met / |move|
         np.divide(xB - np.where(move > 0.0, lo_B, hi_B), move, out=ratios,
                   where=np.abs(move) > _PIVOT_TOL)
-        rmin = max(ratios.min(initial=np.inf), 0.0)
+        rmin = max(np.minimum.reduce(ratios, initial=np.inf), 0.0)
         span = hi[enter] - lo[enter]
         if span <= rmin:  # z_enter meets its own bound first
             if span == np.inf:
@@ -341,20 +342,25 @@ def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi:
             Binv = None
         else:
             row = Binv[leave] / direction[leave]
-            Binv -= np.outer(direction, row)
+            Binv -= direction[:, None] * row
             Binv[leave] = row
 
 
 def _warm_basis(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 start: np.ndarray, bases) -> Optional[tuple]:
     """(basis, z, B^-1) for the first entry of `bases` whose columns B are a
-    well-conditioned basis of A with x_B within _WARM_FEAS_TOL of its bounds,
-    the nonbasics at `start` or at their upper bound where listed; or None.
-    An entry that holds B and B^-1 lends that inverse if A[:, basis] is B."""
+    basis of A with x_B within _WARM_FEAS_TOL of its bounds and B
+    well-conditioned, the nonbasics at `start` or at their upper bound where
+    listed; or None. x_B is tested first and the condition number only where
+    x_B passes, so an infeasible entry pays for no condition test; the pick is
+    the first entry that passes both. An entry that holds B and B^-1 lends
+    that inverse if A[:, basis] is B."""
     m, nvar = A.shape
     for basis, at_upper, *factor in bases:
         if len(basis) != m or max(basis, default=-1) >= nvar or not np.isfinite(hi[at_upper]).all():
             continue
+        z = start.copy()
+        z[at_upper] = hi[at_upper]
         idx = np.array(basis, dtype=np.intp)
         B = A.take(idx, axis=1)
         if factor and (B == factor[0]).all():
@@ -364,16 +370,26 @@ def _warm_basis(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 Binv = np.linalg.inv(B)
             except np.linalg.LinAlgError:
                 continue
-        # the infinity-norm condition number; NaN and inf fail the test too
-        if not np.abs(B).sum(1).max(initial=0.0) * np.abs(Binv).sum(1).max(initial=0.0) <= 1.0 / TAU_RANK:
-            continue
-        z = start.copy()
-        z[at_upper] = hi[at_upper]
         z[idx] = 0.0
         xB = Binv @ (b - A @ z)
-        if (xB >= lo[idx] - _WARM_FEAS_TOL).all() and (xB <= hi[idx] + _WARM_FEAS_TOL).all():
+        if not ((xB >= lo[idx] - _WARM_FEAS_TOL) & (xB <= hi[idx] + _WARM_FEAS_TOL)).all():
+            continue
+        # the infinity-norm condition number; NaN and inf fail the test too
+        if np.abs(B).sum(1).max(initial=0.0) * np.abs(Binv).sum(1).max(initial=0.0) <= 1.0 / TAU_RANK:
             return basis, z, Binv
     return None
+
+
+@functools.lru_cache(maxsize=16)
+def standard_blocks(q: int) -> tuple:
+    """The blocks that turn q rows into a bounded standard form: -I and +I
+    (q x q), q zeros and q infinities, built once per q and read-only, since
+    every caller of one q shares them."""
+    eye = np.eye(q)
+    blocks = (-eye, eye, np.zeros(q), np.full(q, np.inf))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
@@ -394,8 +410,11 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
 
     `bases`, when given, is a list of entries (basic columns, the columns at
     their upper bound) from earlier solves of LPs of the same shape, updated
-    in place. The first feasible entry replaces phase 1 (see _warm_basis);
-    with none, the solve starts cold. An OPTIMAL solve moves its entry to the
+    in place. The first entry that passes two tests replaces phase 1 (see
+    _warm_basis): x_B within its bounds, tested first, then the condition
+    number of B, tested only where x_B passes. With no such entry, the solve
+    starts cold. The standard form's -I, zero and infinity blocks come from
+    standard_blocks, built once per q. An OPTIMAL solve moves its entry to the
     front, with its basis matrix B and the inverse of B its verdict came
     from; the list holds each set of basic columns once. The value (and the
     secondary stage's value) does not depend on the start, but at a
@@ -403,9 +422,10 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
     """
     (q, d), (lower, upper) = params.M.shape, params.box
     nvar = d + q
-    A, b = np.concatenate((params.M, -np.eye(q)), axis=1), params.c
-    lo, hi = np.concatenate([lower, np.zeros(q)]), np.concatenate([upper, np.full(q, np.inf)])
-    cost = np.concatenate([params.p, np.zeros(q)])
+    neg_eye, eye, zeros_q, inf_q = standard_blocks(q)
+    A, b = np.concatenate((params.M, neg_eye), axis=1), params.c
+    lo, hi = np.concatenate((lower, zeros_q)), np.concatenate((upper, inf_q))
+    cost = np.concatenate((params.p, zeros_q))
     if secondary is not None and np.shape(secondary) != (d,):
         raise DimensionError(f"secondary objective must have length {d}")
     start = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
@@ -418,7 +438,7 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
         if violated.size:  # row i: M_i x - s_i + a_i = c_i, with a_i basic and s_i = 0
             for k, i in enumerate(violated):
                 basis[i] = nvar + k
-            A1, zeros = np.hstack([A, np.eye(q)[:, violated]]), np.zeros(violated.size)
+            A1, zeros = np.hstack([A, eye[:, violated]]), np.zeros(violated.size)
             status, z, basis, _, Binv = _simplex(
                 np.concatenate((np.zeros(nvar), zeros + 1.0)), A1, b, np.concatenate((lo, zeros)),
                 np.concatenate((hi, zeros + np.inf)), basis, np.concatenate((start, zeros)))
@@ -432,7 +452,7 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
             # u'A. With none left, phase 2 starts from phase 1's inverse of B.
             for i in [i for i, j in enumerate(basis) if j >= nvar]:
                 Binv = None
-                u = np.linalg.solve(A1[:, basis].T, np.eye(q)[i])
+                u = np.linalg.solve(A1[:, basis].T, eye[i])
                 entering = np.abs(u @ A) > 1e-9
                 entering[[j for j in basis if j < nvar]] = False
                 if not entering.any():
@@ -442,7 +462,7 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
     status, z, basis, reduced, Binv = _simplex(cost, A, b, lo, hi, basis, z, Binv=Binv)
     if status == OPTIMAL and secondary is not None:
         allowed = np.where(z == hi, -reduced, reduced) <= _REDUCED_COST_TOL
-        status, z, basis, _, Binv = _simplex(np.concatenate([secondary, np.zeros(q)]), A, b, lo, hi,
+        status, z, basis, _, Binv = _simplex(np.concatenate((secondary, zeros_q)), A, b, lo, hi,
                                              basis, z, allowed=allowed, Binv=Binv)
     if status != OPTIMAL:
         return LpSolution(status=status)

@@ -108,6 +108,34 @@ class TestDebiased:
         assert not full_rank_binding(M, np.array([2, 3]))  # parallel rows
 
 
+class TestPenaltyVector:
+    """w is a nonnegative scalar or one entry per row of M."""
+
+    def test_solves_leave_the_callers_w_unchanged(self):
+        params = example1_params(0.01)
+        w = PenaltyConfig().resolve_w(params, 1000)
+        kept = w.copy()
+        bases = []
+        penalty_value(params, w, bases=bases)
+        debiased_estimate(params, w, bases=bases)
+        debiased_estimate(params, w)
+        assert w.tobytes() == kept.tobytes()
+
+    def test_a_scalar_and_one_entry_are_broadcast_to_every_row(self):
+        params = example1_params(0.0)
+        value = penalty_value(params, np.full(4, 2.0))
+        for w in (2.0, [2.0], np.array(2.0), np.array([2.0])):
+            assert penalty_value(params, w) == value
+            assert debiased_estimate(params, w).value == debiased_estimate(params, [2.0] * 4).value
+
+    @pytest.mark.parametrize("w, size", [([1.0, 2.0, 3.0], 3), ([1.0] * 5, 5), (np.ones((2, 2)), 4),
+                                         (np.ones((1, 4)), 4), ([], 0)])
+    @pytest.mark.parametrize("estimate", [penalty_value, debiased_estimate])
+    def test_a_w_of_the_wrong_shape_raises(self, estimate, w, size):
+        with pytest.raises(DimensionError, match=f"^penalty w has {size} entries for 4 rows of M$"):
+            estimate(example1_params(0.0), w)
+
+
 class TestSetExpansion:
     def test_zero_expansion_is_plugin_bitwise(self, rng):
         for _ in range(40):

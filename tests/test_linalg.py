@@ -37,7 +37,8 @@ from lpbound.linalg import (
     stack_theta,
 )
 
-from lpbound.montecarlo import _EXAMPLE, _GRID, ScenarioError, SimulationScenario
+from lpbound.montecarlo import (_EXAMPLE, _GRID, ConsistencyScenario, ScenarioError,
+                                 SimulationScenario, run_consistency)
 
 from conftest import example1_params, random_lp
 
@@ -449,6 +450,88 @@ class TestWarmStart:
         sol = solve_lp(lp([1.0, 1.0]), bases=bases)  # x >= 1 and x <= -1
         assert sol.status == INFEASIBLE and sol.value is None
         assert [tuple(map(id, entry)) for entry in bases] == kept
+
+
+class TestWarmBasisSelection:
+    """_warm_basis picks the first entry of the list whose x_B lies within
+    its bounds and whose B is well-conditioned, whichever test runs first."""
+
+    def _entries(self):
+        """The standard form of example_a at b = 1e-13 and three bases of
+        it: feasible but with cond(B) about 1e14, infeasible, and the cold
+        solve's final basis (feasible, well-conditioned)."""
+        params = example1_params(1e-13)
+        A, b, lo, hi, z = _standard_form(params)
+        slack = list(range(params.d, A.shape[1]))
+        ill = [0, 1] + slack[2:]
+        assert np.linalg.cond(A[:, ill]) > 1e13
+
+        def below_bounds(J):  # how far x_B of columns J falls below its lower bounds
+            z_N = z.copy()
+            z_N[J] = 0.0
+            return (np.linalg.solve(A[:, J], b - A @ z_N) - lo[J]).min()
+
+        infeasible = next(list(J) for J in itertools.combinations(range(A.shape[1]), A.shape[0])
+                          if abs(np.linalg.det(A[:, list(J)])) > 0.1 and below_bounds(list(J)) < -0.1)
+        bases = []
+        solve_lp(params, bases=bases)
+        good = bases[0][0]
+        return params, (A, b, lo, hi, z), ill, infeasible, good
+
+    def test_the_first_feasible_well_conditioned_entry_is_picked(self):
+        _, form, ill, infeasible, good = self._entries()
+        A, *_, z = form
+        none_up = np.array([], dtype=np.intp)
+        for J in (ill, infeasible, good):  # each alone: only the last is a start
+            found = linalg._warm_basis(*form, [(J, none_up)])
+            assert (found is not None) == (J is good)
+        basis, start, Binv = linalg._warm_basis(*form, [(ill, none_up), (infeasible, none_up),
+                                                        (good, none_up)])
+        assert basis is good
+        assert np.array_equal(Binv, np.linalg.inv(A[:, good]))
+        expected = z.copy()
+        expected[good] = 0.0
+        assert start.tobytes() == expected.tobytes()
+
+    def test_an_entry_with_an_unbounded_column_at_its_upper_bound_is_skipped(self):
+        params, form, _, _, good = self._entries()
+        nonbasic_surplus = [j for j in range(params.d, form[0].shape[1]) if j not in good]
+        assert nonbasic_surplus and np.isinf(form[3][nonbasic_surplus]).all()
+        later = list(good)
+        entries = [(good, np.array(nonbasic_surplus[:1])), (later, np.array([], dtype=np.intp))]
+        assert linalg._warm_basis(*form, entries)[0] is later
+
+    def test_an_entry_with_no_column_at_its_upper_bound_is_accepted(self):
+        _, form, _, _, good = self._entries()
+        for none_up in (np.array([], dtype=np.intp), []):
+            assert linalg._warm_basis(*form, [(good, none_up)])[0] is good
+
+    def test_an_lp_of_no_rows_solves_warm_as_cold(self, warm_starts):
+        params = LpParams(p=[1.0, -1.0], M=np.zeros((0, 2)), c=[], box=([-1.0, -1.0], [2.0, 2.0]))
+        bases = []
+        first = solve_lp(params, bases=bases)
+        warm = solve_lp(params, bases=bases)
+        cold = solve_lp(params)
+        assert warm_starts == [False, True]
+        assert first.status == warm.status == cold.status == OPTIMAL
+        assert warm.value == cold.value == -3.0
+        assert warm.vertex.tobytes() == cold.vertex.tobytes()
+
+
+def test_cached_standard_blocks_equal_fresh_ones_and_are_read_only():
+    """solve_lp and the relaxed penalty LP share one set of -I, +I, zero and
+    infinity blocks per row count q; after a consistency study (q = 4) the
+    cached set equals one built afresh, and no caller can write to it."""
+    run_consistency(ConsistencyScenario(dgp="example_a", sample_sizes=[100], replications=3))
+    hits = linalg.standard_blocks.cache_info().hits
+    cached = linalg.standard_blocks(4)
+    assert linalg.standard_blocks.cache_info().hits == hits + 1
+    fresh = (-np.eye(4), np.eye(4), np.zeros(4), np.full(4, np.inf))
+    for block, expected in zip(cached, fresh, strict=True):
+        assert block.dtype == expected.dtype and block.shape == expected.shape
+        assert block.tobytes() == expected.tobytes()  # -I keeps its -0.0 entries
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 1.0
 
 
 def _matches_vertex_oracle(params) -> bool:

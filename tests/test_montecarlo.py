@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lpbound import cli, linalg
 from lpbound.estimators import penalty_value
 from lpbound.geometry import delta_condition
 from lpbound.linalg import INFEASIBLE, LpParams, solve_lp
@@ -239,6 +241,29 @@ class TestConsistencyStudy:
                 assert abs(row.bias - (cold.mean() - truth)) <= 1e-12
                 assert abs(row.std - cold.std()) <= 1e-12
                 assert abs(row.rmse - np.sqrt(np.mean((cold - truth) ** 2))) <= 1e-12
+
+    def test_reference_run_takes_a_pinned_number_of_inverses_and_simplex_calls(
+            self, monkeypatch, capsys):
+        """The benchmark's reference consistency command (400 replication
+        solves and one truth solve): a change that adds a basis inverse or a
+        simplex call to a warm solve moves these counts."""
+        counts = {"inv": 0, "simplex": 0}
+        real_inv, real_simplex = np.linalg.inv, linalg._simplex
+
+        def counting_inv(a):
+            counts["inv"] += 1
+            return real_inv(a)
+
+        def counting_simplex(*args, **kwargs):
+            counts["simplex"] += 1
+            return real_simplex(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(linalg, "_simplex", counting_simplex)
+        config = Path(__file__).resolve().parents[1] / "perfbench/reference/mc_consistency.json"
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("estimator,n,mean")
+        assert counts == {"inv": 373, "simplex": 506}
 
     def test_failure_accounting_on_noisy_rhs(self):
         scenario = ConsistencyScenario(
