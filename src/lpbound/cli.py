@@ -295,12 +295,13 @@ def cmd_estimate(config: dict, args) -> int:
 
 def _row_estimator(rows: np.ndarray, template: LpParams):
     """Fold estimator for i.i.d. draws of the stacked parameter vector:
-    theta-hat is the column mean and sigma the per-observation covariance."""
+    theta-hat is the column mean and sigma the per-observation covariance,
+    computed only when read (run_inference reads fold 2's alone)."""
 
     def estimate(idx: np.ndarray) -> ThetaEstimate:
-        sub = rows[idx]
+        sub = rows.take(idx, axis=0)
         params = LpParams.from_theta(sub.mean(axis=0), template.q, template.d, template.box)
-        return ThetaEstimate(params=params, sigma=np.atleast_2d(np.cov(sub.T)))
+        return ThetaEstimate(params=params, sigma=lambda: np.atleast_2d(np.cov(sub.T)))
 
     return estimate
 

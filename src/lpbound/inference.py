@@ -8,13 +8,17 @@ statistic and its standard error; report one- and two-sided intervals.
 Parameter vectors are ordered (p, vec(M) column-major, c), of total length
 S = d + q*d + q; covariance matrices follow the same ordering, with the p
 block identically zero when p is deterministic.
+
+Only fold 2's covariance enters the standard error, so a fold estimator may
+return its covariance as a zero-argument function (see ThetaEstimate): fold
+1's is then never computed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,24 +39,35 @@ class InferenceError(ValueError):
     pass
 
 
-@dataclass
 class ThetaEstimate:
     """Estimated LP parameters with the covariance of the estimate.
 
     sigma is the S x S covariance of the full parameter vector in the
     (p, vec M, c) ordering, scaled so that theta_hat ~ (theta, sigma / n).
+    It is given as an array, checked here, or as a zero-argument function
+    that returns one, called and checked the first time .sigma is read:
+    run_inference reads only fold 2's.
     """
 
-    params: LpParams
-    sigma: np.ndarray
+    def __init__(self, params: LpParams,
+                 sigma: Union[np.ndarray, Callable[[], np.ndarray]]):
+        self.params = params
+        self._sigma = sigma if callable(sigma) else self._checked(sigma)
 
-    def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
+    @property
+    def sigma(self) -> np.ndarray:
+        if callable(self._sigma):
+            self._sigma = self._checked(self._sigma())
+        return self._sigma
+
+    def _checked(self, sigma) -> np.ndarray:
+        sigma = np.asarray(sigma, dtype=float)
         S = self.params.theta_size
-        if self.sigma.shape != (S, S):
+        if sigma.shape != (S, S):
             raise DimensionError(
                 f"sigma must be {S}x{S} for (q,d)=({self.params.q},{self.params.d})"
             )
+        return sigma
 
 
 # A ThetaEstimator maps a subset of observation indices to a ThetaEstimate.
@@ -106,6 +121,9 @@ class InferenceConfig:
             value = getattr(self, key)
             if not 0.0 < value < 1.0:
                 raise InferenceError(f"{key} must lie in (0,1), got {value!r}")
+        if 1.0 - self.alpha / 2.0 == 1.0:  # the two-sided quantile's level rounds to 1
+            raise InferenceError(f"alpha must exceed 2**-53 so that 1 - alpha/2 < 1, "
+                                 f"got {self.alpha!r}")
         if not self.sigma_min >= 0:
             raise InferenceError("sigma_min must be nonnegative")
         if self.v_bar is not None and not self.v_bar > 0:
@@ -113,7 +131,9 @@ class InferenceConfig:
 
 
 def split_sample(n: int, gamma: float, seed) -> Tuple[np.ndarray, np.ndarray]:
-    """Random disjoint exhaustive folds of sizes (floor(gamma*n), rest).
+    """Random disjoint exhaustive folds of sizes (floor(gamma*n), rest), each
+    in increasing order: fold 1 holds the first n1 entries of a random
+    permutation of range(n), fold 2 the rest.
 
     Each fold holds at least 2 records, since every fold estimator takes a
     sample covariance of its fold."""
@@ -123,7 +143,9 @@ def split_sample(n: int, gamma: float, seed) -> Tuple[np.ndarray, np.ndarray]:
     if min(n1, n - n1) < 2:
         raise InferenceError(f"degenerate fold sizes ({n1}, {n - n1})")
     perm = np.random.default_rng(seed).permutation(n)
-    return np.sort(perm[:n1]), np.sort(perm[n1:])
+    in_fold1 = np.zeros(n, dtype=bool)
+    in_fold1[perm[:n1]] = True
+    return np.flatnonzero(in_fold1), np.flatnonzero(~in_fold1)
 
 
 def ball_constrained_lstsq(

@@ -296,14 +296,15 @@ def run_consistency(scenario: ConsistencyScenario) -> SimulationReport:
 
 def _example_b_estimator(U: np.ndarray, b: float):
     """Fold estimator for the noisy design: subset means plus delta-method
-    covariance of (p, vec M, c) driven by the sample covariance of the noise."""
+    covariance of (p, vec M, c) driven by the sample covariance of the noise,
+    computed only when read (run_inference reads fold 2's alone)."""
 
     G = _EXAMPLE.G
 
     def estimate(idx: np.ndarray) -> ThetaEstimate:
-        sub = U[idx]
+        sub = U.take(idx, axis=0)
         params = _EXAMPLE.params((b + sub[:, 0].mean(), sub[:, 1].mean(), sub[:, 2].mean()))
-        return ThetaEstimate(params=params, sigma=G @ np.cov(sub.T) @ G.T)
+        return ThetaEstimate(params=params, sigma=lambda: G @ np.cov(sub.T) @ G.T)
 
     return estimate
 

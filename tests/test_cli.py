@@ -444,6 +444,12 @@ class TestSimulateCommand:
                  id="estimate-penalty-w-list-nan"),
     pytest.param("aicm", {"assumptions": {"kinds": ["bounds"], "bounds": [0, 1],
                                           "relax": float("inf")}}, id="aicm-relax-inf"),
+    # an alpha in (0, 1) so small that 1 - alpha/2 rounds to 1, the normal
+    # quantile's level, which NormalDist().inv_cdf refuses
+    pytest.param("infer", {"n": 200, "alpha": 1e-300}, id="infer-alpha-tiny"),
+    pytest.param("simulate", {"study": "inference", "dgp": "example_b", "sample_sizes": [200],
+                              "replications": 2, "alpha": 1e-300}, id="simulate-alpha-tiny"),
+    pytest.param("aicm", {"ci": {"alpha": 1e-300}}, id="aicm-alpha-tiny"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override):
     lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)

@@ -5,8 +5,9 @@ Each golden file holds the output of one small run: all four estimators on
 scenarios/example1_b0.json and on a (10, 30) boxed LP drawn from a fixed
 numpy seed, the three fig_* scenarios cut to 25 replications, the
 criterion-9 uniform-grid designs at 20 replications, the noisy-design
-`infer` example, and three `aicm` runs with a confidence interval on
-microdata drawn from a fixed numpy seed, one of whose bootstraps redraws
+`infer` example, `infer` in the csv and gaussian modes on
+scenarios/example1_b0.json, and three `aicm` runs with a confidence interval
+on microdata drawn from a fixed numpy seed, one of whose bootstraps redraws
 resamples that lose a cell. No run may raise a warning. A change that
 moves these bytes on purpose regenerates the files with
 
@@ -23,10 +24,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpbound.cli import EXIT_OK, main
+from lpbound.cli import EXIT_OK, load_lp_file, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+_EXAMPLE1 = str(ROOT / "scenarios" / "example1_b0.json")
 _GRID = {"study": "uniform_grid", "dgp": "uniform_grid",
          "sample_sizes": [100, 500, 1000, 5000, 10000], "replications": 20, "seed": 5}
 
@@ -69,13 +71,26 @@ def _random_lp(seed: int, d: int, q: int) -> dict:
             "box": {"lower": [-5.0] * d, "upper": [5.0] * d}}
 
 
+def _theta_rows(seed: int, n: int, scale: float) -> str:
+    """CSV text of n draws of example1_b0's theta = (p, vec M, c) with
+    independent normal noise of standard deviation scale on every entry."""
+    theta = load_lp_file(_EXAMPLE1)[0].theta()
+    rows = theta + scale * np.random.default_rng(seed).standard_normal((n, theta.size))
+    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
+# example1_b0's theta covariance for infer's gaussian mode: p known, M and c noisy
+_GAUSSIAN_SIGMA = np.diag([0.0] * 2 + [0.04] * 8 + [0.01] * 4).tolist()
+
+
 def _aicm(kinds: list, target: dict, bounds=(-1.0, 1.0)) -> dict:
     return {"assumptions": {"kinds": kinds, "bounds": list(bounds)}, "target": target,
             "ci": {"bootstrap_reps": 40}, "seed": 3}
 
 
-# aicm golden file -> the microdata its config reads
-MICRODATA = {
+# golden file -> the CSV text its config's data key reads
+DATA = {
+    "infer_csv_example1.json": _theta_rows(19, 600, 0.1),
     "aicm_ate_cmiv_p.json": _microdata(11, 2),
     "aicm_ate_cmiv_p_thin_cell.json": _thin_cell_microdata(13),
     "aicm_mean_mtr_miv_missing.json": _microdata(12, 3, missing=2),
@@ -89,7 +104,7 @@ LP_DOCS = {"estimate_random_10x30.json": _random_lp(17, 10, 30)}
 # golden file -> (command, config, extra arguments)
 CASES = {
     "estimate_example1_b0.json": (
-        "estimate", {**_ESTIMATE, "lp": str(ROOT / "scenarios" / "example1_b0.json")}, []),
+        "estimate", {**_ESTIMATE, "lp": _EXAMPLE1}, []),
     "estimate_random_10x30.json": ("estimate", _ESTIMATE, []),
     "fig_consistency_b0.csv": ("simulate", _scenario("fig_consistency_b0", replications=25), []),
     "fig_consistency_bneg.csv": ("simulate", _scenario("fig_consistency_bneg", replications=25), []),
@@ -98,6 +113,10 @@ CASES = {
     "uniform_grid_single_slater.csv": (
         "simulate", {**_GRID, "grid": "single", "slater": True}, []),
     "infer_example_b.json": ("infer", _scenario("infer_example_noisy"), ["--seed", "7"]),
+    "infer_csv_example1.json": ("infer", {"mode": "csv", "lp": _EXAMPLE1}, ["--seed", "4"]),
+    "infer_gaussian_example1.json": (
+        "infer", {"mode": "gaussian", "lp": _EXAMPLE1, "n": 800, "sigma": _GAUSSIAN_SIGMA},
+        ["--seed", "6"]),
     "aicm_ate_cmiv_p.json": ("aicm", _aicm(["bounds", "cmiv_p"], {"type": "ate", "t": "1", "d": "0"}),
                              ["--diagnostics"]),
     "aicm_ate_cmiv_p_thin_cell.json": (
@@ -110,9 +129,9 @@ CASES = {
 def run_case(name: str, workdir: Path) -> bytes:
     command, config, extra = CASES[name]
     cfg, out = workdir / f"{name}.config.json", workdir / name
-    if name in MICRODATA:
+    if name in DATA:
         data = workdir / f"{name}.csv"
-        data.write_text(MICRODATA[name])
+        data.write_text(DATA[name])
         config = {**config, "data": str(data)}
     if name in LP_DOCS:
         lp = workdir / f"{name}.lp.json"

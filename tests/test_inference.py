@@ -61,6 +61,40 @@ class TestSplitSample:
             split_sample(3, 0.5, 0)
         assert [len(f) for f in split_sample(4, 0.5, 0)] == [2, 2]
 
+    @staticmethod
+    def _sorted_split(n, gamma, seed):
+        """The folds as two sorts of the permutation's halves."""
+        perm = np.random.default_rng(seed).permutation(n)
+        n1 = int(math.floor(gamma * n))
+        return np.sort(perm[:n1]), np.sort(perm[n1:])
+
+    # (n, gamma) with both folds legal: 2000 is an aicm_ci sample, 5000 an
+    # mc_coverage one
+    _SIZES = [(n, gamma) for n in (4, 5, 7, 10, 33, 100, 999, 2000, 4096, 5000)
+              for gamma in (0.1, 0.3, 0.5, 0.77, 0.9)
+              if min(math.floor(gamma * n), n - math.floor(gamma * n)) >= 2]
+
+    @pytest.mark.parametrize("n, gamma", _SIZES)
+    @pytest.mark.parametrize("seed", [0, 12345, np.random.SeedSequence((42, 0, 3, 1))],
+                             ids=["int0", "int12345", "SeedSequence"])
+    def test_folds_equal_the_sorted_permutation_halves(self, n, gamma, seed):
+        self._assert_same_folds(n, gamma, seed)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 2000, 5000])
+    @pytest.mark.parametrize("small", ["fold1", "fold2"])
+    def test_smallest_legal_folds_equal_the_sorted_permutation_halves(self, n, small):
+        gamma = 2.5 / n if small == "fold1" else (n - 1.5) / n
+        n1 = int(math.floor(gamma * n))
+        assert (n1 if small == "fold1" else n - n1) == 2
+        for seed in (1, np.random.SeedSequence(n)):
+            self._assert_same_folds(n, gamma, seed)
+
+    def _assert_same_folds(self, n, gamma, seed):
+        # default_rng reads a SeedSequence without changing it, so both draws match
+        got, want = split_sample(n, gamma, seed), self._sorted_split(n, gamma, seed)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
 
 class TestBallConstrainedLstsq:
     def test_interior_solution_is_least_squares(self):
@@ -248,6 +282,70 @@ class TestRunInference:
     def test_invalid_alpha_rejected(self):
         with pytest.raises(InferenceError):
             InferenceConfig(alpha=1.5)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 2.0 ** -53, 1e-17])
+    def test_alpha_whose_quantile_level_rounds_to_one_rejected(self, alpha):
+        with pytest.raises(InferenceError, match=r"^alpha "):
+            InferenceConfig(alpha=alpha)
+
+    def test_smallest_usable_alpha_gives_finite_bounds(self, rng):
+        rows, template = self._rows(rng, 100, 0.01)
+        cfg = InferenceConfig(penalty=PenaltyConfig(w=2.0), alpha=2e-16)
+        res = run_inference(100, self._gaussian_estimator(rows, template), cfg, seed=1)
+        assert all(math.isfinite(b) for b in (res.ci_lower_onesided, *res.ci_twosided))
+
+
+class TestLazySigma:
+    def _estimator(self, rows, template, sigma_calls):
+        """A fold estimator whose covariance function counts its calls,
+        per fold in the order the folds are estimated."""
+        def estimate(idx):
+            sub = rows[idx]
+            params = LpParams.from_theta(sub.mean(axis=0), template.q, template.d, template.box)
+            fold = len(sigma_calls)
+            sigma_calls.append(0)
+
+            def sigma():
+                sigma_calls[fold] += 1
+                return np.cov(sub.T)
+
+            return ThetaEstimate(params=params, sigma=sigma)
+
+        return estimate
+
+    def test_run_inference_computes_fold_2_covariance_only(self, rng):
+        template = example1_params(0.0)
+        rows = template.theta() + 0.01 * rng.normal(size=(400, template.theta_size))
+        sigma_calls = []
+        cfg = InferenceConfig(penalty=PenaltyConfig(w=2.0))
+        lazy = run_inference(400, self._estimator(rows, template, sigma_calls), cfg, seed=3)
+        assert sigma_calls == [0, 1]
+        eager = run_inference(400, TestRunInference._gaussian_estimator(rows, template), cfg,
+                              seed=3)
+        assert (lazy.estimate, lazy.se) == (eager.estimate, eager.se)
+
+    def test_function_called_once_and_result_kept(self):
+        params = example1_params(0.0)
+        calls = []
+        est = ThetaEstimate(params=params,
+                            sigma=lambda: calls.append(None) or np.eye(params.theta_size))
+        assert calls == []
+        first = est.sigma
+        assert est.sigma is first and calls == [None]
+        assert first.dtype == float and first.tobytes() == np.eye(14).tobytes()
+
+    def test_function_of_wrong_shape_raises_when_read(self):
+        est = ThetaEstimate(params=example1_params(0.0), sigma=lambda: np.eye(13))
+        with pytest.raises(DimensionError, match=r"^sigma must be 14x14 for \(q,d\)=\(4,2\)$"):
+            est.sigma
+
+    def test_array_of_wrong_shape_raises_at_construction(self):
+        with pytest.raises(DimensionError, match=r"^sigma must be 14x14 for \(q,d\)=\(4,2\)$"):
+            ThetaEstimate(params=example1_params(0.0), sigma=np.eye(13))
+
+    def test_array_is_checked_and_converted_at_construction(self):
+        est = ThetaEstimate(params=example1_params(0.0), sigma=np.eye(14, dtype=int).tolist())
+        assert est.sigma.dtype == float and est.sigma.tobytes() == np.eye(14).tobytes()
 
 
 class TestCombineTwoSided:

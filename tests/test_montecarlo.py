@@ -363,6 +363,24 @@ class TestConsistencyStudy:
         report = run_inference_study(scenario)
         assert report.to_csv().splitlines()[1] == "debiased_ci,500,,,,,2,,"
 
+    def test_reference_coverage_run_computes_one_covariance_per_replication(
+            self, monkeypatch, capsys):
+        """The benchmark's reference coverage command (25 replications):
+        run_inference reads fold 2's covariance alone, so fold 1's is never
+        computed; a change that builds it again makes this 50."""
+        calls = []
+        real_cov = np.cov
+
+        def counting_cov(*args, **kwargs):
+            calls.append(None)
+            return real_cov(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cov", counting_cov)
+        config = Path(__file__).resolve().parents[1] / "perfbench/reference/mc_coverage.json"
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("estimator,n,mean")
+        assert len(calls) == 25
+
     def test_inference_study_requires_noisy_dgp(self):
         with pytest.raises(ScenarioError):
             InferenceScenario(dgp="example_a", sample_sizes=(100,), replications=2)

@@ -11,7 +11,8 @@ arithmetic.
 
 solve_lp must read the oracle's status, and its value within
 _VALUE_TOL * (1 + |v|), on random, degenerate integer, infeasible and
-unbounded LPs, cold and warm-started from a pool of neighbouring LPs. A
+unbounded LPs, cold and warm-started from a pool of neighbouring LPs, and
+estimators.penalty_value must read the oracle's value of its relaxed LP. A
 case where solve_lp disagrees is an expected failure (strict) with its
 reason, until a change to the solver clears it.
 """
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lpbound.estimators import _relaxed_params, penalty_value
 from lpbound.linalg import INFEASIBLE, OPTIMAL, UNBOUNDED, LpParams, enumerate_vertices, solve_lp
 
 from conftest import random_feasible_polytope_data, random_lp
@@ -218,6 +220,34 @@ def test_cold_solves_match_the_exact_oracle(family):
         assert statuses.count(UNBOUNDED) > 30 and OPTIMAL in statuses
     if family in ("random", "degenerate-integer"):
         assert statuses.count(OPTIMAL) > 30
+
+
+def _penalty(rng, family: str, q: int, per_row: bool):
+    """A nonnegative penalty: integers on the integer family, so that ties
+    between a row's penalty and the objective are common, else reals; one
+    entry per row, some of them 0, or a scalar."""
+    if family == "degenerate-integer":
+        return rng.integers(0, 4, size=q).astype(float) if per_row else float(rng.integers(1, 4))
+    if per_row:
+        return np.where(rng.random(q) < 0.2, 0.0, rng.uniform(0.1, 3.0, size=q))
+    return float(rng.uniform(0.1, 3.0))
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar-w", "per-row-w"])
+@pytest.mark.parametrize("family", ["degenerate-integer", "random"])
+def test_penalty_values_match_the_exact_oracle(family, per_row):
+    """penalty_value against the exact value of its relaxed (x, a) LP,
+    min p'x + w'a s.t. Mx + a >= c, a >= 0, over the compact box: always
+    optimal, since a = (c - Mx)^+ is feasible and w >= 0."""
+    rng = np.random.default_rng(200 + 2 * sorted(_FAMILIES).index(family) + per_row)
+    for k in range(40):
+        params = _FAMILIES[family](rng)
+        w = _penalty(rng, family, params.q, per_row)
+        status, value = exact_solve(_relaxed_params(params, w))
+        assert status == OPTIMAL
+        got = penalty_value(params, w)
+        assert abs(got - float(value)) <= _VALUE_TOL * (1.0 + abs(float(value))), (
+            f"{family} LP {k}: penalty_value read {got}, exact {float(value)}")
 
 
 def _feasible_lp(rng) -> LpParams:
