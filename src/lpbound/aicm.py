@@ -251,12 +251,16 @@ def ingest_sample(records: Sequence[Tuple]) -> ConditionalMomentTable:
                 count, frozenset(itertools.compress(treatments, observed)))
 
 
-def _read_rows(path) -> Microdata:
-    """read_microdata_csv one row at a time: the pass that names the first
-    line at fault."""
+def read_microdata_csv(path) -> Microdata:
+    """Records from a CSV with header y,t,z, read in one pass. A blank line
+    is skipped; every other row is three fields, whose y is a finite number
+    or empty (a missing outcome). The first row that breaks this raises
+    TableError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # the header, checked by read_microdata_csv
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
+            raise TableError(f"microdata CSV must have header 'y,t,z', got {header}")
         y, missing, t, z = [], [], [], []
         for row in reader:
             if not row:  # a blank line
@@ -280,32 +284,6 @@ def _read_rows(path) -> Microdata:
             t.append(row[1].strip())
             z.append(row[2].strip())
     return Microdata._of_lists(y, missing, t, z)
-
-
-def read_microdata_csv(path) -> Microdata:
-    """Records from a CSV with header y,t,z. Each y is a finite number or
-    empty, which denotes a missing outcome; a row that is not three fields,
-    or whose y is neither, raises TableError naming its line. The y column
-    converts in one np.array call (as float() converts each field); when a
-    row is not three fields or a y is not a finite number, the rows are read
-    again one at a time (_read_rows), which names the first line at fault."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
-            raise TableError(f"microdata CSV must have header 'y,t,z', got {header}")
-        rows = [row for row in reader if row]  # a blank line is no row
-    if all(len(row) == 3 for row in rows):
-        fields = [row[0].strip() for row in rows]
-        try:
-            y = np.array([field or "0" for field in fields], dtype=float)
-        except ValueError:  # a y that is not a number
-            return _read_rows(path)
-        if np.isfinite(y).all():
-            return Microdata._of_lists(y, [not field for field in fields],
-                                       [row[1].strip() for row in rows],
-                                       [row[2].strip() for row in rows])
-    return _read_rows(path)
 
 
 @dataclass

@@ -568,7 +568,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         code, message, exit_code = exc.code, str(exc), exc.exit_code
     except DimensionError as exc:
         code, message, exit_code = "dimension_mismatch", str(exc), EXIT_USAGE
-    except (ValueError, RuntimeError, FloatingPointError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         # a library fault that no command maps to a code of its own
         code, message = "computation_failed", f"{type(exc).__name__}: {exc}"
         exit_code = EXIT_COMPUTE

@@ -52,6 +52,9 @@ class PenaltyConfig:
         check_fields(self, PenaltyError)
         if not 0.0 < self.alpha < 1.0:
             raise PenaltyError(f"alpha must lie in (0,1), got {self.alpha!r}")
+        if tao_vu_quantile(self.alpha) == 0.0:  # select_penalty divides by it
+            raise PenaltyError(f"alpha is so small that its quantile delta_alpha rounds to 0, "
+                               f"got {self.alpha!r}")
         if self.w is not None and not np.all(np.asarray(self.w, dtype=float) >= 0):
             raise PenaltyError(f"w must be a nonnegative number or list, got {self.w!r}")
 

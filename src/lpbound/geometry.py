@@ -20,6 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .estimators import penalty_rows
 from .linalg import (
     LpParams,
     binding_rows,
@@ -179,7 +180,7 @@ def check_a1(params: LpParams, w: np.ndarray) -> str:
     solves max s subject to lambda being dual-optimal and lambda_j <= w_j - s.
     An all-infinite penalty trivially dominates.
     """
-    w = np.broadcast_to(np.asarray(w, dtype=float), (params.q,))
+    w = penalty_rows(w, params.q)
     if np.all(np.isinf(w)):
         return "holds"
     primal = solve_lp(params)

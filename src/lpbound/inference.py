@@ -28,6 +28,7 @@ from .estimators import (
     debiased_estimate,
     full_rank_binding,
     select_v_bar,
+    tao_vu_quantile,
 )
 
 _PSD_TOL = 1e-8
@@ -121,6 +122,9 @@ class InferenceConfig:
             value = getattr(self, key)
             if not 0.0 < value < 1.0:
                 raise InferenceError(f"{key} must lie in (0,1), got {value!r}")
+        if tao_vu_quantile(self.v_bar_alpha) == 0.0:  # select_v_bar divides by it
+            raise InferenceError(f"v_bar_alpha is so small that its quantile delta_alpha rounds "
+                                 f"to 0, got {self.v_bar_alpha!r}")
         if 1.0 - self.alpha / 2.0 == 1.0:  # the two-sided quantile's level rounds to 1
             raise InferenceError(f"alpha must exceed 2**-53 so that 1 - alpha/2 < 1, "
                                  f"got {self.alpha!r}")

@@ -20,14 +20,16 @@ def example1_params(b_hat: float, box_half: float = 2.0) -> LpParams:
     return LpParams(p=p, M=M, c=c, box=box)
 
 
-def random_lp(rng: np.random.Generator, d_max: int = 4, q_max: int = 8) -> LpParams:
-    """Small random LP with a bounded box; may be infeasible."""
+def random_lp(rng: np.random.Generator, d_max: int = 4, q_max: int = 8,
+              half_max: float = 3.0) -> LpParams:
+    """Small random LP in a box [-h, h]^d, h drawn from [0.5, half_max);
+    may be infeasible."""
     d = int(rng.integers(1, d_max + 1))
     q = int(rng.integers(1, q_max + 1))
     M = rng.normal(size=(q, d))
     c = rng.normal(size=q)
     p = rng.normal(size=d)
-    half = float(rng.uniform(0.5, 3.0))
+    half = float(rng.uniform(0.5, half_max))
     box = (np.full(d, -half), np.full(d, half))
     return LpParams(p=p, M=M, c=c, box=box)
 

@@ -591,10 +591,7 @@ def _random_csv(rng) -> str:
     return "\n".join(lines) + pick(["", "\n", "\n\n"])
 
 
-def test_csv_reads_as_the_row_by_row_reference(rng, tmp_path, monkeypatch):
-    # the fast path and the row-by-row fallback both run
-    by_rows, read_rows = [], aicm._read_rows
-    monkeypatch.setattr(aicm, "_read_rows", lambda path: by_rows.append(1) or read_rows(path))
+def test_csv_reads_as_the_row_by_row_reference(rng, tmp_path):
     path, outcomes = tmp_path / "micro.csv", set()
     for _ in range(400):
         path.write_text(_random_csv(rng))
@@ -611,7 +608,28 @@ def test_csv_reads_as_the_row_by_row_reference(rng, tmp_path, monkeypatch):
         assert data.t_labels == sorted({r[1] for r in want})
         assert data.z_labels == sorted({r[2] for r in want})
         outcomes.add("records")
-    assert outcomes == {"records", "header", "fields", "finite"} and 0 < len(by_rows) < 400
+    assert outcomes == {"records", "header", "fields", "finite"}
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0.5,1,a\n\n1,0\n", "microdata CSV line 4: expected 3 fields y,t,z, got 2"),
+    ("0.5,1,a\n1,0,a,b\n", "microdata CSV line 3: expected 3 fields y,t,z, got 4"),
+    ("0.5,1,a\n inf ,0,a\n", "microdata CSV line 3: y must be a finite number or empty, got 'inf'"),
+    ("0.5,1,a\n,0,b\n", None),
+], ids=["2-fields", "4-fields", "non-finite", "good"])
+def test_csv_is_opened_once(tmp_path, monkeypatch, body, message):
+    path = tmp_path / "micro.csv"
+    path.write_text("y,t,z\n" + body)
+    opened = []
+    monkeypatch.setattr(aicm, "open", lambda *args, **kw: opened.append(1) or open(*args, **kw),
+                        raising=False)
+    if message is None:
+        assert repr(list(read_microdata_csv(path))) == repr([(0.5, "1", "a"), (None, "0", "b")])
+    else:
+        with pytest.raises(TableError) as info:
+            read_microdata_csv(path)
+        assert str(info.value) == message
+    assert len(opened) == 1
 
 
 def _general_rows_reference(table, spec, t):

@@ -450,6 +450,12 @@ class TestSimulateCommand:
     pytest.param("simulate", {"study": "inference", "dgp": "example_b", "sample_sizes": [200],
                               "replications": 2, "alpha": 1e-300}, id="simulate-alpha-tiny"),
     pytest.param("aicm", {"ci": {"alpha": 1e-300}}, id="aicm-alpha-tiny"),
+    # a level in (0, 1) so small that its quantile delta_alpha, which the
+    # penalty and v_bar rules divide by, rounds to 0
+    pytest.param("infer", {"n": 200, "v_bar_alpha": 1e-300}, id="infer-v_bar_alpha-tiny"),
+    pytest.param("estimate", {"n": 1000, "penalty": {"alpha": 1e-300}},
+                 id="estimate-penalty-alpha-tiny"),
+    pytest.param("simulate", {"penalty": {"alpha": 1e-300}}, id="simulate-penalty-alpha-tiny"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, override):
     lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)

@@ -19,6 +19,7 @@ from lpbound.linalg import (
     TAU_FEAS,
     TAU_RANK,
     TAU_VAL,
+    DimensionError,
     EnumerationCapError,
     LpParams,
     binding_rows,
@@ -178,6 +179,14 @@ class TestPenaltyDomination:
     def test_negative_slope_instance(self):
         assert check_a1(example1_params(-0.05), np.full(4, 0.7)) == "fails"
         assert check_a1(example1_params(-0.05), np.full(4, 25.0)) == "holds"
+
+    def test_scalar_penalty_applies_to_every_row(self):
+        assert check_a1(example1_params(0.0), 2.0) == "holds"
+        assert check_a1(example1_params(0.0), [0.7]) == "fails"
+
+    def test_penalty_of_wrong_length_names_both_counts(self):
+        with pytest.raises(DimensionError, match="penalty w has 3 entries for 4 rows of M"):
+            check_a1(example1_params(0.0), np.full(3, 2.0))
 
 
 def _search_rows_reference(params, w, B):

@@ -6,7 +6,7 @@ bounded-variable tableau simplex with Bland's rule: the smallest eligible
 index enters and the smallest index among the tied rows leaves, so it
 cannot cycle and needs no tolerance. Its status is exact, and so is its
 value for the rational LP the floats denote. It is meant for small LPs
-(d <= 4, q <= 8): every pivot updates the whole tableau in exact
+(d <= 6, q <= 12): every pivot updates the whole tableau in exact
 arithmetic.
 
 solve_lp must read the oracle's status, and its value within
@@ -151,8 +151,8 @@ def _agrees(params: LpParams, sol) -> bool:
 def _integer_degenerate_lp(rng) -> LpParams:
     """Integer rows, most of them tight at one integer point, one of them
     doubled, in an integer box."""
-    d = int(rng.integers(2, 5))
-    q = int(rng.integers(d, 9))
+    d = int(rng.integers(2, 7))
+    q = int(rng.integers(d, 13))
     x0 = rng.integers(-2, 3, size=d)
     M = rng.integers(-3, 4, size=(q, d))
     M[-1] = M[0]
@@ -196,7 +196,8 @@ def _row_scaled_lp(rng, exponent: float) -> LpParams:
 
 
 _FAMILIES = {
-    "random": lambda rng: random_lp(rng),
+    # a wide box: about 58% of these are feasible, near the share with no box
+    "random": lambda rng: random_lp(rng, d_max=6, q_max=12, half_max=10.0),
     "degenerate-integer": _integer_degenerate_lp,
     "infeasible": _infeasible_lp,
     "ray": _ray_lp,
