@@ -255,34 +255,37 @@ def read_microdata_csv(path) -> Microdata:
     """Records from a CSV with header y,t,z, read in one pass. A blank line
     is skipped; every other row is three fields, whose y is a finite number
     or empty (a missing outcome). The first row that breaks this raises
-    TableError naming its line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
-            raise TableError(f"microdata CSV must have header 'y,t,z', got {header}")
-        y, missing, t, z = [], [], [], []
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            if len(row) != 3:
-                raise TableError(f"microdata CSV line {reader.line_num}: expected 3 fields "
-                                 f"y,t,z, got {len(row)}")
-            field = row[0].strip()
-            if field:
-                try:
-                    value = float(field)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise TableError(f"microdata CSV line {reader.line_num}: y must be a "
-                                     f"finite number or empty, got {field!r}")
-            else:
-                value = 0.0
-            y.append(value)
-            missing.append(not field)
-            t.append(row[1].strip())
-            z.append(row[2].strip())
+    TableError naming its line; a file that is not UTF-8 raises TableError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [f.strip() for f in header] != ["y", "t", "z"]:
+                raise TableError(f"microdata CSV must have header 'y,t,z', got {header}")
+            y, missing, t, z = [], [], [], []
+            for row in reader:
+                if not row:  # a blank line
+                    continue
+                if len(row) != 3:
+                    raise TableError(f"microdata CSV line {reader.line_num}: expected 3 fields "
+                                     f"y,t,z, got {len(row)}")
+                field = row[0].strip()
+                if field:
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise TableError(f"microdata CSV line {reader.line_num}: y must be a "
+                                         f"finite number or empty, got {field!r}")
+                else:
+                    value = 0.0
+                y.append(value)
+                missing.append(not field)
+                t.append(row[1].strip())
+                z.append(row[2].strip())
+    except UnicodeDecodeError as exc:
+        raise TableError(f"microdata CSV {path} is not UTF-8 text: {exc}") from None
     return Microdata._of_lists(y, missing, t, z)
 
 
@@ -535,11 +538,8 @@ def cmivw_bounds(
     pt = tz[ti]
     o = pt * table.mean[ti]
 
-    l = np.zeros(nz)
-    lc = np.zeros(nz)
-    u = np.zeros(nz)
-    uc = np.zeros(nz)
     if kind == "cmiv_w":
+        l, lc, u, uc = np.zeros(nz), np.zeros(nz), np.zeros(nz), np.zeros(nz)
         lc[0] = K0
         l[0] = o[0] + (1.0 - pt[0]) * K0
         for j in range(1, nz):
@@ -551,16 +551,11 @@ def cmivw_bounds(
             uc[j] = min(uc[j + 1], (u[j + 1] - o[j]) / (1.0 - pt[j]))
             u[j] = o[j] + (1.0 - pt[j]) * uc[j]
     else:
-        run = -math.inf
-        for j in range(nz):
-            run = max(run, o[j] + (1.0 - pt[j]) * K0)
-            l[j] = run
-            lc[j] = (l[j] - o[j]) / (1.0 - pt[j])
-        run = math.inf
-        for j in range(nz - 1, -1, -1):
-            run = min(run, o[j] + (1.0 - pt[j]) * K1)
-            u[j] = run
-            uc[j] = (u[j] - o[j]) / (1.0 - pt[j])
+        l = np.maximum.accumulate(o + (1.0 - pt) * K0)
+        # contiguous, so that pz @ u adds in the order of a forward array
+        u = np.minimum.accumulate((o + (1.0 - pt) * K1)[::-1])[::-1].copy()
+        lc = (l - o) / (1.0 - pt)
+        uc = (u - o) / (1.0 - pt)
     return RecursionBounds(
         lower=l,
         upper=u,

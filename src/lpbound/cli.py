@@ -181,11 +181,12 @@ def lp_to_document(params: LpParams, labels: Optional[List[str]] = None) -> dict
 
 def _load_json(path: str, where: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise CliError("io_error", f"cannot read {where} {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    # also a file that is not UTF-8, or JSON nested past the recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliError("invalid_json", f"{where} {path}: {exc}")
 
 
@@ -198,7 +199,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise CliError("io_error", f"cannot write {out}: {exc}")
@@ -472,7 +473,9 @@ def cmd_aicm(config: dict, args) -> int:
         records = read_microdata_csv(cfg.data)
         table = ingest_sample(records)
         program = compile_program(table, spec)
-    except (TableError, CompileError, OSError) as exc:
+    except OSError as exc:
+        raise CliError("io_error", f"cannot read microdata CSV {cfg.data}: {exc}")
+    except (TableError, CompileError) as exc:
         raise CliError("table_error", str(exc))
 
     result = {"target": {"type": kind}, "bounds": {}, "statuses": {}}
@@ -568,8 +571,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         code, message, exit_code = exc.code, str(exc), exc.exit_code
     except DimensionError as exc:
         code, message, exit_code = "dimension_mismatch", str(exc), EXIT_USAGE
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        # a library fault that no command maps to a code of its own
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
+        # a library fault that no command maps to a code of its own, or a failed allocation
         code, message = "computation_failed", f"{type(exc).__name__}: {exc}"
         exit_code = EXIT_COMPUTE
     sys.stderr.write(canonical_dumps({"error": {"code": code, "message": message}}))

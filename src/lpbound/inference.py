@@ -157,42 +157,31 @@ def ball_constrained_lstsq(
 ) -> np.ndarray:
     """argmin_v ||rhs - mat'v||^2 subject to ||v|| <= radius.
 
-    Unconstrained minimum-norm solution first; when it violates the ball,
-    bisection on the Lagrange multiplier mu of the trust-region subproblem
-    v(mu) = (mat mat' + mu I)^{-1} mat rhs (50 iterations, tolerance 1e-12).
+    Unconstrained minimum-norm solution first; when it violates the ball, the
+    trust-region step v(mu) = (mat mat' + mu I)^{-1} mat rhs = U (b / (s^2 + mu)),
+    with mat = U diag(s) W' a thin SVD and b = s * W'rhs: its norm falls as mu
+    grows, to at most radius at mu = ||b|| / radius, and mu is bisected below that.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise InferenceError("radius must be positive")
     mat = np.asarray(mat, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     v0, *_ = np.linalg.lstsq(mat.T, rhs, rcond=None)
     if np.linalg.norm(v0) <= radius:
         return v0
-    gram = mat @ mat.T
-    b = mat @ rhs
-    k = gram.shape[0]
-
-    def norm_at(mu: float) -> Tuple[float, np.ndarray]:
-        v = np.linalg.solve(gram + mu * np.eye(k), b)
-        return float(np.linalg.norm(v)), v
-
-    lo = 0.0
-    hi = 1.0
-    while norm_at(hi)[0] > radius:
-        hi *= 2.0
-        if hi > 1e30:
-            raise InferenceError("trust-region bisection failed to bracket")
-    v = v0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        nrm, v = norm_at(mid)
-        if abs(nrm - radius) <= 1e-12:
-            break
-        if nrm > radius:
+    U, s, Wt = np.linalg.svd(mat, full_matrices=False)
+    b = s * (Wt @ rhs)
+    s2 = s * s
+    # bisect mu's bit patterns (they order nonnegative floats) to two adjacent floats in
+    # <= 63 halvings; ||v(mu)|| = ||b / (s^2 + mu)||, by hypot so tiny entries don't underflow
+    lo, hi = 0, int(np.float64(math.hypot(*b) / radius).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.hypot(*(b / (s2 + np.int64(mid).view(np.float64)))) > radius:
             lo = mid
         else:
             hi = mid
-    return v
+    return U @ (b / (s2 + np.int64(hi).view(np.float64)))
 
 
 def find_triplet(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lpbound
-from lpbound import aicm, cli
+from lpbound import aicm, cli, montecarlo
 from lpbound.aicm import ATE, AssumptionSpec, MeanPotential
 from lpbound.cli import (
     EXIT_COMPUTE,
@@ -260,6 +260,15 @@ class TestInferCommand:
         doc = json.loads(out.read_text())
         assert doc["n1"] + doc["n2"] == 200
         assert -1.3 < doc["estimate"] < -0.7
+
+    def test_a_binding_v_bar_bounds_the_printed_weight(self, tmp_path):
+        # here the unconstrained dual weight is longer than v_bar, and every
+        # binding row is a row of M, so the printed v is all of the weight
+        cfg = write_json(tmp_path / "cfg.json", {"mode": "example_b", "n": 400, "v_bar": 0.5})
+        out = tmp_path / "out.json"
+        assert run_cli(["infer", "--config", cfg, "--seed", "3"], out) == EXIT_OK
+        norm = math.hypot(*json.loads(out.read_text())["triplet"]["v"])
+        assert 0.5 * (1.0 - 1e-12) <= norm <= 0.5 * (1.0 + 1e-12)
 
     def test_invalid_alpha_exits_2(self, tmp_path, capsys):
         cfg = write_json(
@@ -655,6 +664,45 @@ def test_floating_point_overflow_exits_1_with_one_json_error(tmp_path, field, va
         "message": f"FloatingPointError: overflow encountered in {operation}"}
 
 
+@pytest.mark.parametrize("where", ["config", "LP file"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, where):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"lp": "\xff"}')
+    cfg = str(bad) if where == "config" else write_json(tmp_path / "cfg.json", {"lp": str(bad)})
+    assert run_cli(["estimate", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "invalid_json"
+    assert error["message"].startswith(f"{where} {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000)
+    assert run_cli(["estimate", "--config", str(cfg)], tmp_path / "o.json") == EXIT_USAGE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "invalid_json"
+    assert error["message"].startswith(f"config {cfg}: maximum recursion depth exceeded")
+
+
+def test_a_failed_allocation_exits_1_with_one_json_error(tmp_path, capsys, monkeypatch):
+    # stands in for a sample size whose draws numpy cannot allocate
+    def draw_theta(*args):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(montecarlo, "draw_theta", draw_theta)
+    cfg = write_json(tmp_path / "cfg.json", {"study": "consistency", "dgp": "example_a",
+                                             "sample_sizes": [100], "replications": 1,
+                                             "estimators": ["plugin"]})
+    out = tmp_path / "o.csv"
+    assert run_cli(["simulate", "--config", cfg], out) == EXIT_COMPUTE
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "code": "computation_failed",
+        "message": "MemoryError: Unable to allocate 728. TiB for an array"}
+
+
 @pytest.mark.parametrize("command, doc, name", [
     ("estimate", {"n": 100}, "M"),
     ("infer", {"mode": "gaussian", "n": 100, "sigma": [[1.0] * 14, [1.0]] + [[1.0] * 14] * 12},
@@ -919,6 +967,26 @@ class TestAicmCommand:
         assert run_cli(["aicm", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
         err = json.loads(capsys.readouterr().err)
         assert "z2" in err["error"]["message"]
+
+    @pytest.mark.parametrize("content, code, fault", [
+        (b"y,t,z\n0.1,1,z\xff\n", "table_error",
+         "microdata CSV {data} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (None, "io_error", "cannot read microdata CSV {data}: [Errno 2] No such file"),
+    ], ids=["not-utf8", "missing"])
+    def test_a_microdata_csv_that_cannot_be_read_exits_2(self, tmp_path, capsys, content, code,
+                                                         fault):
+        data = tmp_path / "micro.csv"
+        if content is not None:
+            data.write_bytes(content)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "data": str(data),
+            "assumptions": {"kinds": ["bounds"], "bounds": [0.0, 1.0]},
+            "target": {"type": "mean", "t": "1"},
+        })
+        assert run_cli(["aicm", "--config", cfg], tmp_path / "o.json") == EXIT_USAGE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == code
+        assert error["message"].startswith(fault.format(data=data))
 
     @pytest.mark.parametrize("row, fault", [
         ("abc,0,z1", "y must be a finite number or empty, got 'abc'"),

@@ -129,6 +129,48 @@ class TestBallConstrainedLstsq:
                 cross = grad - (grad @ sol) / (sol @ sol) * sol
                 assert np.linalg.norm(cross) < 1e-6 * (1.0 + np.linalg.norm(grad))
 
+    def test_scaled_active_problems_land_on_the_sphere(self):
+        # entries and rhs scaled by 10^+-3, rows repeated as binding rows may be,
+        # radii from 1e-4 to 0.98 of the unconstrained norm: ||v|| meets the
+        # radius to rounding, with no floating-point fault on the way
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            k, d = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+            mat = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-3, 3)
+            if k > 1 and rng.uniform() < 0.3:
+                mat[-1] = mat[0]
+            rhs = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+            free = np.linalg.norm(np.linalg.lstsq(mat.T, rhs, rcond=None)[0])
+            radius = free * 10.0 ** rng.uniform(-4, math.log10(0.98))
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                sol = ball_constrained_lstsq(mat, rhs, radius)
+            assert abs(np.linalg.norm(sol) / radius - 1.0) <= 1e-12
+            grad = mat @ (mat.T @ sol - rhs)
+            cross = grad - (grad @ sol) / (sol @ sol) * sol
+            assert np.linalg.norm(cross) < 1e-6 * (1.0 + np.linalg.norm(grad))
+
+    def test_a_barely_active_ball(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            mat, rhs = rng.normal(size=(4, 3)), rng.normal(size=3)
+            radius = (1.0 - 1e-15) * np.linalg.norm(np.linalg.lstsq(mat.T, rhs, rcond=None)[0])
+            sol = ball_constrained_lstsq(mat, rhs, radius)
+            assert abs(np.linalg.norm(sol) / radius - 1.0) <= 1e-12
+
+    def test_a_tiny_radius(self):
+        # ||v|| is measured by hypot: np.linalg.norm squares entries of 1e-300 to 0
+        mat, rhs = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]), np.array([1.0, 2.0])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sol = ball_constrained_lstsq(mat, rhs, 1e-300)
+            assert abs(math.hypot(*sol) / 1e-300 - 1.0) <= 1e-12
+            # mu = ||b|| / radius overflows, and v(inf) = 0 lies in the ball
+            assert not ball_constrained_lstsq(mat, rhs, 1e-320).any()
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_a_radius_that_is_not_positive(self, radius):
+        with pytest.raises(InferenceError, match="radius must be positive"):
+            ball_constrained_lstsq(np.eye(2), np.ones(2), radius)
+
 
 class TestFindTriplet:
     def test_degenerate_instance(self):
