@@ -6,7 +6,6 @@ from .linalg import (
     LpParams,
     LpSolution,
     solve_lp,
-    enumerate_vertices,
     smallest_singular_value,
     inverse_vectorize,
     OPTIMAL,
@@ -24,13 +23,7 @@ from .estimators import (
     select_penalty,
     select_v_bar,
 )
-from .geometry import (
-    delta_condition,
-    polytope_condition_number,
-    l1_violation,
-    distance_to_polytope,
-    check_a1,
-)
+from .geometry import delta_condition
 from .inference import (
     ThetaEstimate,
     InferenceConfig,

@@ -608,8 +608,8 @@ def _theta_stack(tables: Sequence[ConditionalMomentTable], spec: AssumptionSpec)
 def bootstrap_theta_covariance(
     records: Sequence[Tuple],
     spec: AssumptionSpec,
-    B: int = 500,
-    seed=0,
+    B: int,
+    seed,
 ) -> np.ndarray:
     """Covariance of the compiled (p, vec M, c) under record resampling.
 

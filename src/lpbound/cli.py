@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import List, Optional, Sequence, Tuple, Union, get_args, get_origin
 
@@ -360,9 +361,13 @@ def _infer_rows(cfg: Union[CsvInference, GaussianInference], seed: int):
         rows = rng.multivariate_normal(theta, sigma, size=cfg.n, method="svd")
         return rows, params
     try:
-        rows = np.loadtxt(cfg.data, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # loadtxt only warns on a file with no data
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(cfg.data, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise CliError("io_error", f"cannot read data CSV {cfg.data}: {exc}")
+    if rows.shape[0] == 0:
+        raise CliError("io_error", f"cannot read data CSV {cfg.data}: no data rows")
     S = params.theta_size
     if rows.shape[1] != S:
         raise CliError("dimension_mismatch", f"data rows have {rows.shape[1]} columns, need {S}")

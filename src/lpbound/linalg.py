@@ -1,19 +1,18 @@
-"""Dense linear-algebra utilities and a small exact-tolerance LP solver.
+"""The LP type, its exact-tolerance solver, and the checks of every document.
 
-Solves min p'x subject to Mx >= c and x in the box with a two-phase,
-bounded-variable revised simplex: the rows are M x - s = c, the box stays
-bounds, a nonbasic variable sits at one of its bounds and may flip to the
-other with no basis change (see solve_lp and _simplex). It prices by
-Dantzig's rule and falls back to Bland's rule, which cannot cycle, after
-_STALL_LIMIT degenerate pivots in a row. The dense basis inverse is updated
-by one rank-one step per pivot and taken afresh every _REFACTOR_EVERY pivots
-and before every verdict. solve_lp can start from a list of (basis, upper
-bound) entries of earlier solves of one shape (a warm start). The module
-also provides subset_blocks (the one row-subset enumerator and cap check),
-the vertex-enumeration oracle, the smallest singular value, the stacking of
-theta = (p, vec M, c) behind LpParams.theta (stack_theta) and its inverse,
-and check_fields, which checks each field of a config dataclass against its
-type annotation.
+LpParams holds one LP, min p'x subject to Mx >= c and x in the box, with
+its inputs theta = (p, vec M, c) (stack_theta, and inverse_vectorize back).
+solve_lp solves it with a two-phase, bounded-variable revised simplex: the
+rows are M x - s = c, the box stays bounds, a nonbasic variable sits at one
+of its bounds and may flip to the other with no basis change (see solve_lp
+and _simplex). It prices by Dantzig's rule and falls back to Bland's rule,
+which cannot cycle, after _STALL_LIMIT degenerate pivots in a row. The dense
+basis inverse is updated by one rank-one step per pivot and taken afresh
+every _REFACTOR_EVERY pivots and before every verdict. solve_lp can start
+from a list of (basis, upper bound) entries of earlier solves of one shape
+(a warm start). The module also provides subset_blocks (the one row-subset
+enumerator and cap check), the smallest singular value, and check_fields,
+which checks each field of a config dataclass against its type annotation.
 """
 from __future__ import annotations
 
@@ -34,7 +33,6 @@ import numpy as np
 TAU_FEAS = 1e-8    # feasibility slack
 TAU_BIND = 1e-7    # binding-row classification
 TAU_RANK = 1e-9    # invertibility threshold (scaled by the matrix)
-TAU_DEDUP = 1e-7   # vertex deduplication
 TAU_VAL = 1e-9     # value consistency
 
 ENUMERATION_CAP = 10**6
@@ -482,29 +480,6 @@ def subset_blocks(n: int, r: int):
     subsets = itertools.combinations(range(n), r)
     while block := list(itertools.islice(subsets, _SUBSET_BLOCK)):
         yield np.array(block, dtype=np.intp).reshape(len(block), r)
-
-
-def enumerate_vertices(params: LpParams):
-    """All vertices of {x: Mx >= c} inside the box.
-
-    Returns a list of (vertex, binding-set) pairs; binding sets index the
-    effective rows (params.M first, then the finite box rows). Candidates
-    x = A_J^{-1} rhs_J over the d-subsets J of subset_blocks, stacked a block
-    at a time, with |det| above the rank tolerance, are kept when feasible
-    within TAU_FEAS, deduplicated within TAU_DEDUP in subset order.
-    """
-    A_rows, rhs = params.effective_system()
-    q_eff, d = A_rows.shape
-    scale = max(1.0, float(np.abs(A_rows).max()))
-    feas_tol = TAU_FEAS * max(1.0, float(np.abs(rhs).max()), scale)
-    found = []
-    for J in subset_blocks(q_eff, d):
-        J = J[np.abs(np.linalg.det(A_rows[J])) > TAU_RANK * scale**d]
-        xs = np.linalg.solve(A_rows[J], rhs[J][..., None])[..., 0]
-        for x in xs[np.all(xs @ A_rows.T >= rhs - feas_tol, axis=1)]:
-            if not any(np.max(np.abs(x - v)) <= TAU_DEDUP for v, _ in found):
-                found.append((x, binding_rows(A_rows, rhs, x)))
-    return found
 
 
 def smallest_singular_value(m) -> float:

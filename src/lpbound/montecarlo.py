@@ -362,7 +362,7 @@ def grid_wn(n: int, delta: float) -> float:
     return (math.log(n) / math.log(100.0)) * (1.5 / delta)
 
 
-def grid_points(n: int, delta: float, grid: str = "full") -> List[float]:
+def grid_points(n: int, delta: float, grid: str) -> List[float]:
     """Slope grid: three fixed points plus three symmetric moving pairs whose
     positions equal +-0.1 at n = 100."""
     if grid == "single":
@@ -443,9 +443,3 @@ def run_uniform_grid(scenario: UniformGridScenario) -> UniformGridResult:
         failures=[r.failures for r in rows],
     )
 
-
-def loglog_slope(ns: Sequence[int], series: np.ndarray) -> float:
-    """Least-squares slope of log(series) against log(n)."""
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(series, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])

@@ -15,25 +15,21 @@ from lpbound.estimators import (
     set_expansion_value,
     tao_vu_quantile,
 )
-from lpbound.geometry import (
-    delta_condition,
-    distance_to_polytope,
-    l1_violation,
-    polytope_condition_number,
-)
+from lpbound.geometry import delta_condition
 from lpbound.inference import asymptotic_variance
-from lpbound.linalg import INFEASIBLE, OPTIMAL, LpParams, enumerate_vertices, solve_lp
+from lpbound.linalg import INFEASIBLE, OPTIMAL, LpParams, solve_lp
 from lpbound.montecarlo import (
     ConsistencyScenario,
     InferenceScenario,
     UniformGridScenario,
-    loglog_slope,
     run_consistency,
     run_inference_study,
     run_uniform_grid,
 )
 
 from conftest import example1_params, random_feasible_polytope_data, random_lp
+from lp_oracles import (distance_to_polytope, enumerate_vertices, l1_violation, loglog_slope,
+                        polytope_condition_number)
 from test_aicm import proof_example_table, random_binary_table
 
 

@@ -738,6 +738,19 @@ def test_gaussian_sigma_that_is_not_psd_exits_2(tmp_path):
     assert error["message"].startswith("sigma is not PSD")
 
 
+@pytest.mark.parametrize("text", ["", "# a comment and no rows\n"])
+def test_data_csv_with_no_rows_exits_2_with_one_json_error(tmp_path, text):
+    # numpy's loadtxt warns on a file with no data and returns one column
+    lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
+    data = tmp_path / "empty.csv"
+    data.write_text(text)
+    cfg = write_json(tmp_path / "cfg.json", {"mode": "csv", "lp": lp, "data": str(data)})
+    done = _main_in_subprocess("infer", cfg)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    error = json.loads(done.stderr)["error"]  # the JSON error is all of stderr
+    assert error == {"code": "io_error", "message": f"cannot read data CSV {data}: no data rows"}
+
+
 class TestAicmCommand:
     @staticmethod
     def proof_example_csv(tmp_path):

@@ -4,18 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lpbound import geometry
-from lpbound.geometry import (
-    TAU_KKT,
-    check_a1,
-    delta_condition,
-    distance_to_polytope,
-    l1_violation,
-    polytope_condition_number,
-)
+from lpbound.geometry import delta_condition
 from lpbound.linalg import (
     OPTIMAL,
-    TAU_DEDUP,
     TAU_FEAS,
     TAU_RANK,
     TAU_VAL,
@@ -23,12 +14,14 @@ from lpbound.linalg import (
     EnumerationCapError,
     LpParams,
     binding_rows,
-    enumerate_vertices,
     solve_lp,
     subset_blocks,
 )
 
 from conftest import example1_params, random_feasible_polytope_data, random_lp
+import lp_oracles
+from lp_oracles import (TAU_DEDUP, TAU_KKT, check_a1, distance_to_polytope, enumerate_vertices,
+                        l1_violation, polytope_condition_number)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -214,7 +207,7 @@ def _search_rows_reference(params, w, B):
 
 def test_search_lp_matches_row_by_row_assembly(monkeypatch, rng):
     solves = []
-    real = geometry.solve_lp
+    real = lp_oracles.solve_lp
 
     def recording_solve(params):
         solves.append((params, real(params)))
@@ -223,8 +216,8 @@ def test_search_lp_matches_row_by_row_assembly(monkeypatch, rng):
     def no_enumeration(params):
         raise ValueError("skipped, so that check_a1 reaches its search LP")
 
-    monkeypatch.setattr(geometry, "solve_lp", recording_solve)
-    monkeypatch.setattr(geometry, "delta_condition", no_enumeration)
+    monkeypatch.setattr(lp_oracles, "solve_lp", recording_solve)
+    monkeypatch.setattr(lp_oracles, "delta_condition", no_enumeration)
     searched = 0
     for _ in range(200):
         d = int(rng.integers(1, 4))

@@ -29,7 +29,6 @@ from lpbound.linalg import (
     DimensionError,
     LpParams,
     binding_rows,
-    enumerate_vertices,
     inverse_vectorize,
     smallest_singular_value,
     check_fields,
@@ -41,6 +40,7 @@ from lpbound.montecarlo import (_EXAMPLE, _GRID, ConsistencyScenario, ScenarioEr
                                  SimulationScenario, run_consistency)
 
 from conftest import example1_params, random_lp
+from lp_oracles import enumerate_vertices
 
 
 class TestSolveLp:

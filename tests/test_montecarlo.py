@@ -21,12 +21,13 @@ from lpbound.montecarlo import (
     draw_theta,
     grid_points,
     grid_wn,
-    loglog_slope,
     rng_for,
     run_consistency,
     run_inference_study,
     run_uniform_grid,
 )
+
+from lp_oracles import loglog_slope
 
 # The designs written out by hand, one LpParams per call: the references that
 # the affine designs _EXAMPLE and _GRID must reproduce bit for bit.

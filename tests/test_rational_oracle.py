@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 
 from lpbound.estimators import _relaxed_params, penalty_value
-from lpbound.linalg import INFEASIBLE, OPTIMAL, UNBOUNDED, LpParams, enumerate_vertices, solve_lp
+from lpbound.linalg import INFEASIBLE, OPTIMAL, UNBOUNDED, LpParams, solve_lp
 
 from conftest import random_feasible_polytope_data, random_lp
+from lp_oracles import enumerate_vertices
 
 _VALUE_TOL = 1e-9
 _MAX_PIVOTS = 10_000  # far above any LP here; a cycle would show as an error, not a hang
