@@ -368,6 +368,10 @@ def _infer_rows(cfg: Union[CsvInference, GaussianInference], seed: int):
         raise CliError("io_error", f"cannot read data CSV {cfg.data}: {exc}")
     if rows.shape[0] == 0:
         raise CliError("io_error", f"cannot read data CSV {cfg.data}: no data rows")
+    finite = np.isfinite(rows).all(axis=1)  # loadtxt reads nan, inf and 1e400 as numbers
+    if not finite.all():
+        raise CliError("validation_error",
+                       f"data CSV {cfg.data}: data row {finite.argmin() + 1} is not finite")
     S = params.theta_size
     if rows.shape[1] != S:
         raise CliError("dimension_mismatch", f"data rows have {rows.shape[1]} columns, need {S}")

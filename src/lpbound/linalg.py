@@ -8,11 +8,13 @@ of its bounds and may flip to the other with no basis change (see solve_lp
 and _simplex). It prices by Dantzig's rule and falls back to Bland's rule,
 which cannot cycle, after _STALL_LIMIT degenerate pivots in a row. The dense
 basis inverse is updated by one rank-one step per pivot and taken afresh
-every _REFACTOR_EVERY pivots and before every verdict. solve_lp can start
-from a list of (basis, upper bound) entries of earlier solves of one shape
-(a warm start). The module also provides subset_blocks (the one row-subset
-enumerator and cap check), the smallest singular value, and check_fields,
-which checks each field of a config dataclass against its type annotation.
+every _REFACTOR_EVERY pivots and before every verdict; phase 2 starts from
+phase 1's, each artificial left basic swapped for its row's surplus. solve_lp
+can start from a list of (basis, upper bound) entries of earlier solves of
+one shape (a warm start). The module also provides subset_blocks (the one
+row-subset enumerator and cap check), the smallest singular value, and
+check_fields, which checks each field of a config dataclass against its type
+annotation.
 """
 from __future__ import annotations
 
@@ -399,7 +401,8 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
     box bounds on x and s >= 0 (see _simplex). A cold start puts each x_j at
     its finite lower bound, else its finite upper bound, else 0, with each
     surplus basic, except that a row this point violates gets a phase-1
-    artificial. Phase 1 minimizes their sum, phase 2 minimizes p'x.
+    artificial. Phase 1 minimizes their sum; each artificial it leaves basic
+    gives way to its row's surplus, and phase 2 minimizes p'x from there.
 
     When `secondary` (length d) is given, secondary'x is minimized exactly
     over the optima of p'x: a nonbasic z_j at its lower bound with reduced
@@ -445,17 +448,10 @@ def solve_lp(params: LpParams, *, secondary: np.ndarray = None,
             if float(z[nvar:].sum()) > 1e-7:
                 return LpSolution(status=INFEASIBLE)
             z = z[:nvar]
-            # Drive artificials left basic at zero out: if e_r sits at position
-            # i, u = B^-T e_i has u_r = 1, so row r's nonbasic surplus has -1 in
-            # u'A. With none left, phase 2 starts from phase 1's inverse of B.
+            # an artificial e_r left basic (at zero) at position i gives way to row
+            # r's surplus -e_r, nonbasic as B holds e_r: row i of B^-1 is negated
             for i in [i for i, j in enumerate(basis) if j >= nvar]:
-                Binv = None
-                u = np.linalg.solve(A1[:, basis].T, eye[i])
-                entering = np.abs(u @ A) > 1e-9
-                entering[[j for j in basis if j < nvar]] = False
-                if not entering.any():
-                    raise SolverError(f"no column can replace the artificial of row {i}")
-                basis[i] = int(np.argmax(entering))
+                basis[i], Binv[i] = d + int(violated[basis[i] - nvar]), -Binv[i]
 
     status, z, basis, reduced, Binv = _simplex(cost, A, b, lo, hi, basis, z, Binv=Binv)
     if status == OPTIMAL and secondary is not None:

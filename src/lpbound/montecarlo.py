@@ -384,7 +384,6 @@ class UniformGridResult:
     sqrt_n_scaled: np.ndarray      # sup_std * sqrt(n)
     adaptive_scaled: np.ndarray    # sup_std * sqrt(n) / w_n
     sqrt_n_normalized: np.ndarray  # sqrt_n series matched to adaptive at n[0]
-    delta: float
     failures: List[int]  # replications left out of each size's sup_std
 
     CSV_COLUMNS = ("n", "sup_std", "sqrt_n_scaled", "adaptive_scaled", "sqrt_n_normalized",
@@ -439,7 +438,6 @@ def run_uniform_grid(scenario: UniformGridScenario) -> UniformGridResult:
         sqrt_n_scaled=sqrt_series,
         adaptive_scaled=adaptive,
         sqrt_n_normalized=sqrt_series * factor,
-        delta=delta,
         failures=[r.failures for r in rows],
     )
 

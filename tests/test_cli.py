@@ -751,6 +751,23 @@ def test_data_csv_with_no_rows_exits_2_with_one_json_error(tmp_path, text):
     assert error == {"code": "io_error", "message": f"cannot read data CSV {data}: no data rows"}
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+def test_data_csv_with_a_non_finite_entry_names_the_file_and_row(tmp_path, entry):
+    # loadtxt reads each of these as a float, so only a check of the rows can name the row
+    lp = write_json(tmp_path / "lp.json", EXAMPLE1_DOC)
+    data = tmp_path / "data.csv"
+    theta = parse_lp_document(EXAMPLE1_DOC)[0].theta()
+    rows = [[str(v + 0.01 * (i - j)) for j, v in enumerate(theta)] for i in range(8)]
+    rows[4][13] = entry
+    data.write_text("# theta rows\n" + "".join(",".join(row) + "\n" for row in rows))
+    cfg = write_json(tmp_path / "cfg.json", {"mode": "csv", "lp": lp, "data": str(data)})
+    done = _main_in_subprocess("infer", cfg)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    error = json.loads(done.stderr)["error"]  # the JSON error is all of stderr
+    assert error == {"code": "validation_error",
+                     "message": f"data CSV {data}: data row 5 is not finite"}
+
+
 class TestAicmCommand:
     @staticmethod
     def proof_example_csv(tmp_path):

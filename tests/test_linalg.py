@@ -288,6 +288,8 @@ def _rank_one_cases():
                                  c=np.array([1.0, 1.0]),  # x >= 1 and x <= -1
                                  box=(np.array([-5.0]), np.array([5.0]))), None
     yield "unbounded", _unbounded_lp(), None
+    for a in (-0.1, 0.0, 0.1):  # phase 1 leaves an artificial basic at zero
+        yield f"uniform_grid-a{a}", _GRID.params((a, 0.0, 0.0, 0.0)), None
 
 
 _RANK_ONE_CASES = list(_rank_one_cases())
@@ -314,6 +316,22 @@ class TestRankOneUpdate:
             assert sol.vertex.tobytes() == ref.vertex.tobytes()
         if params.q == 60:  # the relaxed (20,60) LP crosses the refactor interval
             assert max(pivots) > linalg._REFACTOR_EVERY
+
+    @pytest.mark.parametrize("params", [case[1] for case in _RANK_ONE_CASES
+                                        if case[0].startswith("uniform_grid")])
+    def test_grid_cases_leave_phase_1_an_artificial_basic(self, monkeypatch, params):
+        # the cases cover the hand-off only while phase 1 leaves an artificial basic
+        nvar, left, simplex = params.d + params.q, [], linalg._simplex
+
+        def recording_simplex(cost, A, *args, **kwargs):
+            result = simplex(cost, A, *args, **kwargs)
+            if A.shape[1] > nvar:  # phase 1, over the artificial columns too
+                left.append(max(result[2]) >= nvar)
+            return result
+
+        monkeypatch.setattr(linalg, "_simplex", recording_simplex)
+        assert solve_lp(params).status == OPTIMAL
+        assert left == [True]
 
     def test_expected_statuses(self):
         statuses = {name: solve_lp(params, secondary=sec).status
